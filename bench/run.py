@@ -9,10 +9,13 @@ stdout is one JSON object with the keys ``correct``, ``attempted``, ``failed``
 and ``metrics`` (with ``--workload all``: one such object per workload, under
 ``workloads``).  Results and traces are also written to ``bench/out/``.
 
-Each workload runs in fresh Python processes (``workload.py``).  ``setup_s``
-is the median over SETUP_SAMPLES fresh processes of the time from process
-spawn to the end of set-up: interpreter start, ``import cdent``, writing the
-workload's state files and one warm-up call per command.
+Each workload runs in a fresh Python process (``workload.py``).  ``setup_s``
+is the time from process spawn to the end of set-up: interpreter start,
+``import cdent``, writing the workload's state files and one warm-up call per
+command.  The workload process times it in fresh set-up-only processes that
+it starts between its rounds, and sums the best time of each phase over
+them, like every other timing here: a slower sample was slowed by the
+machine.
 """
 
 from __future__ import annotations
@@ -21,17 +24,14 @@ import argparse
 import compileall
 import json
 import os
-import statistics
 import subprocess
 import sys
-import time
 from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
 OUT_DIR = BENCH_DIR / "out"
 WORKLOADS = ("beam-sweep", "frame-chain", "shape-mixed")
-SETUP_SAMPLES = 7
 TIME_LIMIT_S = 170.0  # per workload, spawn to result
 
 
@@ -39,50 +39,23 @@ class BenchError(Exception):
     pass
 
 
-def child_env() -> dict:
-    env = dict(os.environ)
-    env.update(OMP_NUM_THREADS="1", OPENBLAS_NUM_THREADS="1", MKL_NUM_THREADS="1", PYTHONHASHSEED="0")
-    return env
-
-
-def spawn(args: list[str], deadline: float) -> tuple[float, str]:
-    """Run workload.py; returns (seconds from spawn to READY, stdout)."""
-    t0 = time.monotonic()
+def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
+    """Runs workload.py in a fresh process; returns its result."""
+    args = ["--workload", name, "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace)]
     proc = subprocess.Popen([sys.executable, str(BENCH_DIR / "workload.py"), *args],
-                            stdout=subprocess.PIPE, env=child_env(), cwd=ROOT, text=True)
+                            stdout=subprocess.PIPE, env={**os.environ, "PYTHONHASHSEED": "0"}, cwd=ROOT, text=True)
     try:
-        out, _ = proc.communicate(timeout=max(1.0, deadline - time.monotonic()))
+        out, _ = proc.communicate(timeout=TIME_LIMIT_S)
     except subprocess.TimeoutExpired:
         proc.kill()
         proc.wait()
         raise BenchError(f"workload process exceeded the time limit: {' '.join(args)}")
     if proc.returncode != 0:
         raise BenchError(f"workload process exited {proc.returncode}: {' '.join(args)}")
-    ready = [line for line in out.splitlines() if line.startswith("READY ")]
-    if len(ready) != 1:
-        raise BenchError("workload process did not report READY")
-    return float(ready[0].split()[1]) - t0, out
-
-
-def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
-    deadline = time.monotonic() + TIME_LIMIT_S
-    base = ["--workload", name, "--seed", str(seed), "--seconds", repr(seconds), "--trace", str(trace),
-            "--out-dir", str(OUT_DIR)]
-    setups = []
-    if not trace:
-        for _ in range(SETUP_SAMPLES - 1):
-            setups.append(spawn(base + ["--setup-only"], deadline)[0])
-    ready_s, out = spawn(base, deadline)
-    setups.append(ready_s)
     results = [line for line in out.splitlines() if line.startswith("RESULT ")]
     if len(results) != 1:
         raise BenchError("workload process printed no result")
-    child = json.loads(results[0][len("RESULT "):])
-    metrics = child["metrics"]
-    if not trace:
-        metrics = {"setup_s": {"value": statistics.median(setups), "unit": "s"}, **metrics}
-    return {"correct": child["correct"], "attempted": child["attempted"], "failed": child["failed"],
-            "metrics": metrics, "rounds": child["rounds"]}
+    return json.loads(results[0][len("RESULT "):])
 
 
 def print_table(name: str, result: dict) -> None:

@@ -9,24 +9,36 @@ console script's own entry point, in this process.  A round runs the same
 list of calls every time, interleaving all commands, so that a burst of
 machine noise hits every metric alike.  Each call's time is its best over
 all rounds of the run (timeit's rule: a slower repeat was slowed by the
-machine, not by the code), and rates and latency quantiles are built from
-those best times.  The 2-core machine this was tuned on swings between
+machine, not by the code), and rates and the median latency are built
+from those best times.  The 2-core machine this was tuned on swings between
 speed states lasting seconds to minutes, by up to 2x; a median over rounds
 then reads whichever state dominated the run, while the best time converges
 on the fast state's floor as the rounds grow.  So a round is kept short
-(0.3-0.4 s), every call runs once in every round, and a run is long.
+(0.35-0.55 s), every call runs once in every round, and a run is long.
+Kernel grids, sweeps and galilean-checks are cut into calls of at most
+about 35 ms: in a busy spell the machine interrupts a long call somewhere in
+nearly every round, so its best time stays high, while short calls still
+find undisturbed rounds.  There is no p90 latency: a round has 10-41
+analyze calls, so at most four distinct calls would lie beyond it, and it
+would read the best time of one or two fixed state files, not a tail.
 The seed picks the continuous parameters (centers, widths, amplitudes,
 grids); the shape of every round (which commands, state sizes n, d, terms
 per component, rows, grid points, samples) is fixed per workload, so the
 work per round and the share of failed calls do not depend on the seed.
 
-Protocol on stdout: ``READY <monotonic time>`` once set-up is done, then
-``RESULT <json>`` at the end.  ``--setup-only`` stops after READY.
+Protocol on stdout: ``RESULT <json>`` at the end.  ``--setup-only`` stops
+after set-up and prints ``SETUP <json>``: the monotonic times at which its
+phases ended.
 """
 
 from __future__ import annotations
 
 import os
+import time
+
+# ends of the set-up phases, on the monotonic clock: start of this module,
+# numpy, cdent, the oracles, the plan, then each warm-up call
+SETUP_MARKS = [time.monotonic()]
 
 for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
@@ -38,29 +50,37 @@ import math
 import resource
 import shutil
 import statistics
+import subprocess
 import sys
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
+OUT_DIR = BENCH_DIR / "out"
 sys.path.insert(0, str(ROOT / "src"))
 
 import numpy as np  # noqa: E402
 
+SETUP_MARKS.append(time.monotonic())
+
 import cdent  # noqa: E402
 from cdent import cli  # noqa: E402
 
+SETUP_MARKS.append(time.monotonic())
+
 import oracles  # noqa: E402
+
+SETUP_MARKS.append(time.monotonic())
 
 if not Path(cdent.__file__).resolve().is_relative_to(ROOT / "src"):
     sys.exit(f"cdent was imported from {cdent.__file__}, not from this checkout's src/")
 
 WORKLOADS = ("beam-sweep", "frame-chain", "shape-mixed")
-MIN_ROUNDS = 10         # keeps >= 10 analyze calls beyond p90
+MIN_ROUNDS = 10         # each call's best is taken over at least this many rounds
 MIN_TRACE_ROUNDS = 4
+SETUP_SAMPLES = 11      # fresh set-up-only processes timed for setup_s
 CLOSED = oracles.CLOSED_FORM_ENTRY_TOL
 QUAD = oracles.QUADRATURE_ENTRY_TOL
 
@@ -68,11 +88,13 @@ QUAD = oracles.QUADRATURE_ENTRY_TOL
 @dataclass
 class Op:
     """One CLI call of a round.  ``check`` verifies stdout and returns the
-    work units done (rows, points, frames or states)."""
+    work units done (rows, points, frames or states).  ``fault`` is set on
+    probes: the stderr text of the known fault that makes them fail."""
 
-    kind: str  # analyze | sweep | galilean | kernel | probe
+    kind: str  # analyze | sweep | galilean | kernel
     argv: list[str]
     check: Callable[[str], float]
+    fault: str = ""
 
 
 @dataclass
@@ -227,7 +249,7 @@ def cstr(z: complex) -> str:
 
 
 def lazy(fn: Callable[[], object]) -> Callable[[], object]:
-    """Reference values are computed on first use, after READY, so that
+    """Reference values are computed on first use, after set-up, so that
     the oracles never count as set-up time."""
     cache: list = []
 
@@ -271,13 +293,13 @@ def sweep_width_op(rng, steps: int) -> Op:
     return Op("sweep", argv, lambda text: oracles.check_sweep(text, "ratio", ref(), c[0], c[1]))
 
 
-def galilean_op(path: str, samples: int, seed: int, mass: float = 1.0, kind: str = "galilean") -> Op:
+def galilean_op(path: str, samples: int, seed: int, mass: float = 1.0, fault: str = "") -> Op:
     def check(text: str) -> float:
         oracles.check_galilean(text, samples, seed, mass)
         return float(samples)
 
     argv = ["galilean-check", path, f"--samples={samples}", f"--seed={seed}", f"--mass={fmt(mass)}"]
-    return Op(kind, argv, check)
+    return Op("galilean", argv, check, fault)
 
 
 def kernel_op(path: str, axis: int, lo: float, hi: float, points: int) -> Op:
@@ -292,6 +314,12 @@ def kernel_op(path: str, axis: int, lo: float, hi: float, points: int) -> Op:
     ref = lazy(reference)
     argv = ["kernel", path, f"--axis={axis}", f"--grid={fmt(lo)}:{fmt(hi)}:{points}"]
     return Op("kernel", argv, lambda text: oracles.check_kernel(text, grid, *ref()))
+
+
+def kernel_ops(path: str, axis: int, lo: float, hi: float, parts: int, points: int) -> list[Op]:
+    """[lo, hi] cut into ``parts`` windows, one points x points call each."""
+    edges = np.linspace(lo, hi, parts + 1)
+    return [kernel_op(path, axis, a, b, points) for a, b in zip(edges[:-1], edges[1:])]
 
 
 def interleave(spread: list[Op], others: list[Op]) -> list[Op]:
@@ -309,7 +337,7 @@ def interleave(spread: list[Op], others: list[Op]) -> list[Op]:
 
 
 def plan_beam_sweep(rng, work: Path) -> Plan:
-    """Many tiny calls: 41 beam-pair analyzes, two 250-row sweeps, a
+    """Many tiny calls: 41 beam-pair analyzes, six 100-row sweeps, a
     20-sample galilean-check and a 21x21 kernel grid per round."""
     analyzes = []
     for i in range(41):
@@ -319,9 +347,9 @@ def plan_beam_sweep(rng, work: Path) -> Plan:
     gal = write_state(work / "gal.json", beam_state(rng))
     ker = write_state(work / "kernel.json", beam_state(rng))
     others = [
-        sweep_q_op(rng, 250),
+        sweep_q_op(rng, 100), sweep_width_op(rng, 100), sweep_q_op(rng, 100),
         kernel_op(ker, 2, -rng.uniform(2.5, 3.5), rng.uniform(2.5, 3.5), 21),
-        sweep_width_op(rng, 250),
+        sweep_width_op(rng, 100), sweep_q_op(rng, 100), sweep_width_op(rng, 100),
         galilean_op(gal, 20, int(rng.integers(1 << 30))),
     ]
     warmup = [analyzes[0].argv, _small_sweep("sweep-q"), _small_sweep("sweep-width"),
@@ -355,33 +383,35 @@ def frame_chain(rng, base: dict, depth: int, work: Path, name: str) -> dict[int,
 
 # the intermediate beam state of the README (q = sigma = 1); galilean-check
 # with seed 7 fails on it at these masses, sample 18 and sample 2 being the
-# first failing frames
-PROBES = ((100.0, 18), (10000.0, 2))
+# first failing frames, with these messages
+PROBES = ((100.0, 18, "trace must be 1"), (10000.0, 2, "state is not normalized"))
 
 
 def plan_frame_chain(rng, work: Path) -> Plan:
-    """Few large states: analyze at K = 2..32 terms per component, an
-    81-point kernel at K = 16 and a 3-sample galilean-check at K = 8."""
+    """Few large states: analyze at K = 2..16 terms per component, four
+    16-point kernel windows at K = 16 and three 1-sample galilean-checks at
+    K = 8."""
     bases = {"A": beam_state(rng, 2.0), "B": beam_state(rng, 2.0), "C": two_packet_state(rng)}
-    chains = {"A": frame_chain(rng, bases["A"], 5, work, "A"), "B": frame_chain(rng, bases["B"], 3, work, "B"),
-              "C": frame_chain(rng, bases["C"], 4, work, "C")}
+    chains = {"A": frame_chain(rng, bases["A"], 4, work, "A"), "B": frame_chain(rng, bases["B"], 4, work, "B"),
+              "C": frame_chain(rng, bases["C"], 3, work, "C")}
     # terms per component: A,B: 2^k; C: 2^(k+1).  Ten calls with K =
-    # 2,2,4,4,8,8,8,16,32,32, so the median sits inside the K=8 group and
-    # p90 inside the K=32 group
-    slots = [("A", 1), ("B", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 2), ("A", 4), ("A", 5), ("C", 4)]
+    # 2,2,4,4,8,8,8,16,16,16, so the median sits inside the K=8 group.  No
+    # K=32: one such call takes about 60 ms, and calls that long seldom
+    # escape the machine's bursts (see the module docstring)
+    slots = [("A", 1), ("B", 1), ("A", 2), ("B", 2), ("A", 3), ("B", 3), ("C", 2), ("A", 4), ("B", 4), ("C", 3)]
     spectra = {name: lazy(lambda b=b: oracles.two_level_spectrum(oracles.phase_free_packet_matrix(b)))
                for name, b in bases.items()}
     analyzes = [analyze_op(chains[name][k], expected_spectrum=spectra[name]) for name, k in slots]
     probe = str(work / "probe.json")
     c = 1.0 / np.sqrt(2.0)
     cdent.save_state(cdent.beam_pair(c, c, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, 1.0), probe)
+    kernels = kernel_ops(chains["A"][4], 0, -rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5), 4, 4)
+    gals = [galilean_op(chains["A"][3], 1, int(rng.integers(1 << 30))) for _ in range(3)]
     others = [
-        kernel_op(chains["A"][4], 0, -rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5), 9),
-        galilean_op(probe, PROBES[0][1], 7, PROBES[0][0], "probe"),
-        galilean_op(chains["A"][3], 3, int(rng.integers(1 << 30))),
-        sweep_q_op(rng, 30),
-        galilean_op(probe, PROBES[1][1], 7, PROBES[1][0], "probe"),
-        sweep_width_op(rng, 30),
+        kernels[0], gals[0], galilean_op(probe, PROBES[0][1], 7, PROBES[0][0], PROBES[0][2]),
+        kernels[1], sweep_q_op(rng, 30), gals[1],
+        kernels[2], galilean_op(probe, PROBES[1][1], 7, PROBES[1][0], PROBES[1][2]),
+        kernels[3], gals[2], sweep_width_op(rng, 30),
     ]
     warmup = [analyzes[0].argv, _small_sweep("sweep-q"), _small_sweep("sweep-width"),
               ["galilean-check", chains["A"][1], "--samples=1", "--seed=0"],
@@ -391,14 +421,13 @@ def plan_frame_chain(rng, work: Path) -> Plan:
 
 def plan_shape_mixed(rng, work: Path) -> Plan:
     """Quadrature and Jacobi: 15 analyzes of shape-like, cross-frame and
-    Gaussian x Hermite states, a 225-point Hermite kernel, 40-row sweeps
-    and a 20-sample galilean-check on a beam pair."""
+    Gaussian x Hermite states, three 81-point Hermite kernel windows, 40-row
+    sweeps and a 20-sample galilean-check on a beam pair."""
     oracle = oracles.OverlapOracle()
     analyzes = []
     states = [("shape", n, d) for n, d in ((2, 1), (3, 2), (4, 3), (5, 1), (6, 2))]
     states += [("cross", 2, 1), ("cross", 2, 2)]
-    # two d=3 mixed pairs of fifteen calls: the top 13%, so p90 sits inside
-    # that group
+    # two d=3 mixed pairs of fifteen calls make the slow end
     states += [("mixed", n, d) for n, d in ((2, 1), (3, 2), (4, 1), (5, 2), (6, 1), (6, 2), (2, 3), (2, 3))]
     for i, (family, n, d) in enumerate(states):
         if family == "shape":
@@ -419,11 +448,11 @@ def plan_shape_mixed(rng, work: Path) -> Plan:
     herm = [hermite_comp(scale, origin, hermite_coeffs(rng, idx[3 * chi:3 * chi + 3], w[chi])) for chi in range(2)]
     ker = write_state(work / "kernel.json", state_dict(herm, 3))
     gal = write_state(work / "gal.json", beam_state(rng))
+    kernels = kernel_ops(ker, 0, -rng.uniform(2.0, 3.0), rng.uniform(2.0, 3.0), 3, 9)
     others = [
-        kernel_op(ker, 0, -rng.uniform(2.0, 3.0), rng.uniform(2.0, 3.0), 15),
-        sweep_q_op(rng, 40),
-        galilean_op(gal, 20, int(rng.integers(1 << 30))),
-        sweep_width_op(rng, 40),
+        kernels[0], sweep_q_op(rng, 40),
+        kernels[1], galilean_op(gal, 20, int(rng.integers(1 << 30))),
+        kernels[2], sweep_width_op(rng, 40),
     ]
     warmup = [analyzes[7].argv, analyzes[0].argv, _small_sweep("sweep-q"), _small_sweep("sweep-width"),
               ["galilean-check", gal, "--samples=1", "--seed=0"], ["kernel", ker, "--axis=0", "--grid=-1:1:3"]]
@@ -469,7 +498,7 @@ class Runner:
             row.append(math.nan)
             if code != 0:
                 self.failed += 1
-                if not (op.kind == "probe" and code == cli.NUMERICAL_ERROR):
+                if not (op.fault and code == cli.NUMERICAL_ERROR and op.fault in err):
                     self.error(f"{' '.join(op.argv)} exited {code}: {err.strip()}")
                 continue
             try:
@@ -481,17 +510,19 @@ class Runner:
         self.durations.append(row)
         return t_start, time.perf_counter()
 
-    def run_for(self, seconds: float, min_rounds: int) -> int:
-        deadline = time.perf_counter() + seconds
-        while len(self.durations) < min_rounds or time.perf_counter() < deadline:
+    def run_for(self, seconds: float, min_rounds: int, between: Callable[[float], None]) -> int:
+        """``between(elapsed)`` runs before each round, outside it."""
+        start = time.perf_counter()
+        while len(self.durations) < min_rounds or time.perf_counter() < start + seconds:
+            between(time.perf_counter() - start)
             self.run_round()
         return len(self.durations)
 
     def end_to_end(self) -> dict:
-        """Rates and latency quantiles from each call's best time over the
+        """Rates and the median latency from each call's best time over the
         rounds.  Probes are timed in no metric."""
         ops = self.plan.ops
-        timed = [i for i, op in enumerate(ops) if op.kind != "probe"]
+        timed = [i for i, op in enumerate(ops) if not op.fault]
         fast = dict(zip(timed, np.nanmin(np.array(self.durations)[:, timed], axis=0)))
 
         def rate(kind):
@@ -499,17 +530,29 @@ class Runner:
             return sum(self.units[i] for i in idx) / sum(fast[i] for i in idx)
 
         # each analyze call has equal weight; inverted_cdf picks the call at
-        # which the cumulative share first reaches the quantile
+        # which the cumulative share first reaches one half
         lat = [fast[i] for i in timed if ops[i].kind == "analyze"]
         return {
             "sweep_rows_per_s": (rate("sweep"), "rows/s"),
             "analyze_states_per_s": (rate("analyze"), "states/s"),
             "analyze_p50_ms": (1e3 * float(np.percentile(lat, 50, method="inverted_cdf")), "ms"),
-            "analyze_p90_ms": (1e3 * float(np.percentile(lat, 90, method="inverted_cdf")), "ms"),
             "galilean_frames_per_s": (rate("galilean"), "frames/s"),
             "kernel_points_per_s": (rate("kernel"), "points/s"),
             "peak_rss_mb": (resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0, "MB"),
         }
+
+
+def setup_phases(args) -> list[float]:
+    """Durations of the set-up phases of a fresh ``--setup-only`` copy of
+    this workload: interpreter start (from spawn), the imports, the plan and
+    each warm-up call."""
+    t0 = time.monotonic()
+    proc = subprocess.run([sys.executable, __file__, "--workload", args.workload, "--seed", str(args.seed),
+                           "--seconds", "0", "--setup-only"], capture_output=True, text=True, timeout=60)
+    if proc.returncode != 0 or not proc.stdout.startswith("SETUP "):
+        raise RuntimeError(f"set-up sample exited {proc.returncode}: {proc.stderr.strip()}")
+    marks = [t0, *json.loads(proc.stdout[len("SETUP "):])]
+    return [b - a for a, b in zip(marks, marks[1:])]
 
 
 def main() -> int:
@@ -519,7 +562,6 @@ def main() -> int:
     ap.add_argument("--seconds", type=float, required=True)
     ap.add_argument("--trace", type=int, choices=(0, 1), default=0)
     ap.add_argument("--setup-only", action="store_true")
-    ap.add_argument("--out-dir", default=str(BENCH_DIR / "out"))
     args = ap.parse_args()
 
     work = BENCH_DIR / ".work" / f"{args.workload}-{os.getpid()}"
@@ -527,13 +569,15 @@ def main() -> int:
     try:
         rng = np.random.default_rng([args.seed, WORKLOADS.index(args.workload)])
         plan = PLANS[args.workload](rng, work)
+        SETUP_MARKS.append(time.monotonic())
         for argv in plan.warmup:
             code, _, err, _ = call(argv)
             if code != 0:
                 print(f"bench: warm-up {' '.join(argv)} exited {code}: {err.strip()}", file=sys.stderr)
                 return 1
-        print(f"READY {time.monotonic()!r}", flush=True)
+            SETUP_MARKS.append(time.monotonic())
         if args.setup_only:
+            print("SETUP " + json.dumps(SETUP_MARKS), flush=True)
             return 0
 
         runner = Runner(plan)
@@ -555,13 +599,23 @@ def main() -> int:
                     tracer.uninstall()
             median = lambda b: statistics.median(e - s for s, e in b)  # noqa: E731
             metrics = tracer.metrics(len(traced), median(untraced), median(traced))
-            out_dir = Path(args.out_dir)
-            out_dir.mkdir(parents=True, exist_ok=True)
-            tracer.write(str(out_dir / f"trace-{args.workload}-seed{args.seed}.npz"), traced)
+            OUT_DIR.mkdir(parents=True, exist_ok=True)
+            tracer.write(str(OUT_DIR / f"trace-{args.workload}-seed{args.seed}.npz"), traced)
             result["rounds"] = len(traced)
         else:
-            result["rounds"] = runner.run_for(args.seconds, MIN_ROUNDS)
-            metrics = runner.end_to_end()
+            # the set-up samples are spread over the run, so that a slow
+            # spell of the machine meets only some of them
+            samples: list[list[float]] = []
+
+            def sample(elapsed: float) -> None:
+                if len(samples) < SETUP_SAMPLES and elapsed >= len(samples) * args.seconds / SETUP_SAMPLES:
+                    samples.append(setup_phases(args))
+
+            result["rounds"] = runner.run_for(args.seconds, MIN_ROUNDS, sample)
+            # each phase's best over the samples, summed: the rule by which
+            # the rates sum each call's best over the rounds
+            setup_s = sum(min(phase) for phase in zip(*samples))
+            metrics = {"setup_s": (setup_s, "s"), **runner.end_to_end()}
         result.update({
             "correct": not runner.errors,
             "attempted": runner.attempted,
