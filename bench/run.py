@@ -15,7 +15,9 @@ is the time from process spawn to the end of set-up: interpreter start,
 command.  The workload process times it in fresh set-up-only processes that
 it starts between its rounds, and sums the best time of each phase over
 them, like every other timing here: a slower sample was slowed by the
-machine.
+machine.  Every time is then scaled to a reference speed of the machine, which
+the workload process reads from a yardstick it times between its calls (see
+``workload.py``).
 """
 
 from __future__ import annotations
@@ -61,6 +63,8 @@ def run_workload(name: str, seed: int, seconds: float, trace: int) -> dict:
 def print_table(name: str, result: dict) -> None:
     print(f"== {name}: {result['rounds']} rounds, attempted {result['attempted']}, "
           f"failed {result['failed']}, correct {str(result['correct']).lower()}")
+    if "yardstick_best_ms" in result:
+        print(f"   yardstick best {result['yardstick_best_ms']:.4f} ms; times scaled to {result['yardstick_ref_ms']} ms")
     for key, m in result["metrics"].items():
         print(f"   {key:32s} {m['value']:16.6g} {m['unit']}")
 

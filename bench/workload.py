@@ -10,21 +10,29 @@ list of calls every time, interleaving all commands, so that a burst of
 machine noise hits every metric alike.  Each call's time is its best over
 all rounds of the run (timeit's rule: a slower repeat was slowed by the
 machine, not by the code), and rates and the median latency are built
-from those best times.  The 2-core machine this was tuned on swings between
-speed states lasting seconds to minutes, by up to 2x; a median over rounds
-then reads whichever state dominated the run, while the best time converges
-on the fast state's floor as the rounds grow.  So a round is kept short
-(0.35-0.55 s), every call runs once in every round, and a run is long.
-Kernel grids, sweeps and galilean-checks are cut into calls of at most
-about 35 ms: in a busy spell the machine interrupts a long call somewhere in
-nearly every round, so its best time stays high, while short calls still
-find undisturbed rounds.  There is no p90 latency: a round has 10-41
-analyze calls, so at most four distinct calls would lie beyond it, and it
-would read the best time of one or two fixed state files, not a tail.
-The seed picks the continuous parameters (centers, widths, amplitudes,
-grids); the shape of every round (which commands, state sizes n, d, terms
-per component, rows, grid points, samples) is fixed per workload, so the
-work per round and the share of failed calls do not depend on the seed.
+from those best times.  So a round is kept short (0.3-0.7 s), every call
+runs once in every round, and a run is long.  Kernel grids, sweeps and
+galilean-checks are cut into calls of at most about 35 ms: in a busy spell
+the machine interrupts a long call somewhere in nearly every round, so its
+best time stays high, while short calls still find undisturbed rounds.
+
+The 2-core machine this was tuned on also swings between speed states that
+last seconds to minutes, by up to 1.5x, and a spell that covers a whole run
+lifts every best time of the run.  So before every call the round also times
+a yardstick: a fixed snippet of small numpy and pure-Python work that runs
+no cdent code.  The yardstick's best time in a run says how fast the
+machine was, and every timing metric is scaled to the speed at which the
+yardstick takes ``YARDSTICK_REF_S``: a time t is reported as
+t * YARDSTICK_REF_S / yardstick best.  A change to cdent moves the
+numerator alone.
+
+There is no p90 latency: a round has 10-41 analyze calls, so at most four
+distinct calls would lie beyond it, and it would read the best time of one
+or two fixed state files, not a tail.  The seed picks the continuous
+parameters (centers, widths, amplitudes, grids); the shape of every round
+(which commands, state sizes n, d, terms per component, rows, grid points,
+samples) is fixed per workload, so the work per round and the share of
+failed calls do not depend on the seed.
 
 Protocol on stdout: ``RESULT <json>`` at the end.  ``--setup-only`` stops
 after set-up and prints ``SETUP <json>``: the monotonic times at which its
@@ -81,6 +89,10 @@ WORKLOADS = ("beam-sweep", "frame-chain", "shape-mixed")
 MIN_ROUNDS = 10         # each call's best is taken over at least this many rounds
 MIN_TRACE_ROUNDS = 4
 SETUP_SAMPLES = 11      # fresh set-up-only processes timed for setup_s
+# the yardstick's best time (Runner.yardstick_best) on the reference machine,
+# a 2-vCPU VM with Python 3.11.7 and numpy 2.4.6, in its fast state; scaled
+# figures read as wall-clock figures of that machine in that state
+YARDSTICK_REF_S = 1.1e-3
 CLOSED = oracles.CLOSED_FORM_ENTRY_TOL
 QUAD = oracles.QUADRATURE_ENTRY_TOL
 
@@ -337,8 +349,8 @@ def interleave(spread: list[Op], others: list[Op]) -> list[Op]:
 
 
 def plan_beam_sweep(rng, work: Path) -> Plan:
-    """Many tiny calls: 41 beam-pair analyzes, six 100-row sweeps, a
-    20-sample galilean-check and a 21x21 kernel grid per round."""
+    """Many tiny calls: 41 beam-pair analyzes, six 30-row sweeps, four
+    5-sample galilean-checks and four 10x10 kernel windows per round."""
     analyzes = []
     for i in range(41):
         state = beam_state(rng)
@@ -346,11 +358,11 @@ def plan_beam_sweep(rng, work: Path) -> Plan:
         analyzes.append(analyze_op(path, lambda state=state: oracles.phase_free_packet_matrix(state), CLOSED))
     gal = write_state(work / "gal.json", beam_state(rng))
     ker = write_state(work / "kernel.json", beam_state(rng))
+    kernels = kernel_ops(ker, 2, -rng.uniform(2.5, 3.5), rng.uniform(2.5, 3.5), 4, 10)
+    gals = [galilean_op(gal, 5, int(rng.integers(1 << 30))) for _ in range(4)]
     others = [
-        sweep_q_op(rng, 100), sweep_width_op(rng, 100), sweep_q_op(rng, 100),
-        kernel_op(ker, 2, -rng.uniform(2.5, 3.5), rng.uniform(2.5, 3.5), 21),
-        sweep_width_op(rng, 100), sweep_q_op(rng, 100), sweep_width_op(rng, 100),
-        galilean_op(gal, 20, int(rng.integers(1 << 30))),
+        sweep_q_op(rng, 30), kernels[0], gals[0], sweep_width_op(rng, 30), kernels[1], gals[1], sweep_q_op(rng, 30),
+        sweep_width_op(rng, 30), kernels[2], gals[2], sweep_q_op(rng, 30), kernels[3], gals[3], sweep_width_op(rng, 30),
     ]
     warmup = [analyzes[0].argv, _small_sweep("sweep-q"), _small_sweep("sweep-width"),
               ["galilean-check", gal, "--samples=1", "--seed=0"], ["kernel", ker, "--axis=2", "--grid=-1:1:3"]]
@@ -389,8 +401,8 @@ PROBES = ((100.0, 18, "trace must be 1"), (10000.0, 2, "state is not normalized"
 
 def plan_frame_chain(rng, work: Path) -> Plan:
     """Few large states: analyze at K = 2..16 terms per component, four
-    16-point kernel windows at K = 16 and three 1-sample galilean-checks at
-    K = 8."""
+    16-point kernel windows at K = 16, four 1-sample galilean-checks at
+    K = 8 and four 30-row sweeps."""
     bases = {"A": beam_state(rng, 2.0), "B": beam_state(rng, 2.0), "C": two_packet_state(rng)}
     chains = {"A": frame_chain(rng, bases["A"], 4, work, "A"), "B": frame_chain(rng, bases["B"], 4, work, "B"),
               "C": frame_chain(rng, bases["C"], 3, work, "C")}
@@ -406,12 +418,12 @@ def plan_frame_chain(rng, work: Path) -> Plan:
     c = 1.0 / np.sqrt(2.0)
     cdent.save_state(cdent.beam_pair(c, c, [0.0, 0.0, 0.0], [0.0, 0.0, 1.0], 1.0, 1.0), probe)
     kernels = kernel_ops(chains["A"][4], 0, -rng.uniform(1.5, 2.5), rng.uniform(1.5, 2.5), 4, 4)
-    gals = [galilean_op(chains["A"][3], 1, int(rng.integers(1 << 30))) for _ in range(3)]
+    gals = [galilean_op(chains["A"][3], 1, int(rng.integers(1 << 30))) for _ in range(4)]
     others = [
-        kernels[0], gals[0], galilean_op(probe, PROBES[0][1], 7, PROBES[0][0], PROBES[0][2]),
-        kernels[1], sweep_q_op(rng, 30), gals[1],
-        kernels[2], galilean_op(probe, PROBES[1][1], 7, PROBES[1][0], PROBES[1][2]),
-        kernels[3], gals[2], sweep_width_op(rng, 30),
+        kernels[0], gals[0], galilean_op(probe, PROBES[0][1], 7, PROBES[0][0], PROBES[0][2]), sweep_q_op(rng, 30),
+        kernels[1], gals[1], sweep_width_op(rng, 30),
+        kernels[2], galilean_op(probe, PROBES[1][1], 7, PROBES[1][0], PROBES[1][2]), sweep_q_op(rng, 30),
+        kernels[3], gals[2], sweep_width_op(rng, 30), gals[3],
     ]
     warmup = [analyzes[0].argv, _small_sweep("sweep-q"), _small_sweep("sweep-width"),
               ["galilean-check", chains["A"][1], "--samples=1", "--seed=0"],
@@ -464,6 +476,20 @@ PLANS = {"beam-sweep": plan_beam_sweep, "frame-chain": plan_frame_chain, "shape-
 
 # ------------------------------------------------------------------ running
 
+_YS_X = np.linspace(-3.0, 3.0, 64)
+
+
+def yardstick() -> float:
+    """About 1 ms of work like cdent's, without cdent: small numpy
+    arrays, complex exponentials, a 2x2 eigensolve, JSON and a Python loop."""
+    acc = 0.0
+    for i in range(60):
+        z = np.exp(-(_YS_X - 0.01 * i) ** 2) * np.exp(1j * _YS_X)
+        acc += float(np.vdot(z, z).real)
+        acc += float(np.linalg.eigvalsh(np.array([[1.0 + i, 0.3], [0.3, 2.0]]))[0])
+        acc += len(json.dumps({"a": [acc, i, 0.5], "b": "x" * 10})) + sum(k * 0.5 for k in range(40))
+    return acc
+
 
 def call(argv: list[str]) -> tuple[int, str, str, float]:
     out, err = io.StringIO(), io.StringIO()
@@ -482,6 +508,7 @@ class Runner:
         self.failed = 0
         self.errors: list[str] = []
         self.durations: list[list[float]] = []  # per round, per op; nan where the call failed
+        self.yardsticks: list[list[float]] = []  # per round, one before each op
         self.units = [0.0] * len(plan.ops)
 
     def error(self, message: str) -> None:
@@ -491,8 +518,11 @@ class Runner:
 
     def run_round(self) -> tuple[float, float]:
         t_start = time.perf_counter()
-        row = []
+        row, sticks = [], []
         for i, op in enumerate(self.plan.ops):
+            t0 = time.perf_counter()
+            yardstick()
+            sticks.append(time.perf_counter() - t0)
             code, out, err, dt = call(op.argv)
             self.attempted += 1
             row.append(math.nan)
@@ -508,6 +538,7 @@ class Runner:
                 continue
             row[-1] = dt
         self.durations.append(row)
+        self.yardsticks.append(sticks)
         return t_start, time.perf_counter()
 
     def run_for(self, seconds: float, min_rounds: int, between: Callable[[float], None]) -> int:
@@ -518,12 +549,19 @@ class Runner:
             self.run_round()
         return len(self.durations)
 
-    def end_to_end(self) -> dict:
+    def yardstick_best(self) -> float:
+        """The yardstick's best time: each slot's best over the rounds, and
+        the median over the slots.  A slot's best draws on as many samples
+        as a call's best does; one minimum over all slots would draw on
+        many more, and find fast moments too brief for any call."""
+        return float(np.median(np.min(np.array(self.yardsticks), axis=0)))
+
+    def end_to_end(self, scale: float) -> dict:
         """Rates and the median latency from each call's best time over the
-        rounds.  Probes are timed in no metric."""
+        rounds, times ``scale``.  Probes are timed in no metric."""
         ops = self.plan.ops
         timed = [i for i, op in enumerate(ops) if not op.fault]
-        fast = dict(zip(timed, np.nanmin(np.array(self.durations)[:, timed], axis=0)))
+        fast = dict(zip(timed, scale * np.nanmin(np.array(self.durations)[:, timed], axis=0)))
 
         def rate(kind):
             idx = [i for i in timed if ops[i].kind == kind]
@@ -612,10 +650,14 @@ def main() -> int:
                     samples.append(setup_phases(args))
 
             result["rounds"] = runner.run_for(args.seconds, MIN_ROUNDS, sample)
+            stick = runner.yardstick_best()
+            scale = YARDSTICK_REF_S / stick
+            result["yardstick_best_ms"] = 1e3 * stick
+            result["yardstick_ref_ms"] = 1e3 * YARDSTICK_REF_S
             # each phase's best over the samples, summed: the rule by which
             # the rates sum each call's best over the rounds
-            setup_s = sum(min(phase) for phase in zip(*samples))
-            metrics = {"setup_s": (setup_s, "s"), **runner.end_to_end()}
+            setup_s = scale * sum(min(phase) for phase in zip(*samples))
+            metrics = {"setup_s": (setup_s, "s"), **runner.end_to_end(scale)}
         result.update({
             "correct": not runner.errors,
             "attempted": runner.attempted,
