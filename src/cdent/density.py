@@ -42,7 +42,7 @@ class Spectrum:
         if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
             raise DomainError(f"eigenvalues outside [0,1]: {vals}")
         if abs(np.sum(vals) - 1.0) > 1e-10:
-            raise DomainError(f"eigenvalues must sum to 1, got {np.sum(vals)!r}")
+            raise DomainError(f"eigenvalues must sum to 1, got {float(np.sum(vals))!r}")
         vals = np.clip(vals, 0.0, 1.0)
         vals = np.sort(vals)[::-1].copy()
         vals.setflags(write=False)
@@ -75,32 +75,16 @@ def reduced_spin_density(
     return overlap_matrix(state, spec)
 
 
-def _two_level_closed_form(m: np.ndarray) -> np.ndarray:
-    # trace/2 +- sqrt(((h00-h11)/2)^2 + |h01|^2): algebraically identical to
-    # 1/2 +- sqrt(1/4 - det) under the unit-trace invariant, but written as a
-    # sum of non-negative terms so nothing cancels; the naive form loses half
-    # the mantissa to sqrt amplification near the degenerate point
-    half_tr = 0.5 * (m[0, 0].real + m[1, 1].real)
-    root = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
-    return np.array([half_tr + root, half_tr - root])
-
-
 def spectrum(rho) -> Spectrum:
     """Eigenvalues of a reduced density matrix, descending.
 
-    Accepts an OverlapMatrix or a raw Hermitian array.  n = 2 uses the
-    closed form 1/2 +- sqrt(1/4 - det) in a cancellation-free arrangement;
-    larger n uses the cyclic Jacobi eigensolver.
+    Accepts an OverlapMatrix or a raw Hermitian array, and reuses the
+    eigenvalues its validation computed: the cancellation-free closed form
+    for n = 2, the cyclic Jacobi eigensolver for larger n.
     """
     if not isinstance(rho, OverlapMatrix):
         rho = OverlapMatrix(rho)
-    m = rho.matrix
-    if rho.n == 1:
-        return Spectrum(np.array([m[0, 0].real]))
-    if rho.n == 2:
-        return Spectrum(_two_level_closed_form(m))
-    values, _ = hermitian_eigensystem(m)
-    return Spectrum(values)
+    return Spectrum(rho.eigenvalues)
 
 
 def kernel_eval(state: HybridState, p, p2) -> complex:

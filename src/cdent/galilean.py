@@ -27,7 +27,7 @@ import numpy as np
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
 from .overlaps import DEFAULT_QUADRATURE, QuadratureSpec, overlap_matrix
-from .states import GaussianSum, GaussianTerm, HybridState, check_normalized
+from .states import GaussianSum, GaussianTerm, HybridState
 
 
 @dataclass(frozen=True)
@@ -265,7 +265,6 @@ def invariance_report(
     """Apply ``samples`` seeded random frame changes and report the largest
     spectrum deviation and the largest deviation of the transformed reduced
     matrix from D rho D^dagger."""
-    check_normalized(state)
     rho = overlap_matrix(state, spec)
     lam = spectrum(rho).eigenvalues
     worst_spec = (-1.0, IDENTITY_ELEMENT)

@@ -22,6 +22,18 @@ def _offdiag_norm(a: np.ndarray) -> float:
     return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
 
 
+def two_level_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues of a 2 x 2 Hermitian matrix.
+
+    trace/2 +- sqrt(((m00-m11)/2)^2 + |m01|^2): for a unit-trace matrix this
+    is algebraically 1/2 +- sqrt(1/4 - det), but written as a sum of
+    non-negative terms so nothing cancels; the naive form loses half the
+    mantissa to sqrt amplification near the degenerate point."""
+    half_tr = 0.5 * (m[0, 0].real + m[1, 1].real)
+    root = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
+    return np.array([half_tr + root, half_tr - root])
+
+
 def hermitian_eigensystem(
     matrix: np.ndarray, tol: float = _OFFDIAG_TOL
 ) -> tuple[np.ndarray, np.ndarray]:

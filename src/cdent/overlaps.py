@@ -2,34 +2,51 @@
 
 Two independent routes:
 
-* closed forms (``gaussian_term_overlap``, Hermite coefficient inner
-  products), used by everything downstream;
+* closed forms, used by everything downstream: Gaussian sums go through a
+  shared packet dictionary (``dictionary_overlap_matrix``), Hermite
+  expansions on one frame through their coefficient inner product;
 * ``quadrature_overlap``, a tensor-product Gauss-Hermite integrator that
   only ever samples the integrand pointwise, kept as the certification
   oracle for the closed forms.
 
-Closed form for two phased Gaussian packets (bilinear in the complex
-exponents; gamma_i = 2/sigma_i^2):
+Packet dictionary.  The GaussianSum components of a state are written over
+their distinct packets u_1..u_P (packets equal up to amplitude are one
+entry), phi_chi = sum_p C[chi, p] u_p, so that
 
-    integrand = c1 conj(c2) N1 N2 exp(-A|p|^2 + b.p + C0)
+    h = C G C^dagger,    G[p, q] = integral u_p conj(u_q).
+
+After k frame changes each component carries 2^k terms but the state only
+a few distinct packets, so G costs one closed-form evaluation per distinct
+packet pair instead of one per term pair.
+
+Closed form for two unit-amplitude phased Gaussian packets (gamma_i =
+2/sigma_i^2, bilinear dot products), written about the midpoint
+m = (k1 + k2)/2 of the two centers with Delta = k1 - k2:
+
     A  = gamma1 + gamma2 - i(beta1 - beta2)          (Re A > 0)
-    b  = 2 gamma1 k1 + 2 gamma2 k2 - i(a1 - a2)
-    C0 = -(gamma1 |k1|^2 + gamma2 |k2|^2)
-    result = c1 conj(c2) (4 gamma1 gamma2)^(d/4) A^(-d/2) exp(b.b/(4A) + C0)
+    b' = (gamma1 - gamma2) Delta - i(a1 - a2) + 2i(beta1 - beta2) m
+    log G = (d/4) log(4 gamma1 gamma2) - (d/2) log A + b'.b'/(4A)
+            - (gamma1 + gamma2)|Delta|^2/4 + i(beta1 - beta2)|m|^2
+            - i(a1 - a2).m
 
-with b.b the bilinear (unconjugated) dot product and A^(-d/2) on the
-principal branch, single-valued because Re A > 0.
+with log A on the principal branch, single-valued because Re A > 0.
+Nothing of size gamma|k|^2 cancels, so the overlap keeps its accuracy
+wherever the packets sit (large centers, boosts, masses), and swapping the
+two packets conjugates every term exactly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import cmath
+import math
+from collections.abc import Sequence
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
 
 from .errors import DomainError, StructureError, UnsupportedError
-from .linalg import hermitian_eigenvalues
+from .linalg import hermitian_eigenvalues, two_level_eigenvalues
 from .states import (
     ComponentSum,
     GaussianSum,
@@ -37,7 +54,7 @@ from .states import (
     HermiteExpansion,
     HybridState,
     WaveComponent,
-    check_normalized,
+    require_unit_norm,
 )
 
 MAX_TENSOR_DIM = 4
@@ -83,6 +100,44 @@ def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
     return nodes, weights * np.exp(nodes**2)
 
 
+def _packet(t: GaussianTerm) -> tuple[float, float, list[float], list[float]]:
+    """(gamma, quad_phase, center, linear_phase) of a packet as Python
+    floats, the form ``_log_unit_overlap`` reads."""
+    return 2.0 / t.width**2, t.quad_phase, t.center.tolist(), t.linear_phase.tolist()
+
+
+def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
+    """log integral u1 conj(u2) d^d p of two unit-amplitude packets given
+    as ``_packet`` tuples, in the midpoint form of the module docstring.
+
+    Scalar arithmetic throughout: for the few axes and the small Gram
+    matrices met here it is faster than numpy on tiny arrays."""
+    g1, beta1, k1, a1 = p1
+    g2, beta2, k2, a2 = p2
+    dg = g1 - g2
+    dbeta = beta1 - beta2
+    bb_re = bb_im = dd = mm = am = 0.0
+    for x1, x2, y1, y2 in zip(k1, k2, a1, a2):
+        delta = x1 - x2
+        mid = 0.5 * (x1 + x2)
+        da = y1 - y2
+        b_re = dg * delta
+        b_im = 2.0 * dbeta * mid - da
+        bb_re += b_re * b_re - b_im * b_im
+        bb_im += b_re * b_im
+        dd += delta * delta
+        mm += mid * mid
+        am += da * mid
+    d = len(k1)
+    a_coef = complex(g1 + g2, -dbeta)
+    return (
+        0.25 * d * math.log(4.0 * g1 * g2)
+        - 0.5 * d * cmath.log(a_coef)
+        + complex(bb_re, 2.0 * bb_im) / (4.0 * a_coef)
+        + complex(-0.25 * (g1 + g2) * dd, dbeta * mm - am)
+    )
+
+
 def gaussian_term_overlap(t1: GaussianTerm, t2: GaussianTerm, d: int | None = None) -> complex:
     """integral t1(p) conj(t2(p)) d^d p, exactly.
 
@@ -95,14 +150,57 @@ def gaussian_term_overlap(t1: GaussianTerm, t2: GaussianTerm, d: int | None = No
         raise StructureError("terms disagree on dimension")
     if not (t1.width > 0.0 and t2.width > 0.0):
         raise DomainError("widths must be positive")
-    g1 = 2.0 / t1.width**2
-    g2 = 2.0 / t2.width**2
-    a_coef = g1 + g2 - 1j * (t1.quad_phase - t2.quad_phase)
-    b_vec = 2.0 * g1 * t1.center + 2.0 * g2 * t2.center - 1j * (t1.linear_phase - t2.linear_phase)
-    c0 = -(g1 * np.dot(t1.center, t1.center) + g2 * np.dot(t2.center, t2.center))
-    log_pref = 0.25 * d * np.log(4.0 * g1 * g2) - 0.5 * d * np.log(a_coef)
-    expo = np.sum(b_vec * b_vec) / (4.0 * a_coef) + c0
-    return complex(t1.amplitude * np.conj(t2.amplitude) * np.exp(log_pref + expo))
+    amp = t1.amplitude * t2.amplitude.conjugate()
+    return amp * cmath.exp(_log_unit_overlap(_packet(t1), _packet(t2)))
+
+
+def dictionary_overlap_matrix(components: Sequence[GaussianSum]) -> np.ndarray:
+    """h[i, j] = integral phi_i conj(phi_j) d^d p for GaussianSum components
+    of one dimension, as h = C G C^dagger over their shared packet
+    dictionary (see the module docstring).
+
+    Terms whose width, quadratic phase, center and linear phase are equal
+    bit for bit are one dictionary entry; row i of C, kept sparse, sums the
+    amplitudes component i puts on each entry.  G is filled on its upper
+    triangle, one closed-form evaluation per distinct packet pair, and
+    mirrored by conjugation; so is h, which is Hermitian by construction.
+    """
+    index: dict[tuple, int] = {}
+    packets: list[tuple] = []
+    rows: list[dict[int, complex]] = []
+    for comp in components:
+        row: dict[int, complex] = {}
+        for t in comp.terms:
+            key = (t.width, t.quad_phase, t.center.tobytes(), t.linear_phase.tobytes())
+            p = index.get(key)
+            if p is None:
+                p = index[key] = len(packets)
+                packets.append(_packet(t))
+            row[p] = row.get(p, 0.0) + t.amplitude
+        rows.append(row)
+    gram = [[0j] * len(packets) for _ in packets]
+    for p, u in enumerate(packets):
+        for q in range(p, len(packets)):
+            val = cmath.exp(_log_unit_overlap(u, packets[q]))
+            gram[p][q] = val
+            gram[q][p] = val.conjugate()
+    # scalar sums with the coefficient product formed first: swapping two
+    # single-packet components then conjugates their entry exactly, as the
+    # term-pair sum did (numpy's array complex multiply may fuse into FMA
+    # and leave c conj(c) with a rounding-size imaginary part)
+    n = len(rows)
+    h = np.empty((n, n), dtype=complex)
+    for i, row_i in enumerate(rows):
+        for j in range(i, n):
+            total = 0j
+            for p, cp in row_i.items():
+                g_row = gram[p]
+                for q, cq in rows[j].items():
+                    total += cp * cq.conjugate() * g_row[q]
+            h[j, i] = total.conjugate()
+            # a self-overlap is real: drop its rounding-size imaginary part
+            h[i, j] = total if j > i else total.real
+    return h
 
 
 def _primitive_pieces(comp: WaveComponent) -> list[tuple[complex, object]]:
@@ -247,18 +345,14 @@ def component_overlap(
 ) -> complex:
     """integral a(p) conj(b(p)) d^d p, closed form where available.
 
-    Gaussian x Gaussian goes through the exact pairwise term overlaps;
+    Gaussian x Gaussian goes through the packet dictionary of the pair;
     Hermite x Hermite on a shared frame is the coefficient inner product;
     every other combination falls back to quadrature.
     """
     if a.dimension != b.dimension:
         raise StructureError("components disagree on dimension")
     if isinstance(a, GaussianSum) and isinstance(b, GaussianSum):
-        total = 0.0 + 0.0j
-        for t1 in a.terms:
-            for t2 in b.terms:
-                total += gaussian_term_overlap(t1, t2)
-        return complex(total)
+        return complex(dictionary_overlap_matrix((a, b))[0, 1])
     if isinstance(a, HermiteExpansion) and isinstance(b, HermiteExpansion) and a.same_frame(b):
         total = 0.0 + 0.0j
         for idx, c in a.coefficients.items():
@@ -281,6 +375,8 @@ def component_norm_sq(comp: WaveComponent) -> float:
     """Exact squared L2 norm of one component."""
     if isinstance(comp, HermiteExpansion):
         return float(sum(abs(c) ** 2 for c in comp.coefficients.values()))
+    if isinstance(comp, GaussianSum):
+        return float(dictionary_overlap_matrix((comp,))[0, 0].real)
     return float(component_overlap(comp, comp).real)
 
 
@@ -301,10 +397,13 @@ class OverlapMatrix:
     Construction validates: hermiticity (within 1e-10, then symmetrized
     exactly), unit trace within 1e-10, Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj
     + 1e-12, off-diagonal magnitudes <= 1/sqrt(2) + 1e-12, and positive
-    semidefiniteness down to eigenvalue -1e-10.
+    semidefiniteness down to eigenvalue -1e-10.  The eigenvalues of that
+    last check are kept, descending, in ``eigenvalues``: the two-level
+    closed form for n = 2, the Jacobi eigensolver for n >= 3.
     """
 
     matrix: np.ndarray
+    eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
@@ -314,8 +413,9 @@ class OverlapMatrix:
         if np.max(np.abs(m - m.conj().T)) > 1e-10:
             raise DomainError("overlap matrix is not Hermitian within 1e-10")
         m = 0.5 * (m + m.conj().T)
-        if abs(np.trace(m).real - 1.0) > 1e-10:
-            raise DomainError(f"trace must be 1, got {np.trace(m).real!r}")
+        trace = float(np.trace(m).real)
+        if abs(trace - 1.0) > 1e-10:
+            raise DomainError(f"trace must be 1, got {trace!r}")
         diag = m.diagonal().real
         for i in range(n):
             for j in range(i + 1, n):
@@ -323,10 +423,18 @@ class OverlapMatrix:
                     raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
                 if abs(m[i, j]) > OFFDIAG_BOUND + 1e-12:
                     raise DomainError(f"off-diagonal bound violated at ({i},{j})")
-        if n > 1 and hermitian_eigenvalues(m)[-1] < -1e-10:
+        if n == 1:
+            values = diag.copy()
+        elif n == 2:
+            values = two_level_eigenvalues(m)
+        else:
+            values = hermitian_eigenvalues(m)
+        if values[-1] < -1e-10:
             raise DomainError("overlap matrix is not positive semidefinite")
         m.setflags(write=False)
+        values.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+        object.__setattr__(self, "eigenvalues", values)
 
     @property
     def n(self) -> int:
@@ -335,15 +443,21 @@ class OverlapMatrix:
 
 def overlap_matrix(state: HybridState, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> OverlapMatrix:
     """Assemble h_{chi,chi'} = component_overlap(phi_chi, phi_chi') for a
-    normalized state.  Hermitian by construction (upper triangle computed,
-    mirrored by conjugation)."""
-    check_normalized(state)
-    n = state.n
-    h = np.zeros((n, n), dtype=complex)
-    for i in range(n):
-        for j in range(i, n):
-            val = component_overlap(state.components[i], state.components[j], spec)
-            h[i, j] = val
-            if j > i:
-                h[j, i] = np.conj(val)
+    normalized state, in one pass: all-Gaussian states through their shared
+    packet dictionary, others entry by entry (upper triangle computed,
+    mirrored by conjugation).  The norm precondition is read from the
+    trace, which is the squared norm of the state."""
+    comps = state.components
+    if all(isinstance(c, GaussianSum) for c in comps):
+        h = dictionary_overlap_matrix(comps)
+    else:
+        n = state.n
+        h = np.zeros((n, n), dtype=complex)
+        for i in range(n):
+            for j in range(i, n):
+                val = component_overlap(comps[i], comps[j], spec)
+                h[i, j] = val
+                if j > i:
+                    h[j, i] = np.conj(val)
+    require_unit_norm(float(np.sqrt(np.trace(h).real)))
     return OverlapMatrix(h)

@@ -334,10 +334,16 @@ def normalize(state: HybridState) -> HybridState:
     return HybridState(tuple(c.scaled(factor) for c in state.components))
 
 
-def check_normalized(state: HybridState, tol: float = NORM_PRECONDITION) -> None:
-    dev = abs(norm(state) - 1.0)
-    if dev > tol:
+def require_unit_norm(value: float, tol: float = NORM_PRECONDITION) -> None:
+    """Raise PreconditionError unless a state norm lies within tol of 1
+    (NaN fails too)."""
+    dev = abs(value - 1.0)
+    if not dev <= tol:
         raise PreconditionError(f"state is not normalized: |norm-1| = {dev:.3e} > {tol:g}")
+
+
+def check_normalized(state: HybridState, tol: float = NORM_PRECONDITION) -> None:
+    require_unit_norm(norm(state), tol)
 
 
 def evaluate(state: HybridState, chi: int, p) -> complex:

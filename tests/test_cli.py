@@ -189,6 +189,15 @@ class TestGalileanCheck:
             "time_shift", "translation", "boost_velocity", "rotation",
         }
 
+    def test_large_mass(self, beam_file):
+        code, out, err = run_cli(
+            ["galilean-check", beam_file, "--samples", "18", "--seed", "7", "--mass", "100"]
+        )
+        assert code == 0, err
+        report = json.loads(out)
+        assert report["max_spectrum_deviation"] < 1e-9
+        assert report["max_conjugation_deviation"] < 1e-9
+
     def test_hermite_state_is_numerical_error(self, shape_file):
         code, _, err = run_cli(["galilean-check", shape_file, "--samples", "3", "--seed", "1"])
         assert code == 3
@@ -263,6 +272,26 @@ class TestExitCodes:
         code, _, err = run_cli(["analyze", str(unnorm)])
         assert code == 3
         assert "normalized" in err
+
+    def test_numerical_error_prints_plain_floats(self, tmp_path):
+        # |norm-1| = 5e-10 passes the norm gate; the trace 1 + 1e-9 then
+        # fails the overlap matrix's unit-trace check
+        path = tmp_path / "nearly.json"
+        path.write_text(
+            json.dumps(
+                {
+                    "schema_version": 1, "n": 1, "d": 1,
+                    "components": [
+                        {"type": "gaussian_sum",
+                         "terms": [{"amplitude": [1.0000000005, 0], "center": [0], "width": 1}]}
+                    ],
+                }
+            )
+        )
+        code, _, err = run_cli(["analyze", str(path)])
+        assert code == 3
+        assert "trace must be 1, got 1.000000001" in err
+        assert "np.float64" not in err
 
     def test_help_exits_zero(self):
         code, out, err = run_cli(["--help"])

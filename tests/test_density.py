@@ -77,6 +77,10 @@ class TestSpectrum:
         with pytest.raises(DomainError):
             spectrum(np.array([[0.5, 0.2], [0.1, 0.5]]))
 
+    def test_sum_message_prints_a_plain_float(self):
+        with pytest.raises(DomainError, match=r"must sum to 1, got 1\.1$"):
+            Spectrum(np.array([0.5, 0.6]))
+
     def test_closed_form_matches_eigensolvers_on_random_matrices(self, rng):
         # 500 random valid 2x2 reduced matrices: closed form vs Jacobi vs LAPACK
         for _ in range(500):

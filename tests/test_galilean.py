@@ -197,6 +197,15 @@ class TestInvarianceReport:
         assert rep.max_spectrum_deviation < 1e-9
         assert rep.max_conjugation_deviation < 1e-9
 
+    @pytest.mark.parametrize("mass", [1.0, 100.0, 1e4])
+    def test_invariant_at_large_masses(self, mass):
+        # seed 7 draws the frames (samples 18 and 2) on which boosted centers
+        # of size m|v| once broke the closed-form overlap at masses 100 and 1e4
+        state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+        rep = invariance_report(state, samples=20, seed=7, params=PhysicalParams(mass))
+        assert rep.max_spectrum_deviation < 1e-9
+        assert rep.max_conjugation_deviation < 1e-9
+
     def test_rotation_free_elements_leave_h_fixed(self, rng):
         state = two_level_gaussian_state(rng)
         h0 = overlap_matrix(state).matrix

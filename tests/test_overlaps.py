@@ -6,12 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdent.errors import DomainError, PreconditionError, StructureError, UnsupportedError
+from cdent.galilean import GalileanElement, apply_galilean, su2_from_rotation
 from cdent.linalg import hermitian_eigenvalues
 from cdent.overlaps import (
     OFFDIAG_BOUND,
     OverlapMatrix,
     QuadratureSpec,
     component_overlap,
+    dictionary_overlap_matrix,
     gaussian_term_overlap,
     overlap_matrix,
     quadrature_overlap,
@@ -22,6 +24,7 @@ from cdent.states import (
     GaussianTerm,
     HermiteExpansion,
     HybridState,
+    norm,
     normalize,
 )
 from conftest import random_state
@@ -246,3 +249,89 @@ class TestOverlapMatrix:
     def test_state_inner_matches_norm(self, rng):
         state = random_state(rng, n=2, d=1)
         assert state_inner(state, state).real == pytest.approx(1.0, abs=1e-10)
+
+
+def term_pair_reference(components) -> np.ndarray:
+    """h by the plain double loop over term pairs."""
+    n = len(components)
+    h = np.zeros((n, n), dtype=complex)
+    for i, a in enumerate(components):
+        for j, b in enumerate(components):
+            for t1 in a.terms:
+                for t2 in b.terms:
+                    h[i, j] += gaussian_term_overlap(t1, t2)
+    return h
+
+
+class TestPacketDictionary:
+    def test_matches_term_pair_loop_with_repeated_packets(self, rng):
+        for _ in range(60):
+            d = int(rng.integers(1, 4))
+            n = int(rng.integers(1, 5))
+            # a small pool, drawn with replacement, repeats packets within
+            # and across components
+            pool = [
+                (rng.uniform(-3, 3, d), rng.uniform(0.5, 2.5), rng.uniform(-1.5, 1.5, d),
+                 rng.uniform(-0.5, 0.5))
+                for _ in range(int(rng.integers(1, 4)))
+            ]
+            comps = []
+            for _ in range(n):
+                picks = rng.integers(0, len(pool), int(rng.integers(1, 6)))
+                comps.append(GaussianSum(tuple(
+                    GaussianTerm(rng.normal() + 1j * rng.normal(), *pool[k]) for k in picks
+                )))
+            got = dictionary_overlap_matrix(comps)
+            ref = term_pair_reference(comps)
+            assert np.max(np.abs(got - ref)) < 1e-12
+            assert np.max(np.abs(got - got.conj().T)) == 0.0
+
+    def test_composed_frame_changes_conjugate_h(self, rng):
+        base = normalize(HybridState(tuple(
+            GaussianSum((GaussianTerm(rng.normal() + 1j * rng.normal(), rng.uniform(-2, 2, 3),
+                                      rng.uniform(0.7, 1.5), rng.uniform(-1, 1, 3), rng.uniform(-0.3, 0.3)),))
+            for _ in range(2)
+        )))
+        h0 = overlap_matrix(base).matrix
+        state, dmat = base, np.eye(2)
+        for k in range(1, 6):
+            q = rng.normal(size=4)
+            g = GalileanElement(rng.uniform(-1, 1), rng.normal(size=3), 0.5 * rng.normal(size=3), q / np.linalg.norm(q))
+            state = apply_galilean(state, g)
+            dmat = su2_from_rotation(g.rotation).matrix @ dmat
+            assert [len(c.terms) for c in state.components] == [2**k, 2**k]
+            h = overlap_matrix(state).matrix
+            assert np.max(np.abs(h - dmat @ h0 @ dmat.conj().T)) < 1e-12
+
+    def test_translation_of_all_centers(self, rng):
+        # every value is dyadic so the shifted centers and phases are exact:
+        # shifting all centers by K (one shared quadratic phase beta, linear
+        # phases moved by 2 beta K) multiplies h_ij by exp(-i(a_i - a_j).K)
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            beta = rng.integers(-8, 9) / 16.0
+            lin = [rng.integers(-96, 97, d) / 64.0 for _ in range(2)]
+            terms = [
+                [(rng.normal() + 1j * rng.normal(), rng.integers(-4096, 4097, d) / 1024.0, rng.uniform(0.5, 2.5))
+                 for _ in range(int(rng.integers(1, 3)))]
+                for _ in range(2)
+            ]
+            scale = 1.0 / norm(shifted_state(terms, lin, beta, np.zeros(d)))
+            terms = [[(scale * amp, k, w) for amp, k, w in comp] for comp in terms]
+            h0 = overlap_matrix(shifted_state(terms, lin, beta, np.zeros(d))).matrix
+            for size in (1e2, 1e4, 1e6):
+                direction = rng.normal(size=d)
+                shift = np.round(size * direction / np.linalg.norm(direction))
+                phase = np.exp(-1j * np.dot(lin[0] - lin[1], shift))
+                expected = h0 * np.array([[1.0, phase], [np.conj(phase), 1.0]])
+                h = overlap_matrix(shifted_state(terms, lin, beta, shift)).matrix
+                assert np.max(np.abs(h - expected)) < 1e-10
+
+
+def shifted_state(terms, lin, beta, shift) -> HybridState:
+    """Component i: packets (amplitude, center + shift, width) with linear
+    phase lin[i] + 2 beta shift and quadratic phase beta."""
+    return HybridState(tuple(
+        GaussianSum(tuple(GaussianTerm(amp, k + shift, w, a + 2.0 * beta * shift, beta) for amp, k, w in comp))
+        for comp, a in zip(terms, lin)
+    ))
