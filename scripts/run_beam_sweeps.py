@@ -9,21 +9,12 @@ from pathlib import Path
 
 import numpy as np
 
-from cdent.scenarios import sweep_q, sweep_width_ratio
-from cdent.stateio import fmt_float
+from cdent.scenarios import sweep_csv, sweep_q, sweep_width_ratio
 
 
 def write_rows(rows, path: Path) -> None:
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    fmt_float(v)
-                    for v in (r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity)
-                )
-                + "\n"
-            )
+        fh.write(sweep_csv(rows))
     print(f"wrote {len(rows)} rows -> {path}")
 
 

@@ -19,7 +19,7 @@ from .errors import CDEntError
 from .galilean import PhysicalParams, invariance_report
 from .measures import entanglement_report
 from .overlaps import overlap_matrix
-from .scenarios import SweepRow, sweep_q, sweep_width_ratio
+from .scenarios import sweep_csv, sweep_q, sweep_width_ratio
 from .stateio import StateFileError, fmt_float, load_state, render_json
 
 USAGE_ERROR = 1
@@ -66,18 +66,6 @@ def _emit(text: str, out_path: str | None, stdout) -> None:
         stdout.write(text)
 
 
-def _sweep_csv(rows: list[SweepRow]) -> str:
-    lines = [f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                fmt_float(v)
-                for v in (r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity)
-            )
-        )
-    return "\n".join(lines) + "\n"
-
-
 def _cmd_analyze(args, stdout) -> int:
     state = load_state(args.state)
     rho = overlap_matrix(state)
@@ -97,14 +85,14 @@ def _cmd_analyze(args, stdout) -> int:
 def _cmd_sweep_q(args, stdout) -> int:
     qs = np.linspace(args.q_start, args.q_stop, args.q_steps)
     rows = sweep_q(_parse_complex(args.c0), _parse_complex(args.c1), args.sigma, qs)
-    _emit(_sweep_csv(rows), args.out, stdout)
+    _emit(sweep_csv(rows), args.out, stdout)
     return 0
 
 
 def _cmd_sweep_width(args, stdout) -> int:
     ratios = np.linspace(args.r_start, args.r_stop, args.r_steps)
     rows = sweep_width_ratio(_parse_complex(args.c0), _parse_complex(args.c1), args.sigma0, ratios)
-    _emit(_sweep_csv(rows), args.out, stdout)
+    _emit(sweep_csv(rows), args.out, stdout)
     return 0
 
 

@@ -15,12 +15,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError, UnsupportedError
 from .linalg import hermitian_eigensystem
-from .overlaps import (
-    DEFAULT_QUADRATURE,
-    OverlapMatrix,
-    QuadratureSpec,
-    overlap_matrix,
-)
+from .overlaps import OverlapMatrix, overlap_matrix
 from .states import HybridState, WaveComponent, combine_components
 
 RANK_TOL = 1e-10
@@ -67,12 +62,10 @@ class SchmidtData:
     continuous_modes: tuple[WaveComponent, ...]
 
 
-def reduced_spin_density(
-    state: HybridState, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> OverlapMatrix:
+def reduced_spin_density(state: HybridState) -> OverlapMatrix:
     """Reduced density matrix of the discrete factor.  For pure states this
     is the overlap matrix itself."""
-    return overlap_matrix(state, spec)
+    return overlap_matrix(state)
 
 
 def spectrum(rho) -> Spectrum:
@@ -102,13 +95,15 @@ def kernel_eval(state: HybridState, p, p2) -> complex:
     return complex(total)
 
 
-def schmidt_decomposition(
-    state: HybridState, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> SchmidtData:
+def schmidt_decomposition(state: HybridState) -> SchmidtData:
     """Diagonalize h = U Lambda U^dagger and build the continuous Schmidt
     modes psi_i = lambda_i^{-1/2} sum_chi conj(U_{chi,i}) phi_chi for every
     eigenvalue above the rank tolerance."""
-    rho = overlap_matrix(state, spec)
+    return _schmidt_from(state, overlap_matrix(state))
+
+
+def _schmidt_from(state: HybridState, rho: OverlapMatrix) -> SchmidtData:
+    """Schmidt form of ``state`` from its overlap matrix ``rho``."""
     values, vectors = hermitian_eigensystem(rho.matrix)
     coefficients = Spectrum(values)
     modes: list[WaveComponent] = []
@@ -129,11 +124,7 @@ def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
     return out
 
 
-def trace_function_check(
-    state: HybridState,
-    poly,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
-) -> tuple[float, float]:
+def trace_function_check(state: HybridState, poly) -> tuple[float, float]:
     """Evaluate Tr g(rho) on both reduced sides for a polynomial g.
 
     ``poly`` lists real coefficients in ascending powers, constant term
@@ -148,10 +139,10 @@ def trace_function_check(
         raise UnsupportedError(
             "constant term is not supported: its trace diverges on the continuous side"
         )
-    rho = reduced_spin_density(state, spec)
+    rho = reduced_spin_density(state)
     lam_s = spectrum(rho).eigenvalues
     lhs = float(np.sum(_poly_eval(coeffs, lam_s)))
-    sd = schmidt_decomposition(state, spec)
+    sd = _schmidt_from(state, rho)
     lam_shared = sd.coefficients.eigenvalues
     lam_shared = lam_shared[lam_shared > RANK_TOL]
     rhs = float(np.sum(_poly_eval(coeffs, lam_shared)))

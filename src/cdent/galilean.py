@@ -26,7 +26,7 @@ import numpy as np
 
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .overlaps import DEFAULT_QUADRATURE, QuadratureSpec, overlap_matrix
+from .overlaps import overlap_matrix
 from .states import GaussianSum, GaussianTerm, HybridState
 
 
@@ -260,18 +260,17 @@ def invariance_report(
     samples: int,
     seed: int,
     params: PhysicalParams = PhysicalParams(),
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> InvarianceReport:
     """Apply ``samples`` seeded random frame changes and report the largest
     spectrum deviation and the largest deviation of the transformed reduced
     matrix from D rho D^dagger."""
-    rho = overlap_matrix(state, spec)
+    rho = overlap_matrix(state)
     lam = spectrum(rho).eigenvalues
     worst_spec = (-1.0, IDENTITY_ELEMENT)
     worst_conj = (-1.0, IDENTITY_ELEMENT)
     for g in random_elements(samples, seed):
         moved = apply_galilean(state, g, params)
-        rho2 = overlap_matrix(moved, spec)
+        rho2 = overlap_matrix(moved)
         lam2 = spectrum(rho2).eigenvalues
         dev_s = float(np.max(np.abs(lam2 - lam)))
         dmat = su2_from_rotation(g.rotation).matrix

@@ -14,6 +14,7 @@ from .errors import DomainError
 
 _OFFDIAG_TOL = 1e-14
 _MAX_SWEEPS = 60
+_TINY = np.finfo(float).tiny
 
 
 def _offdiag_norm(a: np.ndarray) -> float:
@@ -42,24 +43,35 @@ def hermitian_eigensystem(
     Returns ``(values, vectors)`` with ``vectors[:, i]`` the eigenvector of
     ``values[i]``.  Each eigenvector is phase-fixed so its first entry of
     magnitude above 1e-12 is real positive, which makes degenerate subspaces
-    come out deterministically for identical inputs.
+    come out deterministically for identical inputs.  Raises DomainError on
+    non-finite entries and when the off-diagonal norm is still above ``tol``
+    after ``_MAX_SWEEPS`` sweeps.
     """
     a = np.array(matrix, dtype=complex)
     n = a.shape[0]
     if a.shape != (n, n):
         raise DomainError(f"expected a square matrix, got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError("matrix has non-finite entries")
     if _offdiag_norm(a - a.conj().T) > 1e-10 or np.max(np.abs(a.imag.diagonal())) > 1e-10:
         raise DomainError("matrix is not Hermitian within 1e-10")
     a = 0.5 * (a + a.conj().T)  # symmetrize roundoff away
 
     v = np.eye(n, dtype=complex)
-    for _ in range(_MAX_SWEEPS):
-        if _offdiag_norm(a) < tol:
-            break
+    sweeps = 0
+    while not _offdiag_norm(a) <= tol:
+        if sweeps == _MAX_SWEEPS:
+            raise DomainError(
+                f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps "
+                f"(off-diagonal norm {_offdiag_norm(a):.3e} > {tol:g})"
+            )
+        sweeps += 1
         for p in range(n - 1):
             for q in range(p + 1, n):
                 g = a[p, q]
-                if abs(g) < tol / (n * n):
+                # zero and subnormal pivots are skipped whatever tol is:
+                # normalizing them to a phase would divide 0/0 or overflow
+                if abs(g) <= max(tol / (n * n), _TINY):
                     continue
                 phase = g / abs(g)
                 tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(g))

@@ -4,7 +4,9 @@ Two independent routes:
 
 * closed forms, used by everything downstream: Gaussian sums go through a
   shared packet dictionary (``dictionary_overlap_matrix``), Hermite
-  expansions on one frame through their coefficient inner product;
+  expansions on one frame through their coefficient inner product, and
+  every pair involving a Hermite expansion on a frame of its own through
+  exact per-axis tables (``_hermite_overlap``);
 * ``quadrature_overlap``, a tensor-product Gauss-Hermite integrator that
   only ever samples the integrand pointwise, kept as the certification
   oracle for the closed forms.
@@ -33,6 +35,31 @@ with log A on the principal branch, single-valued because Re A > 0.
 Nothing of size gamma|k|^2 cancels, so the overlap keeps its accuracy
 wherever the packets sit (large centers, boosts, masses), and swapping the
 two packets conjugates every term exactly.
+
+Hermite route.  Hermite modes and Gaussian packets both factor per axis
+(|p|^2 = sum p_i^2), and a packet of width sigma is mode 0 of the frame
+(scale sigma, origin at its center) times its phases.  On one axis the
+integrand of mode m of a phased frame (s1 = sigma1/2, center k1, linear
+phase a1, quadratic phase beta1) against mode n of a Hermite frame
+(s2, origin k2) is, in u = p - k2 with delta = k1 - k2 and
+g_i = 1/(2 s_i^2),
+
+    h_m((u - delta)/s1) h_n(u/s2) exp(-A u^2 + B u + C) / sqrt(s1 s2)
+    A = g1 + g2 - i beta1                            (Re A > 0)
+    B = 2 g1 delta + i(2 beta1 k2 - a1)
+    C = -g1 delta^2 + i(beta1 k2 - a1) k2
+
+with h_m the polynomial part of the orthonormal Hermite function.  On the
+contour u = u* + t/sqrt(A) through the complex saddle u* = B/(2A) (Cauchy:
+the integrand is entire with Gaussian decay) the integral is
+exp(C + B^2/(4A))/sqrt(A) times exp(-t^2) against a polynomial of degree
+m + n, which Gauss-Hermite integrates exactly with ceil((m + n + 1)/2)
+nodes.  Written about the Hermite origin, A, B, the saddle and the real
+part of the exponent are unchanged when packet, origin and phases move
+together, so |overlap| stays accurate at large centers and boosts, and
+a chirped packet far from the origin gives its true, vanishing overlap.
+The d-dimensional overlap is the coefficient sum of products of the
+per-axis tables.
 """
 
 from __future__ import annotations
@@ -54,50 +81,52 @@ from .states import (
     HermiteExpansion,
     HybridState,
     WaveComponent,
+    _hermite_table,
     require_unit_norm,
 )
 
 MAX_TENSOR_DIM = 4
-OFFDIAG_BOUND = 1.0 / np.sqrt(2.0)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Hermite settings.
-
-    centering selects the affine map:
-
-    * "saddle" (default): grid centered on the integrand's envelope peak,
-      scaled to the combined width; phased Gaussian pairs additionally tilt
-      the integration contour into the complex plane by -arg(A)/2, which
-      turns the chirped integrand into exp(-t^2) times a slow factor
-      (legitimate by Cauchy's theorem: the integrand is entire with
-      Gaussian decay inside the sector).
-    * "midpoint": real grid at the midpoint of the two effective centers,
-      scaled by the larger effective width.  Kept for comparison; fails for
-      strongly unequal widths or large phase differences.
-    """
-
-    nodes_per_axis: int = 64
-    centering: str = "saddle"
-
-    def __post_init__(self):
-        if int(self.nodes_per_axis) < 2:
-            raise DomainError("nodes_per_axis must be >= 2")
-        object.__setattr__(self, "nodes_per_axis", int(self.nodes_per_axis))
-        if self.centering not in ("saddle", "midpoint"):
-            raise DomainError(f"unknown centering rule {self.centering!r}")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
+_PI_QUARTER = np.pi ** (-0.25)
+_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
 
 
 @lru_cache(maxsize=8)
 def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    nodes, weights = np.polynomial.hermite.hermgauss(n)
     # scaled weights w*exp(x^2): quadrature of a bare integrand f is
-    # sum w_j e^{x_j^2} f(x_j); stays O(1) per node for n <= ~180
-    return nodes, weights * np.exp(nodes**2)
+    # sum w_j e^{x_j^2} f(x_j); O(1) per node for n <= ~180, overflowing
+    # to inf or nan from 372 nodes (QuadratureSpec rejects those)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        nodes, weights = np.polynomial.hermite.hermgauss(n)
+        return nodes, weights * np.exp(nodes**2)
+
+
+@dataclass(frozen=True)
+class QuadratureSpec:
+    """Tensor-product Gauss-Hermite settings of the quadrature oracle.
+
+    Each piece pair is integrated on a grid centered on the integrand's
+    envelope peak and scaled to the combined width; phased Gaussian pairs
+    additionally tilt the integration contour into the complex plane by
+    -arg(A)/2, which turns the chirped integrand into exp(-t^2) times a
+    slow factor (legitimate by Cauchy's theorem: the integrand is entire
+    with Gaussian decay inside the sector).  Node counts whose scaled
+    weights w exp(x^2) overflow (372 and up) are rejected.
+    """
+
+    nodes_per_axis: int = 64
+
+    def __post_init__(self):
+        if int(self.nodes_per_axis) < 2:
+            raise DomainError("nodes_per_axis must be >= 2")
+        n = int(self.nodes_per_axis)
+        object.__setattr__(self, "nodes_per_axis", n)
+        # every node has x^2 < 2n + 1, so exp(x^2) cannot overflow while
+        # 2n + 1 <= log(float max) ~ 709.8; only larger rules are computed
+        if 2 * n + 1 > _LOG_FLOAT_MAX and not np.all(np.isfinite(_hermgauss(n)[1])):
+            raise DomainError(f"{n} nodes per axis overflow the scaled Gauss-Hermite weights")
+
+
+DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _packet(t: GaussianTerm) -> tuple[float, float, list[float], list[float]]:
@@ -203,6 +232,73 @@ def dictionary_overlap_matrix(components: Sequence[GaussianSum]) -> np.ndarray:
     return h
 
 
+@lru_cache(maxsize=16)
+def _gauss_hermite_rule(n: int) -> tuple[np.ndarray, np.ndarray]:
+    return np.polynomial.hermite.hermgauss(n)
+
+
+def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
+    """T[m][n] = integral phi_m(p) psi_n(p) dp on one axis, m <= m1,
+    n <= m2: phi_m = psi_m((p-k1)/s1) exp(-i a1 p + i beta1 p^2)/sqrt(s1)
+    and psi_n = psi_n((p-k2)/s2)/sqrt(s2) (real on the real line), by
+    Gauss-Hermite on the complex-saddle contour of the module docstring."""
+    g1 = 0.5 / (s1 * s1)
+    delta = k1 - k2
+    a_coef = complex(g1 + 0.5 / (s2 * s2), -beta1)
+    b_coef = complex(2.0 * g1 * delta, 2.0 * beta1 * k2 - a1)
+    log_c = complex(-g1 * delta * delta, (beta1 * k2 - a1) * k2)
+    root = cmath.sqrt(a_coef)
+    nodes, weights = _gauss_hermite_rule((m1 + m2) // 2 + 1)
+    u = b_coef / (2.0 * a_coef) + nodes / root
+    poly1 = _hermite_table(m1, (u - delta) / s1, _PI_QUARTER)
+    poly2 = _hermite_table(m2, u / s2, _PI_QUARTER)
+    scale = cmath.exp(log_c + b_coef * b_coef / (4.0 * a_coef)) / (root * math.sqrt(s1 * s2))
+    return (scale * ((poly1 * weights) @ poly2.T)).tolist()
+
+
+def _axis_orders(coefficients) -> list[int]:
+    return [max(col) for col in zip(*coefficients)]
+
+
+def _frame_overlap(s1, origin, linear, beta, coefficients, b: HermiteExpansion) -> complex:
+    """integral a conj(b) d^d p for a = sum_idx c_idx prod_i phi_{idx_i}
+    on the phased frame (s1, origin, linear, beta), as the coefficient sum
+    of products of per-axis tables."""
+    orders_a = _axis_orders(coefficients)
+    orders_b = _axis_orders(b.coefficients)
+    s2 = b.gaussian_std
+    tables = [
+        _axis_table(s1, k1, a1, beta, m1, s2, k2, m2)
+        for k1, a1, m1, k2, m2 in zip(
+            origin.tolist(), linear.tolist(), orders_a, b.origin.tolist(), orders_b
+        )
+    ]
+    total = 0j
+    for idx_a, ca in coefficients.items():
+        for idx_b, cb in b.coefficients.items():
+            term = ca * cb.conjugate()
+            for table, m, n in zip(tables, idx_a, idx_b):
+                term *= table[m][n]
+            total += term
+    return total
+
+
+def _hermite_overlap(a: GaussianSum | HermiteExpansion, b: HermiteExpansion) -> complex:
+    """integral a conj(b) d^d p, exactly, for a Hermite expansion b; each
+    packet of a enters as mode 0 of its own phased frame."""
+    if isinstance(a, HermiteExpansion):
+        return _frame_overlap(
+            a.gaussian_std, a.origin, np.zeros(a.dimension), 0.0, a.coefficients, b
+        )
+    ground = (0,) * a.dimension
+    total = 0j
+    for t in a.terms:
+        total += _frame_overlap(
+            0.5 * t.width, t.center, t.linear_phase, t.quad_phase, {ground: t.amplitude}, b
+        )
+    return total
+
+
 def _primitive_pieces(comp: WaveComponent) -> list[tuple[complex, object]]:
     """Split a component into weighted primitives (GaussianTerm or whole
     HermiteExpansion); quadrature then works pair-by-pair by bilinearity."""
@@ -248,20 +344,15 @@ def _quad_gaussian_pair(t1: GaussianTerm, t2: GaussianTerm, spec: QuadratureSpec
     g2 = 2.0 / t2.width**2
     t2c = t2.conjugate_term()
 
-    if spec.centering == "midpoint":
-        mu = 0.5 * (t1.center + t2.center)
-        alpha = max(t1.width, t2.width) / 2.0
-        rot = 1.0 + 0.0j
-    else:
-        a_coef = g1 + g2 - 1j * (t1.quad_phase - t2.quad_phase)
-        b_vec = (
-            2.0 * g1 * t1.center
-            + 2.0 * g2 * t2.center
-            - 1j * (t1.linear_phase - t2.linear_phase)
-        )
-        mu = (b_vec / (2.0 * a_coef)).real
-        alpha = 1.0 / np.sqrt(abs(a_coef))
-        rot = np.exp(-0.5j * np.angle(a_coef))
+    a_coef = g1 + g2 - 1j * (t1.quad_phase - t2.quad_phase)
+    b_vec = (
+        2.0 * g1 * t1.center
+        + 2.0 * g2 * t2.center
+        - 1j * (t1.linear_phase - t2.linear_phase)
+    )
+    mu = (b_vec / (2.0 * a_coef)).real
+    alpha = 1.0 / np.sqrt(abs(a_coef))
+    rot = np.exp(-0.5j * np.angle(a_coef))
 
     step = rot * alpha
     if d >= MAX_TENSOR_DIM:
@@ -289,12 +380,8 @@ def _quad_general_pair(p1, p2, spec: QuadratureSpec) -> complex:
     nodes, wts = _hermgauss(n)
     c1, g1 = _envelope(p1)
     c2, g2 = _envelope(p2)
-    if spec.centering == "midpoint":
-        mu = 0.5 * (c1 + c2)
-        alpha = max(1.0 / np.sqrt(2.0 * g1), 1.0 / np.sqrt(2.0 * g2))
-    else:
-        mu = (g1 * c1 + g2 * c2) / (g1 + g2)
-        alpha = 1.0 / np.sqrt(g1 + g2)
+    mu = (g1 * c1 + g2 * c2) / (g1 + g2)
+    alpha = 1.0 / np.sqrt(g1 + g2)
 
     total = 0.0 + 0.0j
     if d >= MAX_TENSOR_DIM:
@@ -340,14 +427,13 @@ def quadrature_overlap(
     return complex(total)
 
 
-def component_overlap(
-    a: WaveComponent, b: WaveComponent, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> complex:
-    """integral a(p) conj(b(p)) d^d p, closed form where available.
+def component_overlap(a: WaveComponent, b: WaveComponent) -> complex:
+    """integral a(p) conj(b(p)) d^d p, exactly.
 
     Gaussian x Gaussian goes through the packet dictionary of the pair;
     Hermite x Hermite on a shared frame is the coefficient inner product;
-    every other combination falls back to quadrature.
+    every other pair with a Hermite expansion goes through the per-axis
+    Hermite route, and ComponentSums by bilinearity.
     """
     if a.dimension != b.dimension:
         raise StructureError("components disagree on dimension")
@@ -366,9 +452,11 @@ def component_overlap(
         total = 0.0 + 0.0j
         for wa, ca in pa:
             for wb, cb in pb:
-                total += wa * np.conj(wb) * component_overlap(ca, cb, spec)
+                total += wa * np.conj(wb) * component_overlap(ca, cb)
         return complex(total)
-    return quadrature_overlap(a, b, spec)
+    if isinstance(b, HermiteExpansion):
+        return _hermite_overlap(a, b)
+    return _hermite_overlap(b, a).conjugate()
 
 
 def component_norm_sq(comp: WaveComponent) -> float:
@@ -380,12 +468,12 @@ def component_norm_sq(comp: WaveComponent) -> float:
     return float(component_overlap(comp, comp).real)
 
 
-def state_inner(a: HybridState, b: HybridState, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> complex:
+def state_inner(a: HybridState, b: HybridState) -> complex:
     """sum_chi integral a_chi(p) conj(b_chi(p)) d^d p."""
     if a.n != b.n or a.d != b.d:
         raise StructureError("states disagree on (n, d)")
     return complex(
-        sum(component_overlap(ca, cb, spec) for ca, cb in zip(a.components, b.components))
+        sum(component_overlap(ca, cb) for ca, cb in zip(a.components, b.components))
     )
 
 
@@ -396,10 +484,12 @@ class OverlapMatrix:
 
     Construction validates: hermiticity (within 1e-10, then symmetrized
     exactly), unit trace within 1e-10, Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj
-    + 1e-12, off-diagonal magnitudes <= 1/sqrt(2) + 1e-12, and positive
-    semidefiniteness down to eigenvalue -1e-10.  The eigenvalues of that
-    last check are kept, descending, in ``eigenvalues``: the two-level
-    closed form for n = 2, the Jacobi eigensolver for n >= 3.
+    + 1e-12, and positive semidefiniteness down to eigenvalue -1e-10.
+    Together these bound every off-diagonal magnitude by 1/2 (up to the
+    tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.
+    The eigenvalues of that last check are kept, descending, in
+    ``eigenvalues``: the two-level closed form for n = 2, the Jacobi
+    eigensolver for n >= 3.
     """
 
     matrix: np.ndarray
@@ -421,8 +511,6 @@ class OverlapMatrix:
             for j in range(i + 1, n):
                 if abs(m[i, j]) ** 2 > diag[i] * diag[j] + 1e-12:
                     raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
-                if abs(m[i, j]) > OFFDIAG_BOUND + 1e-12:
-                    raise DomainError(f"off-diagonal bound violated at ({i},{j})")
         if n == 1:
             values = diag.copy()
         elif n == 2:
@@ -441,7 +529,7 @@ class OverlapMatrix:
         return self.matrix.shape[0]
 
 
-def overlap_matrix(state: HybridState, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> OverlapMatrix:
+def overlap_matrix(state: HybridState) -> OverlapMatrix:
     """Assemble h_{chi,chi'} = component_overlap(phi_chi, phi_chi') for a
     normalized state, in one pass: all-Gaussian states through their shared
     packet dictionary, others entry by entry (upper triangle computed,
@@ -455,7 +543,7 @@ def overlap_matrix(state: HybridState, spec: QuadratureSpec = DEFAULT_QUADRATURE
         h = np.zeros((n, n), dtype=complex)
         for i in range(n):
             for j in range(i, n):
-                val = component_overlap(comps[i], comps[j], spec)
+                val = component_overlap(comps[i], comps[j])
                 h[i, j] = val
                 if j > i:
                     h[j, i] = np.conj(val)

@@ -17,7 +17,8 @@ from .density import spectrum
 from .errors import DegenerateStateError, DomainError, PreconditionError
 from .measures import purity as _purity
 from .measures import von_neumann_entropy
-from .overlaps import DEFAULT_QUADRATURE, QuadratureSpec, gaussian_term_overlap, overlap_matrix
+from .overlaps import gaussian_term_overlap, overlap_matrix
+from .stateio import fmt_float
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
 
 
@@ -39,6 +40,20 @@ class SweepRow:
             raise DomainError("lambda_plus + lambda_minus must be 1")
         if self.lambda_plus < self.lambda_minus - 1e-12:
             raise DomainError("lambda_plus must be the larger eigenvalue")
+
+
+def sweep_csv(rows: list[SweepRow]) -> str:
+    """Sweep rows as CSV text: a header naming the varied parameter, then
+    one line per row in 17-significant-digit form."""
+    lines = [f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity"]
+    for r in rows:
+        lines.append(
+            ",".join(
+                fmt_float(v)
+                for v in (r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity)
+            )
+        )
+    return "\n".join(lines) + "\n"
 
 
 def _check_weights(c0: complex, c1: complex) -> None:
@@ -105,9 +120,8 @@ def _pipeline_row(
     state: HybridState,
     c0: complex,
     c1: complex,
-    spec: QuadratureSpec,
 ) -> SweepRow:
-    h = overlap_matrix(state, spec)
+    h = overlap_matrix(state)
     lam = spectrum(h).eigenvalues
     c0c1 = c0 * np.conj(c1)
     if abs(c0c1) > 1e-15:
@@ -140,7 +154,6 @@ def sweep_q(
     c1,
     sigma: float,
     q_values,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[SweepRow]:
     """Rows for equal-width packets with center separation q along z:
     k0 = 0, k1 = q zhat, widths sigma.  The overlap modulus follows
@@ -153,7 +166,7 @@ def sweep_q(
         if not np.isfinite(q) or q < 0.0:
             raise DomainError(f"q values must be finite and >= 0, got {q}")
         state = beam_pair(c0, c1, np.zeros(3), np.array([0.0, 0.0, q]), sigma, sigma)
-        rows.append(_pipeline_row("q", q, state, complex(c0), complex(c1), spec))
+        rows.append(_pipeline_row("q", q, state, complex(c0), complex(c1)))
     return rows
 
 
@@ -162,7 +175,6 @@ def sweep_width_ratio(
     c1,
     sigma0: float,
     ratios,
-    spec: QuadratureSpec = DEFAULT_QUADRATURE,
 ) -> list[SweepRow]:
     """Rows for coincident centers and widths (sigma0, ratio * sigma0):
     the overlap modulus is (2 r / (1 + r^2))^(3/2)."""
@@ -174,5 +186,5 @@ def sweep_width_ratio(
         if not np.isfinite(r) or r <= 0.0:
             raise DomainError(f"ratios must be finite and > 0, got {r}")
         state = beam_pair(c0, c1, np.zeros(3), np.zeros(3), sigma0, r * sigma0)
-        rows.append(_pipeline_row("ratio", r, state, complex(c0), complex(c1), spec))
+        rows.append(_pipeline_row("ratio", r, state, complex(c0), complex(c1)))
     return rows

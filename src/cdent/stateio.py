@@ -28,6 +28,7 @@ is byte-deterministic.
 from __future__ import annotations
 
 import json
+import math
 from typing import Any
 
 import numpy as np
@@ -87,18 +88,29 @@ def _require(cond: bool, path: str, message: str) -> None:
         raise StateFileError(f"{path}: {message}")
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _finite(value, path: str) -> float:
+    """A JSON number as a finite float (json reads NaN, Infinity and
+    arbitrarily large integers)."""
+    try:
+        x = float(value)
+    except OverflowError:
+        x = math.inf
+    _require(math.isfinite(x), path, "numbers must be finite")
+    return x
+
+
 def _parse_complex(value, path: str) -> complex:
     _require(
         isinstance(value, (list, tuple)) and len(value) == 2,
         path,
         "complex values are two-element [re, im] arrays",
     )
-    _require(
-        all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value),
-        path,
-        "re and im must be numbers",
-    )
-    return complex(float(value[0]), float(value[1]))
+    _require(all(_is_number(v) for v in value), path, "re and im must be numbers")
+    return complex(_finite(value[0], path), _finite(value[1], path))
 
 
 def _parse_vector(value, d: int, path: str) -> np.ndarray:
@@ -107,17 +119,13 @@ def _parse_vector(value, d: int, path: str) -> np.ndarray:
         path,
         f"expected a list of {d} numbers",
     )
-    _require(
-        all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in value),
-        path,
-        "entries must be numbers",
-    )
-    return np.array([float(v) for v in value])
+    _require(all(_is_number(v) for v in value), path, "entries must be numbers")
+    return np.array([_finite(v, path) for v in value])
 
 
 def _parse_number(value, path: str, positive: bool = False) -> float:
-    _require(isinstance(value, (int, float)) and not isinstance(value, bool), path, "expected a number")
-    x = float(value)
+    _require(_is_number(value), path, "expected a number")
+    x = _finite(value, path)
     if positive:
         _require(x > 0.0, path, "must be > 0")
     return x

@@ -142,14 +142,16 @@ class GaussianSum:
         return out
 
 
-def _normalized_hermite_table(mmax: int, u: np.ndarray) -> np.ndarray:
-    """psi_m(u) for m = 0..mmax, orthonormal Hermite functions.
+def _hermite_table(mmax: int, u: np.ndarray, ground) -> np.ndarray:
+    """Rows m = 0..mmax of the orthonormal Hermite recurrence started from
+    ``ground``: psi_m(u) for ground = pi^(-1/4) exp(-u^2/2), and the
+    polynomial parts h_m(u) = psi_m(u) exp(u^2/2) for ground = pi^(-1/4).
 
     Recurrence: psi_{m+1} = sqrt(2/(m+1)) u psi_m - sqrt(m/(m+1)) psi_{m-1}.
     Works elementwise on arrays (complex u allowed).
     """
     table = np.empty((mmax + 1,) + u.shape, dtype=complex)
-    table[0] = np.pi ** (-0.25) * np.exp(-0.5 * u * u)
+    table[0] = ground
     if mmax >= 1:
         table[1] = np.sqrt(2.0) * u * table[0]
     for m in range(1, mmax):
@@ -210,7 +212,7 @@ class HermiteExpansion:
         s = self.gaussian_std
         u = (pts - self.origin) / s
         mmax = max(max(idx) for idx in self.coefficients)
-        table = _normalized_hermite_table(mmax, u)  # (mmax+1, N, d)
+        table = _hermite_table(mmax, u, np.pi ** (-0.25) * np.exp(-0.5 * u * u))  # (mmax+1, N, d)
         out = np.zeros(pts.shape[0], dtype=complex)
         for idx, c in self.coefficients.items():
             factor = table[idx[0], :, 0].copy()

@@ -11,18 +11,11 @@ from cdent.density import spectrum, trace_function_check
 from cdent.galilean import invariance_report, random_elements, su2_from_rotation
 from cdent.linalg import hermitian_eigenvalues
 from cdent.measures import gaussian_pair_eigenvalues, von_neumann_entropy
-from cdent.overlaps import (
-    OFFDIAG_BOUND,
-    QuadratureSpec,
-    gaussian_term_overlap,
-    overlap_matrix,
-    quadrature_overlap,
-)
+from cdent.overlaps import QuadratureSpec, gaussian_term_overlap, overlap_matrix, quadrature_overlap
 from cdent.scenarios import beam_pair, shape_pair, sweep_q, sweep_width_ratio
 from cdent.states import GaussianSum, GaussianTerm, HybridState, normalize
 from conftest import EQUAL, ZHAT, random_state, random_weights
 
-QUAD32 = QuadratureSpec(32)
 QUAD64 = QuadratureSpec(64)
 
 
@@ -86,7 +79,7 @@ def test_criterion_3_bound_suite():
     det_lo, det_hi = np.inf, -np.inf
     for _ in range(1000):
         state = random_state(rng)
-        h = overlap_matrix(state, QUAD32).matrix
+        h = overlap_matrix(state).matrix
         n = state.n
         worst_trace = max(worst_trace, abs(np.trace(h).real - 1.0))
         diag = h.diagonal().real
@@ -101,7 +94,7 @@ def test_criterion_3_bound_suite():
     ok = (
         worst_trace < 1e-10
         and worst_cs <= 1e-12
-        and worst_off <= OFFDIAG_BOUND + 1e-12
+        and worst_off <= 0.5 + 1e-12
         and det_lo >= -1e-12
         and det_hi <= 0.25 + 1e-12
     )
@@ -109,7 +102,7 @@ def test_criterion_3_bound_suite():
         "criterion 3 (bound suite, 1000 mixed states)",
         ok,
         f"trace dev {worst_trace:.2e}; CS slack {worst_cs:.2e}; "
-        f"max off-diag {worst_off:.6f} <= 1/sqrt(2); det range [{det_lo:.2e}, {det_hi:.3f}]",
+        f"max off-diag {worst_off:.6f} <= 1/2; det range [{det_lo:.2e}, {det_hi:.3f}]",
     )
 
 
@@ -151,7 +144,7 @@ def test_criterion_5_trace_function_identity():
     for _ in range(100):
         state = random_state(rng, d=int(rng.integers(1, 3)))
         for poly in polys:
-            lhs, rhs = trace_function_check(state, poly, QUAD32)
+            lhs, rhs = trace_function_check(state, poly)
             worst = max(worst, abs(lhs - rhs))
     report(
         "criterion 5 (trace-function identity, 100 states x {t, t^2, t^3})",

@@ -2,13 +2,21 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from cdent import overlaps
 from cdent.cli import run
+from cdent.density import schmidt_decomposition
+from cdent.measures import entanglement_report
+from cdent.overlaps import overlap_matrix, quadrature_overlap
 from cdent.scenarios import beam_pair, shape_pair
-from cdent.states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
+from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
 from cdent.stateio import (
     StateFileError,
     fmt_float,
@@ -296,3 +304,116 @@ class TestExitCodes:
     def test_help_exits_zero(self):
         code, out, err = run_cli(["--help"])
         assert code == 0
+
+
+def write_state(path, d, components) -> str:
+    path.write_text(json.dumps({"schema_version": 1, "n": len(components), "d": d, "components": components}))
+    return str(path)
+
+
+def packet_entry(amp, center, width, linear=None, quad=0.0):
+    term = {"amplitude": [amp, 0.0], "center": center, "width": width, "quad_phase": quad}
+    if linear is not None:
+        term["linear_phase"] = linear
+    return {"type": "gaussian_sum", "terms": [term]}
+
+
+def hermite_entry(scale, origin, index, value):
+    return {"type": "hermite", "scale": scale, "origin": origin,
+            "coefficients": [{"index": index, "value": [value, 0.0]}]}
+
+
+def analyze_h(path):
+    code, out, err = run_cli(["analyze", path])
+    assert code == 0, err
+    return np.array([[complex(re, im) for re, im in row] for row in json.loads(out)["h"]])
+
+
+class TestMixedAnalyze:
+    def test_chirped_packet_far_from_hermite_origin(self, tmp_path):
+        # the chirp exp(i p^2/2) about p = 100 oscillates at frequency ~100:
+        # the true overlap is about 1e-268
+        path = write_state(tmp_path / "chirp.json", 1, [
+            packet_entry(EQUAL, [100.0], 1.0, quad=0.5),
+            hermite_entry(1.0, [100.5], [1], EQUAL),
+        ])
+        assert abs(analyze_h(path)[0, 1]) < 1e-12
+
+    def test_five_dimensional_mixed_state(self, tmp_path):
+        # h01 factors into one 1-D overlap per axis, each checked against
+        # the quadrature oracle
+        center = [0.3, -0.2, 0.5, 0.1, -0.4]
+        linear = [0.2, -0.1, 0.0, 0.3, 0.1]
+        origin = [0.1, 0.2, -0.3, 0.0, 0.4]
+        index = [1, 0, 2, 0, 1]
+        path = write_state(tmp_path / "d5.json", 5, [
+            packet_entry(0.6, center, 1.1, linear, 0.2),
+            hermite_entry(1.3, origin, index, 0.8),
+        ])
+        expected = 0.6 * 0.8
+        for k, a, o, m in zip(center, linear, origin, index):
+            expected *= quadrature_overlap(
+                GaussianSum((GaussianTerm(1.0, [k], 1.1, [a], 0.2),)),
+                HermiteExpansion(1.3, [o], {(m,): 1.0}),
+            )
+        assert abs(analyze_h(path)[0, 1] - expected) < 1e-10
+
+    def test_no_route_reaches_quadrature(self, tmp_path, monkeypatch, rng):
+        def refuse(*args, **kwargs):
+            raise AssertionError("quadrature reached from the pipeline")
+
+        monkeypatch.setattr(overlaps, "quadrature_overlap", refuse)
+        mixed = write_state(tmp_path / "mixed.json", 2, [
+            packet_entry(EQUAL, [0.2, -0.1], 0.9, [0.3, 0.1], 0.2),
+            hermite_entry(1.2, [0.4, 0.0], [1, 2], EQUAL),
+        ])
+        cross = write_state(tmp_path / "cross.json", 1, [
+            hermite_entry(1.0, [0.0], [0], EQUAL),
+            hermite_entry(1.7, [0.6], [2], EQUAL),
+        ])
+        for path in (mixed, cross):
+            h = analyze_h(path)
+            assert abs(np.trace(h) - 1.0) < 1e-10
+        # Schmidt modes of a mixed state are ComponentSums; weighted by the
+        # square roots of the Schmidt coefficients they give h = diag(lambda)
+        sd = schmidt_decomposition(load_state(mixed))
+        lam = sd.coefficients.eigenvalues
+        state = HybridState(tuple(m.scaled(np.sqrt(v)) for m, v in zip(sd.continuous_modes, lam)))
+        assert all(isinstance(c, ComponentSum) for c in state.components)
+        rho = overlap_matrix(state)
+        assert entanglement_report(rho).schmidt_rank == 2
+        assert np.max(np.abs(rho.matrix - np.diag(lam))) < 1e-12
+
+
+class TestNonFiniteInput:
+    @pytest.mark.parametrize(
+        "field, value",
+        [("center", [np.nan, 0.0]), ("width", np.inf), ("amplitude", [-np.inf, 0.0])],
+    )
+    def test_analyze_exits_2_with_field_path(self, tmp_path, field, value):
+        # json.dumps writes NaN / Infinity / -Infinity, which json.load reads back
+        bad = packet_entry(EQUAL, [0.0, 0.0], 1.0)
+        bad["terms"][0][field] = value
+        path = write_state(tmp_path / "bad.json", 2, [bad, packet_entry(EQUAL, [1.0, 0.0], 1.0)])
+        code, out, err = run_cli(["analyze", path])
+        assert code == 2
+        assert out == ""
+        assert f"$.components[0].terms[0].{field}: numbers must be finite" in err
+
+    def test_oversized_integer_is_not_finite(self):
+        data = {"schema_version": 1, "n": 1, "d": 1,
+                "components": [packet_entry(1.0, [10**400], 1.0)]}
+        with pytest.raises(StateFileError, match=r"center: numbers must be finite"):
+            state_from_dict(data)
+
+
+def test_beam_sweep_script_matches_cli(tmp_path):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_beam_sweeps.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(script.parents[1] / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    subprocess.run([sys.executable, str(script), "--steps", "7", "--q-max", "3", "--outdir", str(tmp_path)],
+                   check=True, capture_output=True, env=env)
+    code, out, err = run_cli(["sweep-q", "--c0", str(EQUAL), "--c1", str(EQUAL), "--sigma", "1.0",
+                              "--q-start", "0", "--q-stop", "3", "--q-steps", "7"])
+    assert code == 0, err
+    assert (tmp_path / "entropy_vs_q.csv").read_text() == out

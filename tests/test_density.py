@@ -4,6 +4,7 @@ and the shared-spectrum trace identity."""
 import numpy as np
 import pytest
 
+from cdent import density, linalg
 from cdent.density import (
     RANK_TOL,
     Spectrum,
@@ -15,16 +16,14 @@ from cdent.density import (
 )
 from cdent.errors import DomainError, StructureError, UnsupportedError
 from cdent.linalg import hermitian_eigenvalues
-from cdent.overlaps import OverlapMatrix, QuadratureSpec, component_overlap, overlap_matrix
+from cdent.overlaps import OverlapMatrix, component_overlap, overlap_matrix
 from cdent.states import GaussianSum, GaussianTerm, HybridState, combine_components
-from conftest import EQUAL, random_state
+from conftest import EQUAL, random_gaussian_state, random_state
 
 # frozen via the 2x2 closed form and the Jacobi eigensolver (cross-checked)
 LAM_PLUS = 0.6839397205857212
 LAM_MINUS = 0.31606027941427883
 PURITY_E1 = 0.5676676416183063
-
-SPEC48 = QuadratureSpec(48)
 
 
 def packet(amp, center, width, d=1):
@@ -98,7 +97,7 @@ class TestSpectrum:
     def test_determinant_quantity_bounded_on_random_states(self, rng):
         for _ in range(60):
             state = random_state(rng, n=2, d=int(rng.integers(1, 3)))
-            h = overlap_matrix(state, SPEC48).matrix
+            h = overlap_matrix(state).matrix
             q = h[0, 0].real * h[1, 1].real - abs(h[0, 1]) ** 2
             assert -1e-12 <= q <= 0.25 + 1e-12
 
@@ -178,13 +177,13 @@ class TestSchmidt:
     def test_modes_orthonormal_and_discrete_modes_unitary(self, rng):
         for _ in range(8):
             state = random_state(rng, d=1)
-            sd = schmidt_decomposition(state, SPEC48)
+            sd = schmidt_decomposition(state)
             u = sd.discrete_modes
             assert np.max(np.abs(u.conj().T @ u - np.eye(state.n))) < 1e-10
             k = len(sd.continuous_modes)
             gram = np.array(
                 [
-                    [component_overlap(sd.continuous_modes[i], sd.continuous_modes[j], SPEC48) for j in range(k)]
+                    [component_overlap(sd.continuous_modes[i], sd.continuous_modes[j]) for j in range(k)]
                     for i in range(k)
                 ]
             )
@@ -193,7 +192,7 @@ class TestSchmidt:
     def test_reconstruction_reproduces_overlap_matrix(self, rng):
         for _ in range(6):
             state = random_state(rng, d=1)
-            sd = schmidt_decomposition(state, SPEC48)
+            sd = schmidt_decomposition(state)
             lam = sd.coefficients.eigenvalues
             keep = [i for i, v in enumerate(lam) if v > RANK_TOL]
             comps = []
@@ -201,8 +200,8 @@ class TestSchmidt:
                 weights = [np.sqrt(lam[i]) * sd.discrete_modes[chi, i] for i in keep]
                 comps.append(combine_components(weights, list(sd.continuous_modes)))
             rebuilt = HybridState(tuple(comps))
-            h0 = overlap_matrix(state, SPEC48).matrix
-            h1 = overlap_matrix(rebuilt, SPEC48).matrix
+            h0 = overlap_matrix(state).matrix
+            h1 = overlap_matrix(rebuilt).matrix
             assert np.max(np.abs(h0 - h1)) < 1e-8
 
     def test_rank_deficient_returns_fewer_modes(self):
@@ -241,5 +240,25 @@ class TestTraceFunction:
         for _ in range(10):
             state = random_state(rng, d=1)
             for poly in polys:
-                lhs, rhs = trace_function_check(state, poly, SPEC48)
+                lhs, rhs = trace_function_check(state, poly)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_builds_h_once_and_solves_twice(self, rng, monkeypatch):
+        # n = 3: one Jacobi solve in the OverlapMatrix PSD check, one for the
+        # Schmidt eigensystem on the same matrix
+        calls = {"overlap_matrix": 0, "eigensystem": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(density, "overlap_matrix", counting("overlap_matrix", density.overlap_matrix))
+        solve = counting("eigensystem", linalg.hermitian_eigensystem)
+        monkeypatch.setattr(linalg, "hermitian_eigensystem", solve)
+        monkeypatch.setattr(density, "hermitian_eigensystem", solve)
+        state = random_gaussian_state(rng, n=3, d=2)
+        lhs, rhs = trace_function_check(state, [0.0, 0.0, 1.0])
+        assert lhs == pytest.approx(rhs, abs=1e-12)
+        assert calls == {"overlap_matrix": 1, "eigensystem": 2}

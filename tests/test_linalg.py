@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cdent import linalg
 from cdent.errors import DomainError
 from cdent.linalg import hermitian_eigensystem, hermitian_eigenvalues
 
@@ -61,3 +62,27 @@ class TestJacobi:
             hermitian_eigenvalues(np.array([[1.0, 2.0], [0.5, 1.0]]))
         with pytest.raises(DomainError):
             hermitian_eigenvalues(np.ones((2, 3)))
+
+    def test_rejects_non_finite_entries(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="non-finite"):
+                hermitian_eigensystem(np.array([[bad, 0.3], [0.3, 2.0]]))
+
+    def test_zero_tolerance_never_divides_zero_by_zero(self):
+        # an exactly diagonal matrix is converged at tol = 0: its zero
+        # pivots are skipped, not normalized 0/0
+        vals, vecs = hermitian_eigensystem(np.diag([1.0, 3.0, 2.0]), tol=0.0)
+        assert vals.tolist() == [3.0, 2.0, 1.0]
+        assert np.all(np.isfinite(vecs))
+        # rotations leave rounding-size off-diagonals that never reach 0:
+        # that is reported, not returned as nan
+        with pytest.raises(DomainError, match="did not converge"):
+            hermitian_eigensystem(np.array([[1.0, 0.3], [0.3, 2.0]]), tol=0.0)
+
+    def test_raises_after_max_sweeps(self, rng, monkeypatch):
+        a = random_hermitian(rng, 5)
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 1)
+        with pytest.raises(DomainError, match="did not converge in 1 sweeps"):
+            hermitian_eigensystem(a)
+        monkeypatch.setattr(linalg, "_MAX_SWEEPS", 60)
+        assert np.max(np.abs(hermitian_eigensystem(a)[0] - np.linalg.eigvalsh(a)[::-1])) < 1e-12

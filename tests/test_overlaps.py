@@ -9,7 +9,6 @@ from cdent.errors import DomainError, PreconditionError, StructureError, Unsuppo
 from cdent.galilean import GalileanElement, apply_galilean, su2_from_rotation
 from cdent.linalg import hermitian_eigenvalues
 from cdent.overlaps import (
-    OFFDIAG_BOUND,
     OverlapMatrix,
     QuadratureSpec,
     component_overlap,
@@ -27,7 +26,7 @@ from cdent.states import (
     norm,
     normalize,
 )
-from conftest import random_state
+from conftest import random_gaussian_component, random_hermite_component, random_state
 
 SPEC64 = QuadratureSpec(64)
 
@@ -118,18 +117,19 @@ class TestComponentOverlap:
 
     def test_gaussian_equals_mode_zero_hermite(self):
         # width-1 packet and the mode-0 Hermite function at scale 1 are the
-        # same function; the cross-representation path goes through quadrature
+        # same function; the cross-representation path goes through the
+        # per-axis Hermite tables
         g = GaussianSum((GaussianTerm(1.0, [0.0], 1.0),))
         h = HermiteExpansion(1.0, [0.0], {(0,): 1.0})
-        assert component_overlap(g, h, SPEC64) == pytest.approx(1.0, abs=1e-10)
+        assert component_overlap(g, h) == pytest.approx(1.0, abs=1e-10)
 
     def test_conjugate_symmetry_closed_and_quadrature(self):
         g = GaussianSum((GaussianTerm(0.8 + 0.6j, [0.4], 1.2, [0.5], 0.2),))
         g2 = GaussianSum((GaussianTerm(0.3 - 0.2j, [-0.8], 0.9, [-1.0], -0.4),))
         h = HermiteExpansion(1.5, [-0.2], {(1,): 0.6, (3,): 0.8j})
         for a, b in ((g, g), (g, g2), (g, h)):
-            ab = component_overlap(a, b, SPEC64)
-            ba = component_overlap(b, a, SPEC64)
+            ab = component_overlap(a, b)
+            ba = component_overlap(b, a)
             assert ab == pytest.approx(np.conj(ba), abs=0.0)
         # the tilted-contour quadrature path satisfies the same symmetry
         ab = quadrature_overlap(g, g2, SPEC64)
@@ -175,16 +175,10 @@ class TestQuadratureOverlap:
     def test_node_count_validated(self):
         with pytest.raises(DomainError):
             QuadratureSpec(1)
-        with pytest.raises(DomainError):
-            QuadratureSpec(8, centering="weird")
-
-    def test_midpoint_rule_matches_on_equal_widths(self):
-        # for equal widths and no phases the midpoint rule coincides with the
-        # saddle rule, so it must reproduce the closed form too
-        t0 = GaussianTerm(1.0, [0.0], 1.0)
-        t1 = GaussianTerm(1.0, [1.2], 1.0)
-        mid = quadrature_overlap(GaussianSum((t0,)), GaussianSum((t1,)), QuadratureSpec(64, "midpoint"))
-        assert mid == pytest.approx(gaussian_term_overlap(t0, t1), abs=1e-10)
+        # the scaled weights w exp(x^2) overflow from about 400 nodes
+        assert QuadratureSpec(360).nodes_per_axis == 360
+        with pytest.raises(DomainError, match="overflow"):
+            QuadratureSpec(400)
 
 
 class TestOverlapMatrix:
@@ -224,10 +218,9 @@ class TestOverlapMatrix:
             overlap_matrix(state)
 
     def test_invariants_on_random_states(self, rng):
-        spec = QuadratureSpec(48)
         for _ in range(30):
             state = random_state(rng)
-            h = overlap_matrix(state, spec).matrix
+            h = overlap_matrix(state).matrix
             n = state.n
             assert np.max(np.abs(h - h.conj().T)) == 0.0
             assert abs(np.trace(h).real - 1.0) < 1e-10
@@ -235,7 +228,7 @@ class TestOverlapMatrix:
             for i in range(n):
                 for j in range(i + 1, n):
                     assert abs(h[i, j]) ** 2 <= diag[i] * diag[j] + 1e-12
-                    assert abs(h[i, j]) <= OFFDIAG_BOUND + 1e-12
+                    assert abs(h[i, j]) <= 0.5 + 1e-12
             assert hermitian_eigenvalues(h)[-1] > -1e-10
 
     def test_validation_rejects_bad_matrices(self):
@@ -335,3 +328,59 @@ def shifted_state(terms, lin, beta, shift) -> HybridState:
         GaussianSum(tuple(GaussianTerm(amp, k + shift, w, a + 2.0 * beta * shift, beta) for amp, k, w in comp))
         for comp, a in zip(terms, lin)
     ))
+
+
+def dyadic_packet(rng, d):
+    """A unit-amplitude phased packet whose parameters are all dyadic, so
+    shifted copies are exact."""
+    return GaussianTerm(
+        1.0,
+        rng.integers(-64, 65, d) / 64.0,
+        rng.integers(24, 49) / 32.0,
+        rng.integers(-48, 49, d) / 32.0,
+        rng.integers(-8, 9) / 16.0,
+    )
+
+
+def dyadic_hermite(rng, d):
+    coeffs = {
+        tuple(int(m) for m in rng.integers(0, 4, d)): complex(rng.normal(), rng.normal())
+        for _ in range(int(rng.integers(1, 4)))
+    }
+    return HermiteExpansion(rng.integers(24, 49) / 32.0, rng.integers(-64, 65, d) / 64.0, coeffs)
+
+
+class TestHermiteRoute:
+    """Gaussian x Hermite and cross-frame Hermite x Hermite overlaps through
+    the exact per-axis tables."""
+
+    def test_matches_quadrature_oracle_on_random_mixed_pairs(self, rng):
+        # 300 pairs; d = 3 costs 64^3 oracle nodes per pair, so it is drawn
+        # for one pair in twenty
+        worst = 0.0
+        for trial in range(300):
+            d = 3 if trial % 20 == 0 else 1 + trial % 2
+            g = random_gaussian_component(rng, d, max_terms=1 if d == 3 else 2)
+            h1, h2 = random_hermite_component(rng, d), random_hermite_component(rng, d)
+            a, b = ((g, h1), (h1, g), (h1, h2))[trial % 3]
+            worst = max(worst, abs(component_overlap(a, b) - quadrature_overlap(a, b, SPEC64)))
+        assert worst < 1e-12
+
+    def test_joint_translation_keeps_modulus(self, rng):
+        # shifting packet centers and Hermite origins by K, with the packet's
+        # linear phase moved by 2 beta K, changes an overlap by a phase only
+        for _ in range(20):
+            d = int(rng.integers(1, 4))
+            t = dyadic_packet(rng, d)
+            h1, h2 = dyadic_hermite(rng, d), dyadic_hermite(rng, d)
+            pairs = ((GaussianSum((t,)), h1), (h1, h2))
+            base = [abs(component_overlap(a, b)) for a, b in pairs]
+            for size, tol in ((1e2, 1e-10), (1e4, 1e-10), (1e6, 1e-9)):
+                direction = rng.normal(size=d)
+                shift = np.round(size * direction / np.linalg.norm(direction))
+                moved_t = GaussianTerm(1.0, t.center + shift, t.width,
+                                       t.linear_phase + 2.0 * t.quad_phase * shift, t.quad_phase)
+                moved = [HermiteExpansion(h.scale, h.origin + shift, h.coefficients) for h in (h1, h2)]
+                got = [abs(component_overlap(GaussianSum((moved_t,)), moved[0])),
+                       abs(component_overlap(moved[0], moved[1]))]
+                assert max(abs(x - y) for x, y in zip(got, base)) < tol
