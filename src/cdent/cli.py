@@ -14,7 +14,7 @@ import sys
 import numpy as np
 
 from . import __version__
-from .density import kernel_eval
+from .density import kernel_matrix
 from .errors import CDEntError
 from .galilean import PhysicalParams, invariance_report
 from .measures import entanglement_report
@@ -55,7 +55,11 @@ def _parse_grid(text: str) -> np.ndarray:
         raise _UsageError(f"grid must be lo:hi:steps, got {text!r}") from exc
     if steps < 1:
         raise _UsageError("grid needs at least one step")
-    return np.linspace(lo, hi, steps)
+    with np.errstate(over="ignore", invalid="ignore"):
+        grid = np.linspace(lo, hi, steps)
+    if not np.all(np.isfinite(grid)):
+        raise _UsageError(f"grid points must be finite, got {text!r}")
+    return grid
 
 
 def _emit(text: str, out_path: str | None, stdout) -> None:
@@ -117,15 +121,14 @@ def _cmd_kernel(args, stdout) -> int:
     state = load_state(args.state)
     if not 0 <= args.axis < state.d:
         raise _UsageError(f"axis {args.axis} out of range for d={state.d}")
+    points = np.zeros((grid.shape[0], state.d))
+    points[:, args.axis] = grid
+    f = kernel_matrix(state, points)
+    labels = [fmt_float(x) for x in grid.tolist()]
     lines = ["p,p_prime,re_f,im_f"]
-    pa = np.zeros(state.d)
-    pb = np.zeros(state.d)
-    for u in grid:
-        pa[args.axis] = u
-        for v in grid:
-            pb[args.axis] = v
-            f = kernel_eval(state, pa, pb)
-            lines.append(",".join(fmt_float(x) for x in (u, v, f.real, f.imag)))
+    for u, re_row, im_row in zip(labels, f.real.tolist(), f.imag.tolist()):
+        for v, re, im in zip(labels, re_row, im_row):
+            lines.append(f"{u},{v},{fmt_float(re)},{fmt_float(im)}")
     _emit("\n".join(lines) + "\n", args.out, stdout)
     return 0
 

@@ -80,19 +80,37 @@ def spectrum(rho) -> Spectrum:
     return Spectrum(rho.eigenvalues)
 
 
-def kernel_eval(state: HybridState, p, p2) -> complex:
+def kernel_matrix(state: HybridState, points) -> np.ndarray:
     """Kernel f(p, p') = sum_chi phi_chi(p) conj(phi_chi(p')) of the
-    reduced continuous density operator."""
+    reduced continuous density operator, sampled on an (N, d) array of
+    momenta: F[i, j] = f(points[i], points[j]).
+
+    Each component is evaluated once on all N points.  Real and imaginary
+    parts accumulate separately, in component order, as a*c - b*d and
+    a*d + b*c for phi(p) = a + ib and conj(phi(p')) = c + id: a complex
+    array product may fuse these into FMAs, which leaves the diagonal an
+    imaginary part of order 1e-19 instead of exactly 0.
+    """
+    pts = np.array(points, dtype=float)
+    if pts.ndim != 2 or pts.shape[1] != state.d:
+        raise StructureError(f"points must be an (N, {state.d}) array, got shape {pts.shape}")
+    out = np.zeros((pts.shape[0], pts.shape[0]), dtype=complex)
+    for comp in state.components:
+        vals = comp.eval_many(pts)
+        a, b = vals.real, vals.imag
+        d = -b
+        out.real += np.multiply.outer(a, a) - np.multiply.outer(b, d)
+        out.imag += np.multiply.outer(a, d) + np.multiply.outer(b, a)
+    return out
+
+
+def kernel_eval(state: HybridState, p, p2) -> complex:
+    """Kernel f(p, p') at one pair of momenta; see ``kernel_matrix``."""
     pa = np.array(p, dtype=float).reshape(-1)
     pb = np.array(p2, dtype=float).reshape(-1)
     if pa.shape[0] != state.d or pb.shape[0] != state.d:
         raise StructureError(f"momentum vectors must have length {state.d}")
-    total = 0.0 + 0.0j
-    for comp in state.components:
-        va = comp.eval_many(pa[None, :])[0]
-        vb = comp.eval_many(pb[None, :])[0]
-        total += va * np.conj(vb)
-    return complex(total)
+    return complex(kernel_matrix(state, np.stack([pa, pb]))[0, 1])
 
 
 def schmidt_decomposition(state: HybridState) -> SchmidtData:

@@ -38,8 +38,8 @@ class PhysicalParams:
 
     def __post_init__(self):
         object.__setattr__(self, "mass", float(self.mass))
-        if not self.mass > 0.0:
-            raise DomainError(f"mass must be positive, got {self.mass}")
+        if not 0.0 < self.mass < np.inf:
+            raise DomainError(f"mass must be positive and finite, got {self.mass}")
 
 
 @dataclass(frozen=True)

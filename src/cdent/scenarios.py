@@ -58,7 +58,7 @@ def sweep_csv(rows: list[SweepRow]) -> str:
 
 def _check_weights(c0: complex, c1: complex) -> None:
     total = abs(c0) ** 2 + abs(c1) ** 2
-    if abs(total - 1.0) > 1e-9:
+    if not abs(total - 1.0) <= 1e-9:
         raise PreconditionError(f"|c0|^2 + |c1|^2 must be 1, got {total!r}")
 
 

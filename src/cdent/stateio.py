@@ -33,7 +33,7 @@ from typing import Any
 
 import numpy as np
 
-from .errors import StructureError
+from .errors import DomainError, StructureError
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, WaveComponent
 
 SCHEMA_VERSION = 1
@@ -44,8 +44,12 @@ class StateFileError(StructureError):
 
 
 def fmt_float(x: float) -> str:
-    """Fixed 17-significant-digit decimal form; exact binary64 round trip."""
-    return format(float(x), ".17g")
+    """Fixed 17-significant-digit decimal form; exact binary64 round trip.
+    Raises DomainError on NaN and infinities, so no output carries them."""
+    x = float(x)
+    if not math.isfinite(x):
+        raise DomainError(f"cannot write the non-finite number {x}")
+    return format(x, ".17g")
 
 
 def render_json(obj: Any, indent: int = 0) -> str:

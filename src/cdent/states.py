@@ -22,6 +22,8 @@ Everything here is an immutable value; all operations are pure functions.
 
 from __future__ import annotations
 
+import cmath
+import math
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -37,6 +39,8 @@ def _frozen_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
     v = np.array(x, dtype=float).reshape(-1)
     if d is not None and v.shape != (d,):
         raise StructureError(f"{name} must have length {d}, got {v.shape[0]}")
+    if not all(map(math.isfinite, v.tolist())):
+        raise DomainError(f"{name} must be finite, got {v.tolist()}")
     v.setflags(write=False)
     return v
 
@@ -65,8 +69,12 @@ class GaussianTerm:
         object.__setattr__(self, "amplitude", complex(self.amplitude))
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "quad_phase", float(self.quad_phase))
-        if not self.width > 0.0:
-            raise DomainError(f"width must be positive, got {self.width}")
+        if not cmath.isfinite(self.amplitude):
+            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
+        if not 0.0 < self.width < math.inf:
+            raise DomainError(f"width must be positive and finite, got {self.width}")
+        if not math.isfinite(self.quad_phase):
+            raise DomainError(f"quad_phase must be finite, got {self.quad_phase}")
         if self.linear_phase is None:
             lp = np.zeros(center.shape[0])
             lp.setflags(write=False)
@@ -99,17 +107,22 @@ class GaussianTerm:
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Values at an (N, d) array of points (complex points allowed;
-        the expression is the analytic continuation)."""
+        the expression is the analytic continuation).  Exactly 0 where the
+        envelope exp(-2|p-center|^2/sigma^2) underflows."""
         gamma = 2.0 / self.width**2
         d = self.dimension
         pref = (2.0 * gamma / np.pi) ** (0.25 * d)
-        dp = pts - self.center
-        expo = (
-            -gamma * np.sum(dp * dp, axis=-1)
-            - 1j * (pts @ self.linear_phase)
-            + 1j * self.quad_phase * np.sum(pts * pts, axis=-1)
-        )
-        return self.amplitude * pref * np.exp(expo)
+        # far out |p|^2 overflows and the phases turn 0*inf into nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            dp = pts - self.center
+            envelope = -gamma * np.sum(dp * dp, axis=-1)
+            expo = (
+                envelope
+                - 1j * (pts @ self.linear_phase)
+                + 1j * self.quad_phase * np.sum(pts * pts, axis=-1)
+            )
+            vals = self.amplitude * pref * np.exp(expo)
+        return np.where(np.exp(envelope.real) == 0.0, 0.0, vals)
 
 
 @dataclass(frozen=True)
@@ -175,8 +188,8 @@ class HermiteExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "scale", float(self.scale))
-        if not self.scale > 0.0:
-            raise DomainError(f"scale must be positive, got {self.scale}")
+        if not 0.0 < self.scale < math.inf:
+            raise DomainError(f"scale must be positive and finite, got {self.scale}")
         origin = _frozen_vector(self.origin, name="origin")
         object.__setattr__(self, "origin", origin)
         d = origin.shape[0]
@@ -187,7 +200,10 @@ class HermiteExpansion:
                 raise StructureError(f"multi-index {idx} does not match dimension {d}")
             if any(m < 0 for m in idx):
                 raise StructureError(f"multi-index {idx} has a negative entry")
-            coeffs[idx] = coeffs.get(idx, 0.0) + complex(val)
+            val = complex(val)
+            if not cmath.isfinite(val):
+                raise DomainError(f"coefficient {idx} must be finite, got {val}")
+            coeffs[idx] = coeffs.get(idx, 0.0) + val
         if not coeffs:
             raise StructureError("HermiteExpansion needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
@@ -209,17 +225,23 @@ class HermiteExpansion:
         )
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
+        """Values at an (N, d) array of real points.  Exactly 0 where the
+        envelope exp(-u^2/2) underflows on some axis."""
         s = self.gaussian_std
-        u = (pts - self.origin) / s
         mmax = max(max(idx) for idx in self.coefficients)
-        table = _hermite_table(mmax, u, np.pi ** (-0.25) * np.exp(-0.5 * u * u))  # (mmax+1, N, d)
+        # far out u^2 overflows and the recurrence turns 0*inf into nan
+        with np.errstate(over="ignore", invalid="ignore"):
+            u = (pts - self.origin) / s
+            envelope = np.exp(-0.5 * u * u)
+            table = _hermite_table(mmax, u, np.pi ** (-0.25) * envelope)  # (mmax+1, N, d)
         out = np.zeros(pts.shape[0], dtype=complex)
         for idx, c in self.coefficients.items():
             factor = table[idx[0], :, 0].copy()
             for axis in range(1, len(idx)):
                 factor *= table[idx[axis], :, axis]
             out += c * factor
-        return out * s ** (-0.5 * self.dimension)
+        out = out * s ** (-0.5 * self.dimension)
+        return np.where(np.any(envelope == 0.0, axis=-1), 0.0, out)
 
 
 @dataclass(frozen=True)

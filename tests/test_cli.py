@@ -13,10 +13,20 @@ import pytest
 from cdent import overlaps
 from cdent.cli import run
 from cdent.density import schmidt_decomposition
+from cdent.errors import DomainError
+from cdent.galilean import GalileanElement, apply_galilean
 from cdent.measures import entanglement_report
 from cdent.overlaps import overlap_matrix, quadrature_overlap
 from cdent.scenarios import beam_pair, shape_pair
-from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
+from cdent.states import (
+    ComponentSum,
+    GaussianSum,
+    GaussianTerm,
+    HermiteExpansion,
+    HybridState,
+    evaluate,
+    normalize,
+)
 from cdent.stateio import (
     StateFileError,
     fmt_float,
@@ -111,6 +121,15 @@ class TestStateIO:
     def test_render_json_is_valid_json(self):
         payload = {"a": 1.5, "b": [1, 2.25, "x"], "c": {"nested": True, "null": None}}
         assert json.loads(render_json(payload)) == payload
+
+    def test_non_finite_floats_are_refused(self):
+        for x in (float("nan"), float("inf"), -np.inf, np.float64("nan")):
+            with pytest.raises(DomainError, match="non-finite"):
+                fmt_float(x)
+        with pytest.raises(DomainError):
+            render_json({"a": float("nan")})
+        with pytest.raises(DomainError):
+            render_json({"h": [[1.0, np.inf]]})
 
 
 class TestAnalyze:
@@ -231,6 +250,96 @@ class TestKernel:
         code, _, err = run_cli(["kernel", beam_file, "--axis", "5", "--grid=0:1:2"])
         assert code == 1
         assert "axis" in err
+
+    @pytest.mark.parametrize("grid", ["nan:1:2", "-inf:0:3", "0:inf:2", "-1e308:1e308:3"])
+    def test_non_finite_grid_is_usage_error(self, beam_file, grid):
+        # the last grid has finite bounds, but linspace's step overflows
+        code, out, err = run_cli(["kernel", beam_file, "--axis", "0", f"--grid={grid}"])
+        assert code == 1
+        assert out == ""
+        assert "grid points must be finite" in err
+
+    def test_far_out_grid_prints_zeros(self, beam_file, shape_file):
+        # |p|^2 overflows from |p| ~ 1.3e154; the kernel is exactly 0 there
+        for path in (beam_file, shape_file):
+            code, out, err = run_cli(["kernel", path, "--axis", "2", "--grid=0:1e308:3"])
+            assert code == 0, err
+            rows = [line.split(",") for line in out.splitlines()[1:]]
+            assert len(rows) == 9
+            for u, v, re, im in rows:
+                if (u, v) != ("0", "0"):
+                    assert (re, im) == ("0", "0")
+
+    @pytest.mark.parametrize("grid", ["0.4:0.4:1", "-1:1.5:2", "-2:2:9"])
+    def test_matches_per_pair_reference_bytes(self, tmp_path, grid):
+        states = kernel_states()
+        for name, state in states.items():
+            path = tmp_path / f"{name}.json"
+            save_state(state, str(path))
+            lo, hi, steps = grid.split(":")
+            points = np.linspace(float(lo), float(hi), int(steps))
+            for axis in range(state.d):
+                code, out, err = run_cli(["kernel", str(path), "--axis", str(axis), f"--grid={grid}"])
+                assert code == 0, err
+                assert out == kernel_reference_csv(state, axis, points), (name, axis)
+
+    def test_one_evaluation_per_component(self, tmp_path, monkeypatch):
+        points = []
+        for cls in (GaussianSum, HermiteExpansion):
+            def counted(self, pts, original=cls.eval_many):
+                points.append(pts.shape[0])
+                return original(self, pts)
+
+            monkeypatch.setattr(cls, "eval_many", counted)
+        state = kernel_states()["mixed"]
+        path = tmp_path / "mixed.json"
+        save_state(state, str(path))
+        code, _, err = run_cli(["kernel", str(path), "--axis", "1", "--grid=-1:1:7"])
+        assert code == 0, err
+        assert points == [7] * state.n
+
+
+def kernel_states() -> dict:
+    """A beam pair, a 4-times frame-changed beam pair (16 terms per
+    component), a d = 3 same-frame Hermite state and a Gaussian x Hermite
+    state."""
+    beam = beam_pair(0.6, 0.8j, [0.1, -0.2, 0.0], [0.3, 0.1, 0.9], 1.1, 0.8)
+    moved = beam
+    for k in range(4):
+        g = GalileanElement(0.3 * k - 0.4, [0.2, -0.1 * k, 0.5], [0.1 * k, 0.3, -0.2],
+                            np.array([1.0, 0.2 * k, -0.1, 0.3]) / np.sqrt(1.1 + 0.04 * k * k))
+        moved = apply_galilean(moved, g)
+    herm = normalize(HybridState(tuple(
+        HermiteExpansion(1.3, [0.2, -0.1, 0.3], coeffs)
+        for coeffs in ({(0, 1, 2): 0.5, (1, 0, 0): 0.2j}, {(2, 0, 1): 0.7}, {(0, 0, 0): 0.3 - 0.1j})
+    )))
+    mixed = normalize(HybridState((
+        GaussianSum((GaussianTerm(0.6, [0.2, -0.4], 0.9, [0.3, -0.2], 0.25),
+                     GaussianTerm(0.3j, [-0.5, 0.1], 1.4))),
+        HermiteExpansion(1.1, [0.1, 0.3], {(1, 0): 0.4, (0, 2): 0.5j}),
+        GaussianSum((GaussianTerm(0.5 - 0.2j, [0.0, 0.6], 1.2, None, -0.1),)),
+    )))
+    return {"beam": beam, "frames4": moved, "hermite3": herm, "mixed": mixed}
+
+
+def kernel_reference_csv(state, axis, points) -> str:
+    """Kernel CSV from pointwise values, one (p, p') pair at a time, with
+    the complex product written out as re = ac - bd, im = ad + bc."""
+    def values(u):
+        p = np.zeros(state.d)
+        p[axis] = u
+        return [evaluate(state, chi, p) for chi in range(state.n)]
+
+    lines = ["p,p_prime,re_f,im_f"]
+    for u in points:
+        for v in points:
+            re = im = 0.0
+            for x, y in zip(values(u), values(v)):
+                y = y.conjugate()
+                re += x.real * y.real - x.imag * y.imag
+                im += x.real * y.imag + x.imag * y.real
+            lines.append(",".join(fmt_float(t) for t in (u, v, re, im)))
+    return "\n".join(lines) + "\n"
 
 
 class TestExitCodes:
@@ -399,6 +508,19 @@ class TestNonFiniteInput:
         assert code == 2
         assert out == ""
         assert f"$.components[0].terms[0].{field}: numbers must be finite" in err
+
+    @pytest.mark.parametrize("argv, field", [
+        (["sweep-q", "--c0=nan", "--c1=0.8", "--sigma=1", "--q-start=0", "--q-stop=1", "--q-steps=2"], "c0"),
+        (["sweep-width", "--c0=0.6", "--c1=0.8", "--sigma0=inf", "--r-start=1", "--r-stop=2",
+          "--r-steps=2"], "width"),
+        (["galilean-check", "BEAM", "--samples=2", "--seed=1", "--mass=inf"], "mass"),
+    ])
+    def test_command_line_values_exit_3_naming_the_field(self, beam_file, argv, field):
+        code, out, err = run_cli([beam_file if a == "BEAM" else a for a in argv])
+        assert code == 3
+        assert out == ""
+        assert field in err
+        assert "normalized" not in err
 
     def test_oversized_integer_is_not_finite(self):
         data = {"schema_version": 1, "n": 1, "d": 1,

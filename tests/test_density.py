@@ -9,6 +9,7 @@ from cdent.density import (
     RANK_TOL,
     Spectrum,
     kernel_eval,
+    kernel_matrix,
     reduced_spin_density,
     schmidt_decomposition,
     spectrum,
@@ -145,6 +146,21 @@ class TestKernel:
         state = random_state(rng, d=2)
         with pytest.raises(StructureError):
             kernel_eval(state, [0.0], [0.0, 0.0])
+
+    def test_matrix_entries_are_pair_values(self, rng):
+        state = random_state(rng, d=2)
+        pts = rng.normal(size=(6, 2))
+        f = kernel_matrix(state, pts)
+        assert f.shape == (6, 6)
+        for i in range(6):
+            for j in range(6):
+                assert f[i, j] == kernel_eval(state, pts[i], pts[j])
+        # exactly Hermitian, with an exactly real diagonal
+        assert np.array_equal(f, f.conj().T)
+        with pytest.raises(StructureError):
+            kernel_matrix(state, pts[:, :1])
+        with pytest.raises(StructureError):
+            kernel_matrix(state, pts[0])
 
 
 class TestSchmidt:

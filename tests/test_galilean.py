@@ -91,6 +91,12 @@ class TestSpinRotation:
             su2_from_rotation([1.0, 1.0, 0.0, 0.0])
 
 
+@pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, np.inf])
+def test_mass_must_be_positive_and_finite(mass):
+    with pytest.raises(DomainError, match="mass must be positive and finite"):
+        PhysicalParams(mass)
+
+
 class TestApplyGalilean:
     def test_identity_element_is_exact(self, rng):
         state = two_level_gaussian_state(rng)

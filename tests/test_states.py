@@ -1,5 +1,7 @@
 """State construction, norms, evaluation, and the spin-component expectation."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -138,6 +140,19 @@ class TestEvaluate:
         p = np.array([[0.31]])
         assert scaled.eval_many(p)[0] == pytest.approx(factor * base.eval_many(p)[0], abs=1e-12)
 
+    def test_zero_where_the_envelope_underflows(self):
+        # |p|^2 overflows from |p| ~ 1.3e154 (u^2 for Hermite near 1e308),
+        # where the phases and the recurrence would turn 0*inf into nan
+        gauss = GaussianSum((GaussianTerm(0.6 + 0.2j, [0.5, -0.3], 1.1, [0.4, 0.2], 0.3),))
+        herm = HermiteExpansion(0.9, [0.2, 0.1], {(0, 3): 0.5, (2, 1): 0.7j})
+        pts = np.array([[1e155, 0.0], [0.0, -1e200], [1e308, 1e308], [-40.0, 0.0], [0.3, -0.2]])
+        for comp in (gauss, herm):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                vals = comp.eval_many(pts)
+            assert np.array_equal(vals[:4], np.zeros(4))
+            assert vals[4] == comp.eval_many(pts[4:])[0] != 0.0
+
     def test_component_sum_evaluates_linearly(self):
         g = packet(0.5, 0.0, 1.0)
         h = HermiteExpansion(1.0, [0.0], {(2,): 0.5})
@@ -184,6 +199,30 @@ class TestConstruction:
     def test_hermite_scale_must_be_positive(self):
         with pytest.raises(DomainError):
             HermiteExpansion(0.0, [0.0], {(0,): 1.0})
+
+    @pytest.mark.parametrize("field, value", [
+        ("amplitude", complex(np.nan, 0.0)),
+        ("amplitude", complex(0.0, -np.inf)),
+        ("center", [0.0, np.nan]),
+        ("width", np.inf),
+        ("linear_phase", [np.inf, 0.0]),
+        ("quad_phase", np.nan),
+    ])
+    def test_gaussian_parameters_must_be_finite(self, field, value):
+        args = {"amplitude": 1.0, "center": [0.0, 0.0], "width": 1.0,
+                "linear_phase": [0.0, 0.0], "quad_phase": 0.0, field: value}
+        with pytest.raises(DomainError, match=f"{field} must be"):
+            GaussianTerm(**args)
+
+    @pytest.mark.parametrize("field, scale, origin, value", [
+        ("scale", np.inf, [0.0], 1.0),
+        ("origin", 1.0, [np.nan], 1.0),
+        ("coefficient", 1.0, [0.0], complex(np.inf, 0.0)),
+        ("coefficient", 1.0, [0.0], complex(0.0, np.nan)),
+    ])
+    def test_hermite_parameters_must_be_finite(self, field, scale, origin, value):
+        with pytest.raises(DomainError, match=field):
+            HermiteExpansion(scale, origin, {(1,): value})
 
     def test_hermite_index_dimension_checked(self):
         with pytest.raises(StructureError):
