@@ -52,14 +52,11 @@ from .measures import (
     von_neumann_entropy,
 )
 from .overlaps import (
-    DEFAULT_QUADRATURE,
     OverlapMatrix,
-    QuadratureSpec,
     component_norm_sq,
     component_overlap,
     gaussian_term_overlap,
     overlap_matrix,
-    quadrature_overlap,
     state_inner,
 )
 from .scenarios import SweepRow, beam_pair, shape_pair, sweep_q, sweep_width_ratio

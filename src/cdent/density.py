@@ -26,7 +26,7 @@ class Spectrum:
     """Eigenvalues of a reduced density matrix, sorted descending.
 
     Validated to lie in [-1e-10, 1+1e-10] with unit sum (within 1e-10),
-    then clamped to [0, 1]."""
+    then clamped to [0, 1]; NaN fails both gates."""
 
     eigenvalues: np.ndarray
 
@@ -34,9 +34,9 @@ class Spectrum:
         vals = np.array(self.eigenvalues, dtype=float).reshape(-1)
         if vals.size == 0:
             raise DomainError("empty spectrum")
-        if np.min(vals) < -1e-10 or np.max(vals) > 1.0 + 1e-10:
+        if not (np.min(vals) >= -1e-10 and np.max(vals) <= 1.0 + 1e-10):
             raise DomainError(f"eigenvalues outside [0,1]: {vals}")
-        if abs(np.sum(vals) - 1.0) > 1e-10:
+        if not abs(np.sum(vals) - 1.0) <= 1e-10:
             raise DomainError(f"eigenvalues must sum to 1, got {float(np.sum(vals))!r}")
         vals = np.clip(vals, 0.0, 1.0)
         vals = np.sort(vals)[::-1].copy()

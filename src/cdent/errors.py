@@ -28,5 +28,5 @@ class DomainError(CDEntError):
 
 class UnsupportedError(CDEntError):
     """Valid input, but outside what this implementation supports
-    (dimension too large for tensor quadrature, representation not closed
-    under the requested transformation, non-polynomial trace functions)."""
+    (representation not closed under the requested transformation,
+    non-polynomial trace functions)."""

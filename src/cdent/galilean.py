@@ -20,6 +20,7 @@ lift of the double cover.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,10 +72,14 @@ class GalileanElement:
 
     def __post_init__(self):
         object.__setattr__(self, "time_shift", float(self.time_shift))
+        if not math.isfinite(self.time_shift):
+            raise DomainError(f"time_shift must be finite, got {self.time_shift}")
         for name, val in (("translation", self.translation), ("boost_velocity", self.boost_velocity)):
             v = np.zeros(3) if val is None else np.array(val, dtype=float).reshape(-1)
             if v.shape != (3,):
                 raise DomainError(f"{name} must be a 3-vector")
+            if not all(map(math.isfinite, v.tolist())):
+                raise DomainError(f"{name} must be finite, got {v.tolist()}")
             v.setflags(write=False)
             object.__setattr__(self, name, v)
         q = np.array([1.0, 0.0, 0.0, 0.0]) if self.rotation is None else np.array(
@@ -82,7 +87,9 @@ class GalileanElement:
         ).reshape(-1)
         if q.shape != (4,):
             raise DomainError("rotation must be a quaternion (w, x, y, z)")
-        if abs(np.dot(q, q) - 1.0) > 1e-12:
+        if not all(map(math.isfinite, q.tolist())):
+            raise DomainError(f"rotation must be finite, got {q.tolist()}")
+        if not abs(np.dot(q, q) - 1.0) <= 1e-12:
             raise DomainError(f"quaternion norm deviates from 1 by {abs(np.dot(q,q)-1):.2e}")
         q.setflags(write=False)
         object.__setattr__(self, "rotation", q)

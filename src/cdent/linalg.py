@@ -43,9 +43,12 @@ def hermitian_eigensystem(
     Returns ``(values, vectors)`` with ``vectors[:, i]`` the eigenvector of
     ``values[i]``.  Each eigenvector is phase-fixed so its first entry of
     magnitude above 1e-12 is real positive, which makes degenerate subspaces
-    come out deterministically for identical inputs.  Raises DomainError on
-    non-finite entries and when the off-diagonal norm is still above ``tol``
-    after ``_MAX_SWEEPS`` sweeps.
+    come out deterministically for identical inputs.  The stopping test is
+    relative: iteration ends once the off-diagonal norm is at most
+    ``tol * max(1, ||A||_F)``, which is ``tol`` itself for a unit-trace
+    density matrix (||A||_F <= 1).  Raises DomainError on non-finite
+    entries and when the off-diagonal norm is still above that bound after
+    ``_MAX_SWEEPS`` sweeps.
     """
     a = np.array(matrix, dtype=complex)
     n = a.shape[0]
@@ -56,6 +59,7 @@ def hermitian_eigensystem(
     if _offdiag_norm(a - a.conj().T) > 1e-10 or np.max(np.abs(a.imag.diagonal())) > 1e-10:
         raise DomainError("matrix is not Hermitian within 1e-10")
     a = 0.5 * (a + a.conj().T)  # symmetrize roundoff away
+    tol = tol * max(1.0, float(np.linalg.norm(a)))
 
     v = np.eye(n, dtype=complex)
     sweeps = 0

@@ -1,27 +1,34 @@
 """Overlap integrals h_{chi,chi'} = integral phi_chi conj(phi_chi').
 
-Two independent routes:
+One exact route, ``dictionary_overlap_matrix``.  The components of a state
+are written over one dictionary of functions u_1..u_P:
 
-* closed forms, used by everything downstream: Gaussian sums go through a
-  shared packet dictionary (``dictionary_overlap_matrix``), Hermite
-  expansions on one frame through their coefficient inner product, and
-  every pair involving a Hermite expansion on a frame of its own through
-  exact per-axis tables (``_hermite_overlap``);
-* ``quadrature_overlap``, a tensor-product Gauss-Hermite integrator that
-  only ever samples the integrand pointwise, kept as the certification
-  oracle for the closed forms.
+* phased Gaussian packets, packets equal up to amplitude being one entry;
+* Hermite modes, one multi-index on one frame, frames equal bit for bit in
+  scale and origin (up to the sign of zero) being one frame.
 
-Packet dictionary.  The GaussianSum components of a state are written over
-their distinct packets u_1..u_P (packets equal up to amplitude are one
-entry), phi_chi = sum_p C[chi, p] u_p, so that
+With phi_chi = sum_p C[chi, p] u_p (the parts of a ComponentSum enter the
+row of C through their weights),
 
-    h = C G C^dagger,    G[p, q] = integral u_p conj(u_q).
+    h = C G C^dagger,    G[p, q] = integral u_p conj(u_q),
+
+and G is filled once per unordered pair of entries, then mirrored by
+conjugation:
+
+* two packets: the closed form below;
+* two modes on one frame: orthonormal, G = delta;
+* every other pair: a product of per-axis Hermite tables, each computed
+  once per distinct pair of (packet or frame, frame), up to the frame's
+  largest mode on each axis.
 
 After k frame changes each component carries 2^k terms but the state only
-a few distinct packets, so G costs one closed-form evaluation per distinct
-packet pair instead of one per term pair.
+a few distinct packets, so G costs one evaluation per distinct pair instead
+of one per term pair.  This is the bookkeeping of expansions over a
+non-orthogonal basis with overlap matrix G (Szabo & Ostlund, Modern Quantum
+Chemistry, ch. 3).  The test suite certifies every route against
+tensor-product quadrature (``tests/quadrature_oracle.py``).
 
-Closed form for two unit-amplitude phased Gaussian packets (gamma_i =
+Packet pairs.  For two unit-amplitude phased Gaussian packets (gamma_i =
 2/sigma_i^2, bilinear dot products), written about the midpoint
 m = (k1 + k2)/2 of the two centers with Delta = k1 - k2:
 
@@ -36,7 +43,7 @@ Nothing of size gamma|k|^2 cancels, so the overlap keeps its accuracy
 wherever the packets sit (large centers, boosts, masses), and swapping the
 two packets conjugates every term exactly.
 
-Hermite route.  Hermite modes and Gaussian packets both factor per axis
+Hermite tables.  Hermite modes and Gaussian packets both factor per axis
 (|p|^2 = sum p_i^2), and a packet of width sigma is mode 0 of the frame
 (scale sigma, origin at its center) times its phases.  On one axis the
 integrand of mode m of a phased frame (s1 = sigma1/2, center k1, linear
@@ -58,8 +65,6 @@ nodes.  Written about the Hermite origin, A, B, the saddle and the real
 part of the exponent are unchanged when packet, origin and phases move
 together, so |overlap| stays accurate at large centers and boosts, and
 a chirped packet far from the origin gives its true, vanishing overlap.
-The d-dimensional overlap is the coefficient sum of products of the
-per-axis tables.
 """
 
 from __future__ import annotations
@@ -72,61 +77,19 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, StructureError, UnsupportedError
+from .errors import DomainError, StructureError
 from .linalg import hermitian_eigenvalues, two_level_eigenvalues
 from .states import (
     ComponentSum,
     GaussianSum,
     GaussianTerm,
-    HermiteExpansion,
     HybridState,
     WaveComponent,
     _hermite_table,
     require_unit_norm,
 )
 
-MAX_TENSOR_DIM = 4
 _PI_QUARTER = np.pi ** (-0.25)
-_LOG_FLOAT_MAX = math.log(np.finfo(float).max)
-
-
-@lru_cache(maxsize=8)
-def _hermgauss(n: int) -> tuple[np.ndarray, np.ndarray]:
-    # scaled weights w*exp(x^2): quadrature of a bare integrand f is
-    # sum w_j e^{x_j^2} f(x_j); O(1) per node for n <= ~180, overflowing
-    # to inf or nan from 372 nodes (QuadratureSpec rejects those)
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        nodes, weights = np.polynomial.hermite.hermgauss(n)
-        return nodes, weights * np.exp(nodes**2)
-
-
-@dataclass(frozen=True)
-class QuadratureSpec:
-    """Tensor-product Gauss-Hermite settings of the quadrature oracle.
-
-    Each piece pair is integrated on a grid centered on the integrand's
-    envelope peak and scaled to the combined width; phased Gaussian pairs
-    additionally tilt the integration contour into the complex plane by
-    -arg(A)/2, which turns the chirped integrand into exp(-t^2) times a
-    slow factor (legitimate by Cauchy's theorem: the integrand is entire
-    with Gaussian decay inside the sector).  Node counts whose scaled
-    weights w exp(x^2) overflow (372 and up) are rejected.
-    """
-
-    nodes_per_axis: int = 64
-
-    def __post_init__(self):
-        if int(self.nodes_per_axis) < 2:
-            raise DomainError("nodes_per_axis must be >= 2")
-        n = int(self.nodes_per_axis)
-        object.__setattr__(self, "nodes_per_axis", n)
-        # every node has x^2 < 2n + 1, so exp(x^2) cannot overflow while
-        # 2n + 1 <= log(float max) ~ 709.8; only larger rules are computed
-        if 2 * n + 1 > _LOG_FLOAT_MAX and not np.all(np.isfinite(_hermgauss(n)[1])):
-            raise DomainError(f"{n} nodes per axis overflow the scaled Gauss-Hermite weights")
-
-
-DEFAULT_QUADRATURE = QuadratureSpec()
 
 
 def _packet(t: GaussianTerm) -> tuple[float, float, list[float], list[float]]:
@@ -155,8 +118,12 @@ def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
         bb_re += b_re * b_re - b_im * b_im
         bb_im += b_re * b_im
         dd += delta * delta
-        mm += mid * mid
-        am += da * mid
+        # terms with an exactly zero prefactor are skipped: far out,
+        # mid * mid overflows and 0 * inf would make the overlap nan
+        if dbeta:
+            mm += mid * mid
+        if da:
+            am += da * mid
     d = len(k1)
     a_coef = complex(g1 + g2, -dbeta)
     return (
@@ -183,36 +150,51 @@ def gaussian_term_overlap(t1: GaussianTerm, t2: GaussianTerm, d: int | None = No
     return amp * cmath.exp(_log_unit_overlap(_packet(t1), _packet(t2)))
 
 
-def dictionary_overlap_matrix(components: Sequence[GaussianSum]) -> np.ndarray:
-    """h[i, j] = integral phi_i conj(phi_j) d^d p for GaussianSum components
-    of one dimension, as h = C G C^dagger over their shared packet
-    dictionary (see the module docstring).
+def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray:
+    """h[i, j] = integral phi_i conj(phi_j) d^d p for components of one
+    dimension, as h = C G C^dagger over their shared dictionary of packets
+    and Hermite modes (see the module docstring).
 
-    Terms whose width, quadratic phase, center and linear phase are equal
-    bit for bit are one dictionary entry; row i of C, kept sparse, sums the
-    amplitudes component i puts on each entry.  G is filled on its upper
-    triangle, one closed-form evaluation per distinct packet pair, and
-    mirrored by conjugation; so is h, which is Hermitian by construction.
+    Row i of C, kept sparse, sums the amplitudes component i puts on each
+    dictionary entry; G is filled up front (``_gram``).  h is filled on
+    its upper triangle and mirrored by conjugation, so it is Hermitian by
+    construction.
     """
-    index: dict[tuple, int] = {}
-    packets: list[tuple] = []
+    index: dict[tuple, int] = {}  # packet or (frame, multi-index) -> entry
+    packets: list[tuple[int, tuple, GaussianTerm]] = []  # entry, _packet, term
+    frame_index: dict[tuple, int] = {}
+    frames: list[tuple[float, list[float], list[int], list]] = []  # s, origin, top modes, modes
     rows: list[dict[int, complex]] = []
     for comp in components:
         row: dict[int, complex] = {}
-        for t in comp.terms:
-            key = (t.width, t.quad_phase, t.center.tobytes(), t.linear_phase.tobytes())
-            p = index.get(key)
-            if p is None:
-                p = index[key] = len(packets)
-                packets.append(_packet(t))
-            row[p] = row.get(p, 0.0) + t.amplitude
+        for w, part in comp.parts if isinstance(comp, ComponentSum) else ((None, comp),):
+            if isinstance(part, GaussianSum):
+                for t in part.terms:
+                    key = (t.width, t.quad_phase, t.center.tobytes(), t.linear_phase.tobytes())
+                    p = index.get(key)
+                    if p is None:
+                        p = index[key] = len(index)
+                        packets.append((p, _packet(t), t))
+                    row[p] = row.get(p, 0.0) + (t.amplitude if w is None else w * t.amplitude)
+                continue
+            # a HermiteExpansion; + 0.0 makes origins -0.0 and 0.0 one frame
+            frame_key = (part.scale, (part.origin + 0.0).tobytes())
+            f = frame_index.get(frame_key)
+            if f is None:
+                f = frame_index[frame_key] = len(frames)
+                frames.append((part.gaussian_std, part.origin.tolist(), [0] * part.dimension, []))
+            top, modes = frames[f][2], frames[f][3]
+            for idx, c in part.coefficients.items():
+                key = (f, idx)
+                p = index.get(key)
+                if p is None:
+                    p = index[key] = len(index)
+                    modes.append((p, idx))
+                    top[:] = map(max, top, idx)
+                row[p] = row.get(p, 0.0) + (c if w is None else w * c)
         rows.append(row)
-    gram = [[0j] * len(packets) for _ in packets]
-    for p, u in enumerate(packets):
-        for q in range(p, len(packets)):
-            val = cmath.exp(_log_unit_overlap(u, packets[q]))
-            gram[p][q] = val
-            gram[q][p] = val.conjugate()
+    gram = _gram(len(index), packets, frames)
+
     # scalar sums with the coefficient product formed first: swapping two
     # single-packet components then conjugates their entry exactly, as the
     # term-pair sum did (numpy's array complex multiply may fuse into FMA
@@ -230,6 +212,47 @@ def dictionary_overlap_matrix(components: Sequence[GaussianSum]) -> np.ndarray:
             # a self-overlap is real: drop its rounding-size imaginary part
             h[i, j] = total if j > i else total.real
     return h
+
+
+def _gram(size: int, packets: list, frames: list) -> list[list[complex]]:
+    """G as a list of rows indexed by entry number, each unordered pair
+    filled once and mirrored by conjugation: the closed form for packet
+    pairs, delta on each frame, and per-axis tables, one set per pair of
+    (packet or frame, frame), for the rest."""
+    gram = [[0j] * size for _ in range(size)]
+    for i, (p, u, _) in enumerate(packets):
+        g_row = gram[p]
+        for q, v, _ in packets[i:]:
+            val = cmath.exp(_log_unit_overlap(u, v))
+            g_row[q] = val
+            gram[q][p] = val.conjugate()
+    for f, (s, origin, top, modes) in enumerate(frames):
+        for p, _ in modes:
+            gram[p][p] = 1.0 + 0.0j
+        for p, _, t in packets:
+            tables = [
+                _axis_table(0.5 * t.width, k1, a1, t.quad_phase, 0, s, k2, m2)
+                for k1, a1, k2, m2 in zip(t.center.tolist(), t.linear_phase.tolist(), origin, top)
+            ]
+            _fill_pairs(gram, tables, [(p, (0,) * len(top))], modes)
+        for s2, origin2, top2, modes2 in frames[f + 1:]:
+            tables = [
+                _axis_table(s, k1, 0.0, 0.0, m1, s2, k2, m2)
+                for k1, m1, k2, m2 in zip(origin, top, origin2, top2)
+            ]
+            _fill_pairs(gram, tables, modes, modes2)
+    return gram
+
+
+def _fill_pairs(gram: list[list[complex]], tables: list, left: list, right: list) -> None:
+    """G[p, q] = prod_axis tables[axis][m][n] for every entry (p, m) of
+    ``left`` and (q, n) of ``right``, and G[q, p] its conjugate."""
+    for p, m in left:
+        g_row = gram[p]
+        for q, n in right:
+            val = math.prod(table[i][j] for table, i, j in zip(tables, m, n))
+            g_row[q] = val
+            gram[q][p] = val.conjugate()
 
 
 @lru_cache(maxsize=16)
@@ -256,216 +279,17 @@ def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
     return (scale * ((poly1 * weights) @ poly2.T)).tolist()
 
 
-def _axis_orders(coefficients) -> list[int]:
-    return [max(col) for col in zip(*coefficients)]
-
-
-def _frame_overlap(s1, origin, linear, beta, coefficients, b: HermiteExpansion) -> complex:
-    """integral a conj(b) d^d p for a = sum_idx c_idx prod_i phi_{idx_i}
-    on the phased frame (s1, origin, linear, beta), as the coefficient sum
-    of products of per-axis tables."""
-    orders_a = _axis_orders(coefficients)
-    orders_b = _axis_orders(b.coefficients)
-    s2 = b.gaussian_std
-    tables = [
-        _axis_table(s1, k1, a1, beta, m1, s2, k2, m2)
-        for k1, a1, m1, k2, m2 in zip(
-            origin.tolist(), linear.tolist(), orders_a, b.origin.tolist(), orders_b
-        )
-    ]
-    total = 0j
-    for idx_a, ca in coefficients.items():
-        for idx_b, cb in b.coefficients.items():
-            term = ca * cb.conjugate()
-            for table, m, n in zip(tables, idx_a, idx_b):
-                term *= table[m][n]
-            total += term
-    return total
-
-
-def _hermite_overlap(a: GaussianSum | HermiteExpansion, b: HermiteExpansion) -> complex:
-    """integral a conj(b) d^d p, exactly, for a Hermite expansion b; each
-    packet of a enters as mode 0 of its own phased frame."""
-    if isinstance(a, HermiteExpansion):
-        return _frame_overlap(
-            a.gaussian_std, a.origin, np.zeros(a.dimension), 0.0, a.coefficients, b
-        )
-    ground = (0,) * a.dimension
-    total = 0j
-    for t in a.terms:
-        total += _frame_overlap(
-            0.5 * t.width, t.center, t.linear_phase, t.quad_phase, {ground: t.amplitude}, b
-        )
-    return total
-
-
-def _primitive_pieces(comp: WaveComponent) -> list[tuple[complex, object]]:
-    """Split a component into weighted primitives (GaussianTerm or whole
-    HermiteExpansion); quadrature then works pair-by-pair by bilinearity."""
-    if isinstance(comp, GaussianSum):
-        return [(1.0 + 0.0j, t) for t in comp.terms]
-    if isinstance(comp, HermiteExpansion):
-        return [(1.0 + 0.0j, comp)]
-    if isinstance(comp, ComponentSum):
-        out: list[tuple[complex, object]] = []
-        for w, part in comp.parts:
-            out.extend((w * w2, p) for w2, p in _primitive_pieces(part))
-        return out
-    raise StructureError(f"unknown component type {type(comp).__name__}")
-
-
-def _envelope(piece) -> tuple[np.ndarray, float]:
-    """(center, envelope precision gamma) with |piece| ~ exp(-gamma(p-c)^2)."""
-    if isinstance(piece, GaussianTerm):
-        return piece.center, 2.0 / piece.width**2
-    # Hermite: Gaussian factor exp(-(p-k0)^2/(2 s^2))
-    return piece.origin, 0.5 / piece.gaussian_std**2
-
-
-def _tensor_grid(nodes: np.ndarray, d: int) -> np.ndarray:
-    grids = np.meshgrid(*([nodes] * d), indexing="ij")
-    return np.stack([g.ravel() for g in grids], axis=-1)
-
-
-def _tensor_weights(w: np.ndarray, d: int) -> np.ndarray:
-    out = w
-    for _ in range(d - 1):
-        out = np.multiply.outer(out, w)
-    return out.ravel()
-
-
-def _quad_gaussian_pair(t1: GaussianTerm, t2: GaussianTerm, spec: QuadratureSpec) -> complex:
-    """Gauss-Hermite integration of a phased Gaussian pair on the tilted,
-    saddle-centered contour p_i(t) = mu_i + e^{i phi} alpha t."""
-    d = t1.dimension
-    n = spec.nodes_per_axis
-    nodes, wts = _hermgauss(n)
-    g1 = 2.0 / t1.width**2
-    g2 = 2.0 / t2.width**2
-    t2c = t2.conjugate_term()
-
-    a_coef = g1 + g2 - 1j * (t1.quad_phase - t2.quad_phase)
-    b_vec = (
-        2.0 * g1 * t1.center
-        + 2.0 * g2 * t2.center
-        - 1j * (t1.linear_phase - t2.linear_phase)
-    )
-    mu = (b_vec / (2.0 * a_coef)).real
-    alpha = 1.0 / np.sqrt(abs(a_coef))
-    rot = np.exp(-0.5j * np.angle(a_coef))
-
-    step = rot * alpha
-    if d >= MAX_TENSOR_DIM:
-        # chunk the leading axis to bound memory
-        sub = _tensor_grid(nodes, d - 1)
-        wsub = _tensor_weights(wts, d - 1)
-        total = 0.0 + 0.0j
-        for i in range(n):
-            pts = np.empty((sub.shape[0], d), dtype=complex)
-            pts[:, 0] = mu[0] + step * nodes[i]
-            pts[:, 1:] = mu[1:] + step * sub
-            total += wts[i] * np.sum(wsub * (t1.eval_many(pts) * t2c.eval_many(pts)))
-        return complex(step**d * total)
-    pts = mu[None, :] + step * _tensor_grid(nodes, d)
-    weights = _tensor_weights(wts, d)
-    vals = t1.eval_many(pts) * t2c.eval_many(pts)
-    return complex(step**d * np.sum(weights * vals))
-
-
-def _quad_general_pair(p1, p2, spec: QuadratureSpec) -> complex:
-    """Real-line tensor Gauss-Hermite for pairs involving a Hermite
-    expansion (no quadratic phases there, so no contour tilt is needed)."""
-    d = p1.dimension if isinstance(p1, HermiteExpansion) else p1.center.shape[0]
-    n = spec.nodes_per_axis
-    nodes, wts = _hermgauss(n)
-    c1, g1 = _envelope(p1)
-    c2, g2 = _envelope(p2)
-    mu = (g1 * c1 + g2 * c2) / (g1 + g2)
-    alpha = 1.0 / np.sqrt(g1 + g2)
-
-    total = 0.0 + 0.0j
-    if d >= MAX_TENSOR_DIM:
-        # chunk the leading axis to bound memory
-        sub = _tensor_grid(nodes, d - 1)
-        wsub = _tensor_weights(wts, d - 1)
-        for i in range(n):
-            pts = np.empty((sub.shape[0], d))
-            pts[:, 0] = mu[0] + alpha * nodes[i]
-            pts[:, 1:] = mu[1:] + alpha * sub
-            total += wts[i] * np.sum(wsub * (p1.eval_many(pts) * np.conj(p2.eval_many(pts))))
-    else:
-        pts = mu[None, :] + alpha * _tensor_grid(nodes, d)
-        weights = _tensor_weights(wts, d)
-        total = np.sum(weights * (p1.eval_many(pts) * np.conj(p2.eval_many(pts))))
-    return complex(alpha**d * total)
-
-
-def quadrature_overlap(
-    a: WaveComponent, b: WaveComponent, spec: QuadratureSpec = DEFAULT_QUADRATURE
-) -> complex:
-    """integral a(p) conj(b(p)) d^d p by numerical quadrature.
-
-    Components are split bilinearly into primitive pieces and every piece
-    pair is integrated on its own affine Gauss-Hermite grid.  Independent
-    of the closed forms (only pointwise integrand samples are used);
-    converges to them as nodes_per_axis grows.
-    """
-    if a.dimension != b.dimension:
-        raise StructureError("components disagree on dimension")
-    if a.dimension > MAX_TENSOR_DIM:
-        raise UnsupportedError(
-            f"tensor-grid quadrature supports d <= {MAX_TENSOR_DIM}, got d={a.dimension}"
-        )
-    total = 0.0 + 0.0j
-    for wa, pa in _primitive_pieces(a):
-        for wb, pb in _primitive_pieces(b):
-            w = wa * np.conj(wb)
-            if isinstance(pa, GaussianTerm) and isinstance(pb, GaussianTerm):
-                total += w * _quad_gaussian_pair(pa, pb, spec)
-            else:
-                total += w * _quad_general_pair(pa, pb, spec)
-    return complex(total)
-
-
 def component_overlap(a: WaveComponent, b: WaveComponent) -> complex:
-    """integral a(p) conj(b(p)) d^d p, exactly.
-
-    Gaussian x Gaussian goes through the packet dictionary of the pair;
-    Hermite x Hermite on a shared frame is the coefficient inner product;
-    every other pair with a Hermite expansion goes through the per-axis
-    Hermite route, and ComponentSums by bilinearity.
-    """
+    """integral a(p) conj(b(p)) d^d p, exactly, over the dictionary of the
+    pair."""
     if a.dimension != b.dimension:
         raise StructureError("components disagree on dimension")
-    if isinstance(a, GaussianSum) and isinstance(b, GaussianSum):
-        return complex(dictionary_overlap_matrix((a, b))[0, 1])
-    if isinstance(a, HermiteExpansion) and isinstance(b, HermiteExpansion) and a.same_frame(b):
-        total = 0.0 + 0.0j
-        for idx, c in a.coefficients.items():
-            c2 = b.coefficients.get(idx)
-            if c2 is not None:
-                total += c * np.conj(c2)
-        return complex(total)
-    if isinstance(a, ComponentSum) or isinstance(b, ComponentSum):
-        pa = a.parts if isinstance(a, ComponentSum) else ((1.0 + 0.0j, a),)
-        pb = b.parts if isinstance(b, ComponentSum) else ((1.0 + 0.0j, b),)
-        total = 0.0 + 0.0j
-        for wa, ca in pa:
-            for wb, cb in pb:
-                total += wa * np.conj(wb) * component_overlap(ca, cb)
-        return complex(total)
-    if isinstance(b, HermiteExpansion):
-        return _hermite_overlap(a, b)
-    return _hermite_overlap(b, a).conjugate()
+    return complex(dictionary_overlap_matrix((a, b))[0, 1])
 
 
 def component_norm_sq(comp: WaveComponent) -> float:
     """Exact squared L2 norm of one component."""
-    if isinstance(comp, HermiteExpansion):
-        return float(sum(abs(c) ** 2 for c in comp.coefficients.values()))
-    if isinstance(comp, GaussianSum):
-        return float(dictionary_overlap_matrix((comp,))[0, 0].real)
-    return float(component_overlap(comp, comp).real)
+    return float(dictionary_overlap_matrix((comp,))[0, 0].real)
 
 
 def state_inner(a: HybridState, b: HybridState) -> complex:
@@ -482,9 +306,10 @@ class OverlapMatrix:
     """The n x n Hermitian matrix h of component overlaps; for a pure state
     this is the reduced density matrix of the discrete factor.
 
-    Construction validates: hermiticity (within 1e-10, then symmetrized
-    exactly), unit trace within 1e-10, Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj
-    + 1e-12, and positive semidefiniteness down to eigenvalue -1e-10.
+    Construction validates: finite entries, hermiticity (within 1e-10,
+    then symmetrized exactly), unit trace within 1e-10, Cauchy-Schwarz
+    |h_ij|^2 <= h_ii h_jj + 1e-12, and positive semidefiniteness down to
+    eigenvalue -1e-10; every gate is written so that NaN fails it.
     Together these bound every off-diagonal magnitude by 1/2 (up to the
     tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.
     The eigenvalues of that last check are kept, descending, in
@@ -500,16 +325,19 @@ class OverlapMatrix:
         n = m.shape[0]
         if m.ndim != 2 or m.shape != (n, n):
             raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        if np.max(np.abs(m - m.conj().T)) > 1e-10:
+        # a non-finite entry makes the deviation nan or inf
+        if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
+            if not np.all(np.isfinite(m)):
+                raise DomainError("overlap matrix entries must be finite")
             raise DomainError("overlap matrix is not Hermitian within 1e-10")
         m = 0.5 * (m + m.conj().T)
         trace = float(np.trace(m).real)
-        if abs(trace - 1.0) > 1e-10:
+        if not abs(trace - 1.0) <= 1e-10:
             raise DomainError(f"trace must be 1, got {trace!r}")
         diag = m.diagonal().real
         for i in range(n):
             for j in range(i + 1, n):
-                if abs(m[i, j]) ** 2 > diag[i] * diag[j] + 1e-12:
+                if not abs(m[i, j]) ** 2 <= diag[i] * diag[j] + 1e-12:
                     raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
         if n == 1:
             values = diag.copy()
@@ -517,7 +345,7 @@ class OverlapMatrix:
             values = two_level_eigenvalues(m)
         else:
             values = hermitian_eigenvalues(m)
-        if values[-1] < -1e-10:
+        if not values[-1] >= -1e-10:
             raise DomainError("overlap matrix is not positive semidefinite")
         m.setflags(write=False)
         values.setflags(write=False)
@@ -530,22 +358,10 @@ class OverlapMatrix:
 
 
 def overlap_matrix(state: HybridState) -> OverlapMatrix:
-    """Assemble h_{chi,chi'} = component_overlap(phi_chi, phi_chi') for a
-    normalized state, in one pass: all-Gaussian states through their shared
-    packet dictionary, others entry by entry (upper triangle computed,
-    mirrored by conjugation).  The norm precondition is read from the
-    trace, which is the squared norm of the state."""
-    comps = state.components
-    if all(isinstance(c, GaussianSum) for c in comps):
-        h = dictionary_overlap_matrix(comps)
-    else:
-        n = state.n
-        h = np.zeros((n, n), dtype=complex)
-        for i in range(n):
-            for j in range(i, n):
-                val = component_overlap(comps[i], comps[j])
-                h[i, j] = val
-                if j > i:
-                    h[j, i] = np.conj(val)
+    """Assemble h_{chi,chi'} = integral phi_chi conj(phi_chi') for a
+    normalized state in one pass over its dictionary.  The norm
+    precondition is read from the trace, which is the squared norm of the
+    state."""
+    h = dictionary_overlap_matrix(state.components)
     require_unit_norm(float(np.sqrt(np.trace(h).real)))
     return OverlapMatrix(h)

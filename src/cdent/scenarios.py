@@ -36,9 +36,9 @@ class SweepRow:
     purity: float
 
     def __post_init__(self):
-        if abs(self.lambda_plus + self.lambda_minus - 1.0) > 1e-10:
+        if not abs(self.lambda_plus + self.lambda_minus - 1.0) <= 1e-10:
             raise DomainError("lambda_plus + lambda_minus must be 1")
-        if self.lambda_plus < self.lambda_minus - 1e-12:
+        if not self.lambda_plus >= self.lambda_minus - 1e-12:
             raise DomainError("lambda_plus must be the larger eigenvalue")
 
 

@@ -95,16 +95,6 @@ class GaussianTerm:
             self.amplitude * factor, self.center, self.width, self.linear_phase, self.quad_phase
         )
 
-    def conjugate_term(self) -> "GaussianTerm":
-        """Term whose values are the complex conjugate of this one (real p)."""
-        return GaussianTerm(
-            np.conj(self.amplitude),
-            self.center,
-            self.width,
-            -self.linear_phase,
-            -self.quad_phase,
-        )
-
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Values at an (N, d) array of points (complex points allowed;
         the expression is the analytic continuation).  Exactly 0 where the
@@ -337,9 +327,8 @@ class HybridState:
 
 
 def norm(state: HybridState) -> float:
-    """sqrt(sum_chi integral |phi_chi|^2), via exact per-representation
-    overlaps (pairwise closed forms for Gaussian sums, coefficient norms
-    for Hermite expansions)."""
+    """sqrt(sum_chi integral |phi_chi|^2), via the exact overlaps of
+    ``overlaps.component_norm_sq``."""
     from . import overlaps  # deferred: overlaps imports the types above
 
     total = 0.0

@@ -11,10 +11,11 @@ from cdent.density import spectrum, trace_function_check
 from cdent.galilean import invariance_report, random_elements, su2_from_rotation
 from cdent.linalg import hermitian_eigenvalues
 from cdent.measures import gaussian_pair_eigenvalues, von_neumann_entropy
-from cdent.overlaps import QuadratureSpec, gaussian_term_overlap, overlap_matrix, quadrature_overlap
+from cdent.overlaps import gaussian_term_overlap, overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair, sweep_q, sweep_width_ratio
 from cdent.states import GaussianSum, GaussianTerm, HybridState, normalize
 from conftest import EQUAL, ZHAT, random_state, random_weights
+from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
 QUAD64 = QuadratureSpec(64)
 

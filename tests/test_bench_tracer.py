@@ -1,0 +1,44 @@
+"""The benchmark's traced run reads cdent's names from outside: this keeps
+that contract under test, with ``bench/tracer.py`` loaded as it stands."""
+
+import importlib.util
+import io
+from pathlib import Path
+
+import numpy as np
+
+from cdent.cli import run
+from cdent.scenarios import beam_pair
+from cdent.stateio import save_state
+from conftest import EQUAL, ZHAT
+
+TRACER = Path(__file__).resolve().parent.parent / "bench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_traced_commands_and_metrics(tmp_path):
+    path = str(tmp_path / "beam.json")
+    save_state(beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0), path)
+    tracer = load_tracer().Tracer()
+    tracer.install()
+    try:
+        for argv in (
+            ["analyze", path],
+            ["galilean-check", path, "--samples=1", "--seed=1"],
+            ["kernel", path, "--axis=2", "--grid=-1:1:3"],
+            ["sweep-q", "--c0=0.6", "--c1=0.8", "--sigma=1", "--q-start=0", "--q-stop=2", "--q-steps=3"],
+        ):
+            err = io.StringIO()
+            assert run(argv, io.StringIO(), err) == 0, err.getvalue()
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics(1, 0.0, 0.0)
+    assert metrics["scenarios.rows"][0] == 3
+    assert metrics["overlaps.matrix_calls"][0] > 0
+    assert metrics["galilean.apply_calls"][0] == 1

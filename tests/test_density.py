@@ -110,6 +110,16 @@ class TestSpectrum:
         s = Spectrum([0.3, 0.7])
         assert s.eigenvalues[0] == 0.7  # sorted descending
 
+    def test_range_gate_refuses_nan(self):
+        with pytest.raises(DomainError, match="outside"):
+            Spectrum([np.nan, np.nan])
+        with pytest.raises(DomainError, match="outside"):
+            Spectrum([0.5, np.nan])
+
+    def test_nan_matrix_has_no_spectrum(self):
+        with pytest.raises(DomainError, match="entries must be finite"):
+            spectrum(np.array([[np.nan, 0.0], [0.0, np.nan]]))
+
 
 class TestKernel:
     def test_diagonal_real_nonnegative(self, rng):

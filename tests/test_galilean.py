@@ -17,10 +17,11 @@ from cdent.galilean import (
     rotation_matrix,
     su2_from_rotation,
 )
-from cdent.overlaps import QuadratureSpec, overlap_matrix, quadrature_overlap, state_inner
+from cdent.overlaps import overlap_matrix, state_inner
 from cdent.scenarios import beam_pair, shape_pair
 from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, spin_expectation
 from conftest import EQUAL, ZHAT, random_gaussian_component
+from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
 
 def su2_oracle(axis, angle):
@@ -189,6 +190,21 @@ class TestApplyGalilean:
     def test_quaternion_norm_validated(self):
         with pytest.raises(DomainError):
             GalileanElement(rotation=[1.0, 0.1, 0.0, 0.0])
+
+    @pytest.mark.parametrize("field, kwargs", [
+        ("time_shift", {"time_shift": np.nan}),
+        ("translation", {"translation": [0.0, np.nan, 0.0]}),
+        ("boost_velocity", {"boost_velocity": [np.inf, 0.0, 0.0]}),
+        ("rotation", {"rotation": [np.nan, 0.0, 0.0, 0.0]}),
+    ])
+    def test_non_finite_fields_refused(self, field, kwargs):
+        with pytest.raises(DomainError, match=f"{field} must be finite"):
+            GalileanElement(**kwargs)
+
+    def test_quaternion_norm_gate_refuses_overflow(self):
+        # |q|^2 overflows to inf
+        with pytest.raises(DomainError, match="quaternion norm deviates"):
+            GalileanElement(rotation=[1e200, 0.0, 0.0, 0.0])
 
 
 class TestInvarianceReport:

@@ -86,3 +86,14 @@ class TestJacobi:
             hermitian_eigensystem(a)
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 60)
         assert np.max(np.abs(hermitian_eigensystem(a)[0] - np.linalg.eigvalsh(a)[::-1])) < 1e-12
+
+    def test_stopping_test_is_relative_to_the_matrix_norm(self):
+        # 16 x 16 with Frobenius norm 500: rotations bring the off-diagonal
+        # norm down to about 1e-13, which an absolute 1e-14 never accepts
+        rng = np.random.default_rng(0)
+        z = rng.normal(size=(16, 16)) + 1j * rng.normal(size=(16, 16))
+        a = z + z.conj().T
+        a *= 500.0 / np.linalg.norm(a)
+        vals, vecs = hermitian_eigensystem(a)
+        assert np.max(np.abs(vals - np.linalg.eigvalsh(a)[::-1])) < 1e-12 * 500.0
+        assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-12 * 500.0

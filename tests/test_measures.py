@@ -170,6 +170,11 @@ class TestReport:
         with pytest.raises(DomainError):
             EntanglementReport(s, entropy_bits=1.0, purity=0.5, schmidt_rank=2, classification=SEPARABLE)
 
+    def test_report_refuses_a_nan_matrix(self):
+        # was: entropy 0.0, Schmidt rank 0 and "entangled"
+        with pytest.raises(DomainError, match="entries must be finite"):
+            entanglement_report(np.array([[np.nan, 0.0], [0.0, np.nan]]))
+
     def test_schmidt_rank_counts_significant_eigenvalues(self):
         assert schmidt_rank([1.0, 0.0]) == 1
         assert schmidt_rank([0.5, 0.5]) == 2

@@ -5,20 +5,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdent import overlaps
+from cdent.density import schmidt_decomposition
 from cdent.errors import DomainError, PreconditionError, StructureError, UnsupportedError
 from cdent.galilean import GalileanElement, apply_galilean, su2_from_rotation
 from cdent.linalg import hermitian_eigenvalues
 from cdent.overlaps import (
     OverlapMatrix,
-    QuadratureSpec,
     component_overlap,
     dictionary_overlap_matrix,
     gaussian_term_overlap,
     overlap_matrix,
-    quadrature_overlap,
     state_inner,
 )
 from cdent.states import (
+    ComponentSum,
     GaussianSum,
     GaussianTerm,
     HermiteExpansion,
@@ -27,6 +28,7 @@ from cdent.states import (
     normalize,
 )
 from conftest import random_gaussian_component, random_hermite_component, random_state
+from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
 SPEC64 = QuadratureSpec(64)
 
@@ -239,6 +241,30 @@ class TestOverlapMatrix:
         with pytest.raises(DomainError):
             OverlapMatrix(np.array([[0.5, 0.6], [0.6, 0.5]]))  # Cauchy-Schwarz
 
+    def test_finiteness_gate_refuses_nan_and_inf(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(DomainError, match="entries must be finite"):
+                OverlapMatrix(np.array([[bad, 0.0], [0.0, bad]]))
+
+    def test_hermiticity_gate_refuses_an_overflowing_difference(self):
+        with pytest.raises(DomainError, match="not Hermitian"):
+            OverlapMatrix(np.array([[0.5, 1e308], [-1e308, 0.5]]))
+
+    def test_trace_gate_refuses_nan(self):
+        # finite entries whose symmetrized diagonal overflows to inf and
+        # -inf: the trace is nan
+        with pytest.raises(DomainError, match="trace must be 1, got nan"):
+            OverlapMatrix(np.array([[1e308, 0.0], [0.0, -1e308]]))
+
+    def test_cauchy_schwarz_gate_refuses_an_overflowing_entry(self):
+        with pytest.raises(DomainError, match=r"Cauchy-Schwarz violated at \(0,1\)"):
+            OverlapMatrix(np.array([[0.5, 1e308], [1e308, 0.5]]))
+
+    def test_psd_gate_refuses_nan_eigenvalues(self, monkeypatch):
+        monkeypatch.setattr(overlaps, "two_level_eigenvalues", lambda m: np.array([np.nan, np.nan]))
+        with pytest.raises(DomainError, match="not positive semidefinite"):
+            OverlapMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+
     def test_state_inner_matches_norm(self, rng):
         state = random_state(rng, n=2, d=1)
         assert state_inner(state, state).real == pytest.approx(1.0, abs=1e-10)
@@ -330,6 +356,20 @@ def shifted_state(terms, lin, beta, shift) -> HybridState:
     ))
 
 
+def two_frame_state(rng, n, d) -> HybridState:
+    """Normalized n-level state cycling through a two-term phased packet
+    sum and expansions on two frames."""
+    frames = [(rng.uniform(0.7, 1.6), rng.uniform(-1.0, 1.0, d)) for _ in range(2)]
+    comps = []
+    for chi in range(n):
+        if chi % 3 == 0:
+            comps.append(random_gaussian_component(rng, d, max_terms=2))
+        else:
+            h = random_hermite_component(rng, d)
+            comps.append(HermiteExpansion(*frames[chi % 3 - 1], h.coefficients))
+    return normalize(HybridState(tuple(comps)))
+
+
 def dyadic_packet(rng, d):
     """A unit-amplitude phased packet whose parameters are all dyadic, so
     shifted copies are exact."""
@@ -364,7 +404,45 @@ class TestHermiteRoute:
             h1, h2 = random_hermite_component(rng, d), random_hermite_component(rng, d)
             a, b = ((g, h1), (h1, g), (h1, h2))[trial % 3]
             worst = max(worst, abs(component_overlap(a, b) - quadrature_overlap(a, b, SPEC64)))
+        # whole states with two frames next to multi-term packets and, on
+        # the smaller ones, their Schmidt modes (ComponentSums over every
+        # part), entry by entry; the oracle costs pieces^2 * 64^d points
+        for n, d, with_modes in ((6, 1, True), (4, 1, True), (3, 2, True), (6, 2, False), (3, 3, False)):
+            state = two_frame_state(rng, n, d)
+            sets = [state.components]
+            if with_modes:
+                sets.append(schmidt_decomposition(state).continuous_modes)
+                assert all(isinstance(m, ComponentSum) for m in sets[-1])
+            for comps in sets:
+                h = dictionary_overlap_matrix(comps)
+                for i, a in enumerate(comps):
+                    for j in range(i, len(comps)):
+                        worst = max(worst, abs(h[i, j] - quadrature_overlap(a, comps[j], SPEC64)))
         assert worst < 1e-12
+
+    def test_one_table_set_per_packet_or_frame_and_frame(self, rng, monkeypatch):
+        # the bench's mixed layout at n = 6, d = 2: a phased packet on each
+        # even level, an expansion on one shared frame on each odd level.
+        # Tables per axis: 3 packets x 1 frame, not 9 packet-expansion
+        # component pairs
+        calls = []
+        table = overlaps._axis_table
+        monkeypatch.setattr(overlaps, "_axis_table", lambda *args: calls.append(args) or table(*args))
+        d = 2
+        frame = (1.1, rng.uniform(-0.3, 0.3, d))
+        comps = []
+        for chi in range(6):
+            if chi % 2 == 0:
+                comps.append(GaussianSum((GaussianTerm(rng.normal() + 1j * rng.normal(), rng.uniform(-0.5, 0.5, d),
+                                                       rng.uniform(0.9, 1.4), rng.uniform(-0.3, 0.3, d)),)))
+            else:
+                comps.append(HermiteExpansion(*frame, {(chi % 3, 1): 0.6, (0, chi % 3): 0.8j}))
+        state = normalize(HybridState(tuple(comps)))
+        calls.clear()
+        overlap_matrix(state)
+        assert len(calls) == 6
+        # each table reaches the frame's largest mode on its axis
+        assert sorted(args[-1] for args in calls) == [2, 2, 2, 2, 2, 2]
 
     def test_joint_translation_keeps_modulus(self, rng):
         # shifting packet centers and Hermite origins by K, with the packet's

@@ -7,10 +7,11 @@ from cdent.density import spectrum
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError
 from cdent.galilean import quaternion_from_axis_angle, rotation_matrix
 from cdent.measures import gaussian_pair_eigenvalues, von_neumann_entropy
-from cdent.overlaps import overlap_matrix, quadrature_overlap, QuadratureSpec
-from cdent.scenarios import beam_pair, shape_pair, sweep_q, sweep_width_ratio
+from cdent.overlaps import overlap_matrix
+from cdent.scenarios import SweepRow, beam_pair, shape_pair, sweep_q, sweep_width_ratio
 from cdent.states import GaussianSum, GaussianTerm, norm
 from conftest import EQUAL, ZHAT, random_weights
+from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
 LAM_PLUS = 0.6839397205857212
 ENTROPY_E1 = 0.9000455915235352
@@ -165,3 +166,12 @@ class TestSweepRowInvariants:
         for row in sweep_q(c0, c1, 1.0, [0.0, 0.7, 2.4]):
             assert row.lambda_plus + row.lambda_minus == pytest.approx(1.0, abs=1e-10)
             assert row.lambda_plus >= row.lambda_minus
+
+    def test_sum_gate_refuses_nan(self):
+        for lp, lm in ((np.nan, 0.5), (0.5, np.nan), (np.nan, np.nan)):
+            with pytest.raises(DomainError, match="lambda_plus \\+ lambda_minus must be 1"):
+                SweepRow("q", 0.0, 0.5, lp, lm, 1.0, 0.5)
+
+    def test_order_gate(self):
+        with pytest.raises(DomainError, match="lambda_plus must be the larger"):
+            SweepRow("q", 0.0, 0.5, 0.25, 0.75, 0.8, 0.6)

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError, StructureError
-from cdent.overlaps import QuadratureSpec, quadrature_overlap
 from cdent.states import (
     ComponentSum,
     GaussianSum,
@@ -22,6 +21,7 @@ from cdent.states import (
     spin_expectation,
 )
 from conftest import random_gaussian_component, random_state
+from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
 
 def packet(amp, center, width, d=1, **kw):
