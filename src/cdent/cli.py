@@ -9,6 +9,7 @@ identical inputs.
 from __future__ import annotations
 
 import argparse
+import contextvars
 import sys
 
 import numpy as np
@@ -32,10 +33,23 @@ class _UsageError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
-    """argparse variant that reports usage problems as exit code 1."""
+    """argparse variant that reports usage problems as exit code 1 and
+    writes help and version text to the stdout ``run`` was given."""
 
     def error(self, message):
         raise _UsageError(message)
+
+    def _print_message(self, message, file=None):
+        if file is sys.stdout:
+            file = _stdout.get(file)
+        super()._print_message(message, file)
+
+
+# run()'s parser, built on first use.  It holds no per-call state: the
+# stdout of the current call travels in a context variable, so run() is
+# safe to call from several threads.
+_parser: _Parser | None = None
+_stdout: contextvars.ContextVar = contextvars.ContextVar("cdent_cli_stdout")
 
 
 def _parse_complex(text: str) -> complex:
@@ -179,12 +193,16 @@ def build_parser() -> _Parser:
 
 
 def run(argv, stdout=None, stderr=None) -> int:
-    """Dispatch one command line; returns the exit code."""
+    """Dispatch one command line; returns the exit code.  All output, help
+    and version text included, goes to ``stdout`` and ``stderr``."""
+    global _parser
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    if _parser is None:
+        _parser = build_parser()
+    token = _stdout.set(stdout)
     try:
-        args = parser.parse_args(argv)
+        args = _parser.parse_args(argv)
         if getattr(args, "func", None) is None:
             raise _UsageError("a command is required (analyze, sweep-q, sweep-width, galilean-check, kernel)")
         return args.func(args, stdout)
@@ -203,6 +221,8 @@ def run(argv, stdout=None, stderr=None) -> int:
     except CDEntError as exc:
         stderr.write(f"numerical error: {exc}\n")
         return NUMERICAL_ERROR
+    finally:
+        _stdout.reset(token)
 
 
 def main() -> None:

@@ -29,42 +29,53 @@ Chemistry, ch. 3).  The test suite certifies every route against
 tensor-product quadrature (``tests/quadrature_oracle.py``).
 
 Packet pairs.  For two unit-amplitude phased Gaussian packets (gamma_i =
-2/sigma_i^2, bilinear dot products), written about the midpoint
-m = (k1 + k2)/2 of the two centers with Delta = k1 - k2:
+2/sigma_i^2, bilinear dot products) with Delta = k1 - k2, written about the
+center of their product envelope
 
-    A  = gamma1 + gamma2 - i(beta1 - beta2)          (Re A > 0)
-    b' = (gamma1 - gamma2) Delta - i(a1 - a2) + 2i(beta1 - beta2) m
-    log G = (d/4) log(4 gamma1 gamma2) - (d/2) log A + b'.b'/(4A)
-            - (gamma1 + gamma2)|Delta|^2/4 + i(beta1 - beta2)|m|^2
-            - i(a1 - a2).m
+    w = (gamma1 k1 + gamma2 k2)/(gamma1 + gamma2)
+      = (k1 + k2)/2 + (gamma1 - gamma2) Delta / (2(gamma1 + gamma2)):
 
-with log A on the principal branch, single-valued because Re A > 0.
-Nothing of size gamma|k|^2 cancels, so the overlap keeps its accuracy
-wherever the packets sit (large centers, boosts, masses), and swapping the
-two packets conjugates every term exactly.
+    A = gamma1 + gamma2 - i(beta1 - beta2)           (Re A > 0)
+    c = 2(beta1 - beta2) w - (a1 - a2)               (real)
+    log G = (d/4) log(4 gamma1 gamma2) - (d/2) log A - c.c/(4A)
+            - gamma1 gamma2 |Delta|^2/(gamma1 + gamma2)
+            + i(beta1 - beta2)|w|^2 - i(a1 - a2).w
+
+with log A on the principal branch, single-valued because Re A > 0.  After
+the prefactor both real terms, -Re(c.c/(4A)) and the Delta term, are
+<= 0, so nothing of size gamma|k|^2 cancels, however unequal the widths:
+the overlap keeps its accuracy wherever the packets sit (large centers,
+boosts, masses) and for any pair of widths in range, and swapping the two
+packets conjugates every term exactly.  For equal widths w is the midpoint
+and gamma1 gamma2/(gamma1 + gamma2) is exactly (gamma1 + gamma2)/4.
 
 Hermite tables.  Hermite modes and Gaussian packets both factor per axis
 (|p|^2 = sum p_i^2), and a packet of width sigma is mode 0 of the frame
 (scale sigma, origin at its center) times its phases.  On one axis the
 integrand of mode m of a phased frame (s1 = sigma1/2, center k1, linear
 phase a1, quadratic phase beta1) against mode n of a Hermite frame
-(s2, origin k2) is, in u = p - k2 with delta = k1 - k2 and
-g_i = 1/(2 s_i^2),
+(s2, origin k2) is, in u = p - k2 with delta = k1 - k2, g_i = 1/(2 s_i^2),
+the envelope center u_w = g1 delta/(g1 + g2) and K = k2 + u_w,
 
-    h_m((u - delta)/s1) h_n(u/s2) exp(-A u^2 + B u + C) / sqrt(s1 s2)
+    h_m((u - delta)/s1) h_n(u/s2)
+        exp(-A (u - u_w)^2 + i c (u - u_w) + E) / sqrt(s1 s2)
     A = g1 + g2 - i beta1                            (Re A > 0)
-    B = 2 g1 delta + i(2 beta1 k2 - a1)
-    C = -g1 delta^2 + i(beta1 k2 - a1) k2
+    c = 2 beta1 K - a1
+    E = -g1 g2 delta^2/(g1 + g2) + i(beta1 K - a1) K
 
 with h_m the polynomial part of the orthonormal Hermite function.  On the
-contour u = u* + t/sqrt(A) through the complex saddle u* = B/(2A) (Cauchy:
+contour u = u_w + ic/(2A) + t/sqrt(A) through the complex saddle (Cauchy:
 the integrand is entire with Gaussian decay) the integral is
-exp(C + B^2/(4A))/sqrt(A) times exp(-t^2) against a polynomial of degree
+exp(E - c^2/(4A))/sqrt(A) times exp(-t^2) against a polynomial of degree
 m + n, which Gauss-Hermite integrates exactly with ceil((m + n + 1)/2)
-nodes.  Written about the Hermite origin, A, B, the saddle and the real
-part of the exponent are unchanged when packet, origin and phases move
-together, so |overlap| stays accurate at large centers and boosts, and
-a chirped packet far from the origin gives its true, vanishing overlap.
+nodes.  The real part of the exponent is a sum of terms <= 0, and the
+polynomial arguments are formed from the offsets of u_w to either center,
+-g2 delta/(g1 + g2) and g1 delta/(g1 + g2), so nothing cancels however
+unequal the two scales.  Written about the Hermite origin, A, the saddle
+and the real part of the exponent are unchanged when packet, origin and
+phases move together, so |overlap| stays accurate at large centers and
+boosts, and a chirped packet far from the origin gives its true, vanishing
+overlap.
 """
 
 from __future__ import annotations
@@ -100,37 +111,42 @@ def _packet(t: GaussianTerm) -> tuple[float, float, list[float], list[float]]:
 
 def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
     """log integral u1 conj(u2) d^d p of two unit-amplitude packets given
-    as ``_packet`` tuples, in the midpoint form of the module docstring.
+    as ``_packet`` tuples, in the envelope-center form of the module
+    docstring.
 
     Scalar arithmetic throughout: for the few axes and the small Gram
     matrices met here it is faster than numpy on tiny arrays."""
     g1, beta1, k1, a1 = p1
     g2, beta2, k2, a2 = p2
-    dg = g1 - g2
+    g_sum = g1 + g2
+    shift = 0.5 * (g1 - g2) / g_sum
     dbeta = beta1 - beta2
-    bb_re = bb_im = dd = mm = am = 0.0
+    cc = dd = ww = aw = 0.0
     for x1, x2, y1, y2 in zip(k1, k2, a1, a2):
         delta = x1 - x2
-        mid = 0.5 * (x1 + x2)
+        w = 0.5 * (x1 + x2)
+        if shift:  # equal widths: w is the midpoint
+            w += shift * delta
         da = y1 - y2
-        b_re = dg * delta
-        b_im = 2.0 * dbeta * mid - da
-        bb_re += b_re * b_re - b_im * b_im
-        bb_im += b_re * b_im
+        c = 2.0 * dbeta * w - da
+        cc += c * c
         dd += delta * delta
         # terms with an exactly zero prefactor are skipped: far out,
-        # mid * mid overflows and 0 * inf would make the overlap nan
+        # w * w overflows and 0 * inf would make the overlap nan
         if dbeta:
-            mm += mid * mid
+            ww += w * w
         if da:
-            am += da * mid
+            aw += da * w
     d = len(k1)
-    a_coef = complex(g1 + g2, -dbeta)
+    a_coef = complex(g_sum, -dbeta)
+    # g1 g2/(g1 + g2) as lo (hi/(g1 + g2)): symmetric in the two packets,
+    # no overflow, and exactly (g1 + g2)/4 for equal widths
+    lo, hi = (g1, g2) if g1 <= g2 else (g2, g1)
     return (
         0.25 * d * math.log(4.0 * g1 * g2)
         - 0.5 * d * cmath.log(a_coef)
-        + complex(bb_re, 2.0 * bb_im) / (4.0 * a_coef)
-        + complex(-0.25 * (g1 + g2) * dd, dbeta * mm - am)
+        - cc / (4.0 * a_coef)
+        + complex(-lo * (hi / g_sum) * dd, dbeta * ww - aw)
     )
 
 
@@ -266,16 +282,25 @@ def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
     and psi_n = psi_n((p-k2)/s2)/sqrt(s2) (real on the real line), by
     Gauss-Hermite on the complex-saddle contour of the module docstring."""
     g1 = 0.5 / (s1 * s1)
+    g2 = 0.5 / (s2 * s2)
+    g_sum = g1 + g2
     delta = k1 - k2
-    a_coef = complex(g1 + 0.5 / (s2 * s2), -beta1)
-    b_coef = complex(2.0 * g1 * delta, 2.0 * beta1 * k2 - a1)
-    log_c = complex(-g1 * delta * delta, (beta1 * k2 - a1) * k2)
+    u_w = (g1 / g_sum) * delta
+    center = k2 + u_w
+    c = 2.0 * beta1 * center - a1
+    a_coef = complex(g_sum, -beta1)
     root = cmath.sqrt(a_coef)
+    lo, hi = (g1, g2) if g1 <= g2 else (g2, g1)
+    log_e = complex(-lo * (hi / g_sum) * delta * delta, (beta1 * center - a1) * center)
+    scale = cmath.exp(log_e - c * c / (4.0 * a_coef)) / (root * math.sqrt(s1 * s2))
+    if scale == 0.0:
+        # the envelope underflows, while far from the centers the
+        # polynomials may overflow and turn 0 * inf into nan
+        return [[0j] * (m2 + 1) for _ in range(m1 + 1)]
     nodes, weights = _gauss_hermite_rule((m1 + m2) // 2 + 1)
-    u = b_coef / (2.0 * a_coef) + nodes / root
-    poly1 = _hermite_table(m1, (u - delta) / s1, _PI_QUARTER)
-    poly2 = _hermite_table(m2, u / s2, _PI_QUARTER)
-    scale = cmath.exp(log_c + b_coef * b_coef / (4.0 * a_coef)) / (root * math.sqrt(s1 * s2))
+    t = 0.5j * c / a_coef + nodes / root  # contour points less u_w
+    poly1 = _hermite_table(m1, (t - (g2 / g_sum) * delta) / s1, _PI_QUARTER)
+    poly2 = _hermite_table(m2, (t + u_w) / s2, _PI_QUARTER)
     return (scale * ((poly1 * weights) @ poly2.T)).tolist()
 
 

@@ -20,9 +20,10 @@ Schema (version 1)::
       ]
     }
 
-Complex numbers are two-element [re, im] arrays.  Floats are rendered
-with 17 significant digits so every value round-trips exactly; all output
-is byte-deterministic.
+Widths and scales lie in [1e-76, 1e76] (``states.WIDTH_MIN`` and
+``WIDTH_MAX``).  Complex numbers are two-element [re, im] arrays.  Floats
+are rendered with 17 significant digits so every value round-trips
+exactly; all output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -34,7 +35,15 @@ from typing import Any
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, WaveComponent
+from .states import (
+    WIDTH_MAX,
+    WIDTH_MIN,
+    GaussianSum,
+    GaussianTerm,
+    HermiteExpansion,
+    HybridState,
+    WaveComponent,
+)
 
 SCHEMA_VERSION = 1
 
@@ -127,11 +136,15 @@ def _parse_vector(value, d: int, path: str) -> np.ndarray:
     return np.array([_finite(v, path) for v in value])
 
 
-def _parse_number(value, path: str, positive: bool = False) -> float:
+def _parse_number(value, path: str) -> float:
     _require(_is_number(value), path, "expected a number")
-    x = _finite(value, path)
-    if positive:
-        _require(x > 0.0, path, "must be > 0")
+    return _finite(value, path)
+
+
+def _parse_width(value, path: str) -> float:
+    x = _parse_number(value, path)
+    _require(x > 0.0, path, "must be > 0")
+    _require(WIDTH_MIN <= x <= WIDTH_MAX, path, f"must be in [{WIDTH_MIN:g}, {WIDTH_MAX:g}]")
     return x
 
 
@@ -186,14 +199,14 @@ def _component_from_dict(entry, d: int, path: str) -> WaveComponent:
             _require(not unknown, tpath, f"unknown fields {sorted(unknown)}")
             amp = _parse_complex(raw.get("amplitude"), f"{tpath}.amplitude")
             center = _parse_vector(raw.get("center"), d, f"{tpath}.center")
-            width = _parse_number(raw.get("width"), f"{tpath}.width", positive=True)
+            width = _parse_width(raw.get("width"), f"{tpath}.width")
             lp = raw.get("linear_phase")
             linear = _parse_vector(lp, d, f"{tpath}.linear_phase") if lp is not None else None
             quad = _parse_number(raw.get("quad_phase", 0.0), f"{tpath}.quad_phase")
             parsed.append(GaussianTerm(amp, center, width, linear, quad))
         return GaussianSum(tuple(parsed))
     if kind == "hermite":
-        scale = _parse_number(entry.get("scale"), f"{path}.scale", positive=True)
+        scale = _parse_width(entry.get("scale"), f"{path}.scale")
         origin = _parse_vector(entry.get("origin"), d, f"{path}.origin")
         coeffs_raw = entry.get("coefficients")
         _require(

@@ -17,6 +17,12 @@ underlying Gaussian standard deviation is sigma/2 per axis.  The same rule
 applies to ``HermiteExpansion``: mode 0 at scale sigma equals the unit
 Gaussian packet of width sigma.  Natural units, hbar = 1.
 
+Widths and scales lie in [WIDTH_MIN, WIDTH_MAX] = [1e-76, 1e76].  There
+gamma = 2/sigma^2 lies in [2e-152, 2e152], so every product of two of them
+that an overlap forms (4 gamma1 gamma2 of two packets, the Gaussian factors
+of a Hermite table) stays finite and nonzero for any pair of packets and
+frames.  The constructors refuse anything outside.
+
 Everything here is an immutable value; all operations are pure functions.
 """
 
@@ -33,6 +39,15 @@ from .errors import DegenerateStateError, DomainError, PreconditionError, Struct
 
 NORM_TOL = 1e-12         # guaranteed after normalize()
 NORM_PRECONDITION = 1e-9  # gate for operations that require a normalized state
+WIDTH_MIN = 1e-76        # range of packet widths and Hermite scales
+WIDTH_MAX = 1e76
+
+
+def _check_width(value: float, name: str) -> None:
+    if not 0.0 < value < math.inf:
+        raise DomainError(f"{name} must be positive and finite, got {value}")
+    if not WIDTH_MIN <= value <= WIDTH_MAX:
+        raise DomainError(f"{name} must be in [{WIDTH_MIN:g}, {WIDTH_MAX:g}], got {value}")
 
 
 def _frozen_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
@@ -71,8 +86,7 @@ class GaussianTerm:
         object.__setattr__(self, "quad_phase", float(self.quad_phase))
         if not cmath.isfinite(self.amplitude):
             raise DomainError(f"amplitude must be finite, got {self.amplitude}")
-        if not 0.0 < self.width < math.inf:
-            raise DomainError(f"width must be positive and finite, got {self.width}")
+        _check_width(self.width, "width")
         if not math.isfinite(self.quad_phase):
             raise DomainError(f"quad_phase must be finite, got {self.quad_phase}")
         if self.linear_phase is None:
@@ -91,19 +105,26 @@ class GaussianTerm:
         return self.center.shape[0]
 
     def scaled(self, factor: complex) -> "GaussianTerm":
-        return GaussianTerm(
-            self.amplitude * factor, self.center, self.width, self.linear_phase, self.quad_phase
-        )
+        """The same packet with amplitude * factor.  The other fields are
+        checked, frozen values and are shared, not checked again; the
+        product is, since two finite numbers can multiply to infinity."""
+        amplitude = complex(self.amplitude * factor)
+        if not cmath.isfinite(amplitude):
+            raise DomainError(f"amplitude must be finite, got {amplitude}")
+        term = object.__new__(GaussianTerm)
+        term.__dict__.update(self.__dict__, amplitude=amplitude)
+        return term
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
         """Values at an (N, d) array of points (complex points allowed;
         the expression is the analytic continuation).  Exactly 0 where the
         envelope exp(-2|p-center|^2/sigma^2) underflows."""
         gamma = 2.0 / self.width**2
-        d = self.dimension
-        pref = (2.0 * gamma / np.pi) ** (0.25 * d)
-        # far out |p|^2 overflows and the phases turn 0*inf into nan
+        # far out |p|^2 overflows and the phases turn 0*inf into nan; a
+        # narrow packet in high dimension peaks above the float range, and
+        # its prefactor is inf (numpy's power, where Python's would raise)
         with np.errstate(over="ignore", invalid="ignore"):
+            pref = np.float64(2.0 * gamma / np.pi) ** (0.25 * self.dimension)
             dp = pts - self.center
             envelope = -gamma * np.sum(dp * dp, axis=-1)
             expo = (
@@ -178,8 +199,7 @@ class HermiteExpansion:
 
     def __post_init__(self):
         object.__setattr__(self, "scale", float(self.scale))
-        if not 0.0 < self.scale < math.inf:
-            raise DomainError(f"scale must be positive and finite, got {self.scale}")
+        _check_width(self.scale, "scale")
         origin = _frozen_vector(self.origin, name="origin")
         object.__setattr__(self, "origin", origin)
         d = origin.shape[0]
@@ -230,7 +250,8 @@ class HermiteExpansion:
             for axis in range(1, len(idx)):
                 factor *= table[idx[axis], :, axis]
             out += c * factor
-        out = out * s ** (-0.5 * self.dimension)
+        with np.errstate(over="ignore", invalid="ignore"):
+            out = out * np.float64(s) ** (-0.5 * self.dimension)
         return np.where(np.any(envelope == 0.0, axis=-1), 0.0, out)
 
 

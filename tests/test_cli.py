@@ -5,12 +5,13 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from cdent import overlaps
+from cdent import __version__, cli, overlaps
 from cdent.cli import run
 from cdent.density import schmidt_decomposition
 from cdent.errors import DomainError
@@ -19,6 +20,8 @@ from cdent.measures import entanglement_report
 from cdent.overlaps import overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair
 from cdent.states import (
+    WIDTH_MAX,
+    WIDTH_MIN,
     ComponentSum,
     GaussianSum,
     GaussianTerm,
@@ -427,9 +430,21 @@ class TestExitCodes:
         assert "trace must be 1, got 1.000000001" in err
         assert "np.float64" not in err
 
-    def test_help_exits_zero(self):
+    def test_help_exits_zero(self, capsys):
         code, out, err = run_cli(["--help"])
         assert code == 0
+        assert out.startswith("usage: cdent") and "galilean-check" in out
+        assert err == ""
+        assert capsys.readouterr() == ("", "")
+
+    @pytest.mark.parametrize("argv, start", [
+        (["--version"], f"cdent {__version__}\n"), (["analyze", "--help"], "usage: cdent analyze"),
+    ])
+    def test_version_and_command_help_go_to_the_given_stdout(self, capsys, argv, start):
+        code, out, err = run_cli(argv)
+        assert (code, err) == (0, "")
+        assert out.startswith(start)
+        assert capsys.readouterr() == ("", "")
 
 
 def write_state(path, d, components) -> str:
@@ -546,6 +561,121 @@ class TestNonFiniteInput:
                 "components": [packet_entry(1.0, [10**400], 1.0)]}
         with pytest.raises(StateFileError, match=r"center: numbers must be finite"):
             state_from_dict(data)
+
+
+class TestWidthRange:
+    @pytest.mark.parametrize("width", [1e200, 1e160, 1e100, np.nextafter(WIDTH_MAX, np.inf),
+                                       np.nextafter(WIDTH_MIN, 0.0), 1e-80, 1e-200])
+    def test_packet_width_beyond_the_range_exits_2(self, tmp_path, width):
+        path = write_state(tmp_path / "wide.json", 1, [packet_entry(1.0, [0.0], width)])
+        for argv in (["analyze", path], ["kernel", path, "--axis=0", "--grid=0:1:2"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "")
+            assert "$.components[0].terms[0].width: must be in [1e-76, 1e+76]" in err
+
+    @pytest.mark.parametrize("scale", [np.nextafter(WIDTH_MAX, np.inf), np.nextafter(WIDTH_MIN, 0.0), 1e-200])
+    def test_hermite_scale_beyond_the_range_exits_2(self, tmp_path, scale):
+        path = write_state(tmp_path / "frame.json", 1, [
+            packet_entry(EQUAL, [0.0], 1.0), hermite_entry(scale, [0.0], [0], EQUAL),
+        ])
+        code, out, err = run_cli(["analyze", path])
+        assert (code, out) == (2, "")
+        assert "$.components[1].scale: must be in [1e-76, 1e+76]" in err
+
+    @pytest.mark.parametrize("first", [WIDTH_MIN, WIDTH_MAX])
+    @pytest.mark.parametrize("second", [WIDTH_MIN, 1.0, WIDTH_MAX])
+    @pytest.mark.parametrize("kinds", ["packets", "mixed", "frames"])
+    def test_every_route_is_finite_at_the_edges(self, tmp_path, first, second, kinds):
+        def entry(kind, width, center):
+            if kind == "packet":
+                return packet_entry(EQUAL, [center, 0.0], width, [0.5, 0.0], 0.25)
+            return hermite_entry(width, [center, 0.0], [2, 1], EQUAL)
+
+        a, b = {"packets": ("packet", "packet"), "mixed": ("packet", "hermite"),
+                "frames": ("hermite", "hermite")}[kinds]
+        path = write_state(tmp_path / "edge.json", 2, [entry(a, first, 0.0), entry(b, second, 0.3)])
+        h = analyze_h(path)
+        assert np.all(np.isfinite(h))
+        assert abs(np.trace(h) - 1.0) < 1e-12
+        code, out, err = run_cli(["kernel", path, "--axis=0", "--grid=-1:1:3"])
+        assert code == 0, err
+        assert "nan" not in out and "inf" not in out
+
+
+def unbuild_parser(monkeypatch):
+    """Empty run()'s parser slot; monkeypatch restores it after the test."""
+    monkeypatch.setattr(cli, "_parser", None, raising=False)
+
+
+def run_reading(argv, target):
+    """run_cli's result and what ``target`` holds afterwards."""
+    return run_cli(argv) + (target.read_text() if target.exists() else None,)
+
+
+class TestParserReuse:
+    SWEEP = ["sweep-q", "--c0", "0.6", "--c1", "0.8j", "--sigma", "1.3",
+             "--q-start", "0", "--q-stop", "2", "--q-steps", "5"]
+
+    def test_one_parser_per_process(self, monkeypatch, beam_file):
+        unbuild_parser(monkeypatch)
+        built = []
+
+        def counted(original=cli.build_parser):
+            built.append(1)
+            return original()
+
+        monkeypatch.setattr(cli, "build_parser", counted)
+        for argv in (["analyze", beam_file], ["--version"], [], self.SWEEP, ["analyze", beam_file]):
+            run_cli(argv)
+        assert len(built) == 1
+
+    def test_build_parser_returns_a_fresh_parser(self):
+        extended = cli.build_parser()
+        extended.add_argument("--extra")
+        assert cli.build_parser() is not extended
+        assert run_cli(["--extra", "1"])[0] == 1
+
+    def test_sequence_matches_fresh_parsers(self, monkeypatch, beam_file, tmp_path):
+        target = tmp_path / "rows.csv"
+        sequence = [["sweep-q", "--c0", "1"], ["analyze", beam_file],
+                    self.SWEEP + ["--out", str(target)], self.SWEEP, ["--version"]]
+        fresh = []
+        for argv in sequence:
+            unbuild_parser(monkeypatch)
+            fresh.append(run_reading(argv, target))
+        target.unlink()
+        unbuild_parser(monkeypatch)
+        reused = [run_reading(argv, target) for argv in sequence]
+        assert reused == fresh
+        assert reused[0][0] == 1 and reused[1][0] == 0
+        # --out on one call does not stick: the next sweep writes to stdout
+        assert reused[2][1] == ""
+        assert reused[3][1] == reused[3][3] != ""
+
+    def test_threads_match_serial_calls(self, monkeypatch, beam_file):
+        kinds = [["analyze", beam_file], self.SWEEP, ["sweep-q", "--c0", "1"], ["--version"]]
+        calls = [kinds[i % 4] for i in range(25)]
+        serial = [run_cli(argv) for argv in calls]
+        unbuild_parser(monkeypatch)  # the threads race on first use
+        barrier = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(i):
+            barrier.wait(timeout=60)
+            results[i] = [run_cli(argv) for argv in calls]
+
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)  # switch threads often, inside argparse too
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [serial] * 4
 
 
 def test_beam_sweep_script_matches_cli(tmp_path):

@@ -18,6 +18,7 @@ from cdent.overlaps import (
     overlap_matrix,
     state_inner,
 )
+from cdent.scenarios import beam_pair
 from cdent.states import (
     ComponentSum,
     GaussianSum,
@@ -184,6 +185,15 @@ class TestQuadratureOverlap:
 
 
 class TestOverlapMatrix:
+    @pytest.mark.parametrize("lam", [1e-70, 1.0, 1e70])
+    def test_beam_pair_is_scale_invariant(self, lam):
+        # widths and centers multiplied together: every overlap stays put
+        k0, k1 = np.array([0.1, -0.2, 0.0]), np.array([0.3, 0.1, 0.9])
+        ref = overlap_matrix(beam_pair(0.6, 0.8j, k0, k1, 1.1, 0.8)).matrix
+        h = overlap_matrix(beam_pair(0.6, 0.8j, lam * k0, lam * k1, lam * 1.1, lam * 0.8)).matrix
+        assert abs(ref[0, 1]) > 0.1
+        assert np.max(np.abs(h - ref)) < 1e-12
+
     def test_separable_state_rank_one(self):
         shared = GaussianSum(
             (GaussianTerm(0.8, [0.0], 1.0), GaussianTerm(0.6, [1.0], 2.0, [0.3], 0.1))
@@ -462,3 +472,40 @@ class TestHermiteRoute:
                 got = [abs(component_overlap(GaussianSum((moved_t,)), moved[0])),
                        abs(component_overlap(moved[0], moved[1]))]
                 assert max(abs(x - y) for x, y in zip(got, base)) < tol
+
+
+class TestWidthRatios:
+    """Packets and frames whose widths differ by up to 1e60: the real part
+    of every exponent is formed without cancellation."""
+
+    @pytest.mark.parametrize("ratio", [1e-60, 1e-30, 1e-8, 0.5, 1e8, 1e30, 1e60])
+    def test_packet_pair_matches_the_phase_free_formula(self, ratio):
+        # (2 s1 s2/(s1^2+s2^2))^(d/2) exp(-2 q^2/(s1^2+s2^2)), q of the
+        # order of the wider packet
+        s1, s2 = 1.3, 1.3 * ratio
+        k1, k2 = np.array([0.1, -0.2, 0.3]), np.array([0.1, -0.2, 0.3]) + 0.4 * max(s1, s2)
+        expected = np.exp(1.5 * np.log(2 * s1 * s2 / (s1**2 + s2**2))
+                          - 2 * np.sum((k1 - k2) ** 2) / (s1**2 + s2**2))
+        val = gaussian_term_overlap(GaussianTerm(1.0, k1, s1), GaussianTerm(1.0, k2, s2))
+        assert expected > 1e-100
+        assert val == pytest.approx(expected, rel=1e-12)
+
+    @pytest.mark.parametrize("ratio", [1e-60, 1e-30, 1e-8, 0.5, 1e8, 1e30, 1e60])
+    def test_packet_and_frame_routes_agree(self, ratio):
+        # mode 0 of a frame is the unit packet of the same width, so the
+        # closed form, the packet x frame table and the frame x frame table
+        # give one overlap
+        s1, s2 = 1.3, 1.3 * ratio
+        k1, k2 = [-0.3 * max(s1, s2), 0.1 * min(s1, s2)], [0.0, 0.0]  # chirp about k2
+        narrow = GaussianSum((GaussianTerm(1.0, k1, s1),))
+        chirped = GaussianSum((GaussianTerm(1.0, k2, s2, [0.2 / s2, -0.1 / s2], 0.3 / s2**2),))
+        frame1 = HermiteExpansion(s1, k1, {(0, 0): 1.0})
+        frame2 = HermiteExpansion(s2, k2, {(0, 0): 1.0})
+        packet = component_overlap(narrow, GaussianSum((GaussianTerm(1.0, k2, s2),)))
+        assert abs(packet) > 1e-100
+        assert component_overlap(frame1, GaussianSum((GaussianTerm(1.0, k2, s2),))) == pytest.approx(packet, rel=1e-12)
+        assert component_overlap(frame1, frame2) == pytest.approx(packet, rel=1e-12)
+        assert component_overlap(narrow, frame2) == pytest.approx(packet, rel=1e-12)
+        phased = component_overlap(frame1, chirped)
+        assert abs(phased) > 1e-100
+        assert component_overlap(narrow, chirped) == pytest.approx(phased, rel=1e-12)

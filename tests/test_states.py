@@ -1,5 +1,6 @@
 """State construction, norms, evaluation, and the spin-component expectation."""
 
+import struct
 import warnings
 
 import numpy as np
@@ -9,6 +10,8 @@ from hypothesis import strategies as st
 
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError, StructureError
 from cdent.states import (
+    WIDTH_MAX,
+    WIDTH_MIN,
     ComponentSum,
     GaussianSum,
     GaussianTerm,
@@ -223,6 +226,54 @@ class TestConstruction:
     def test_hermite_parameters_must_be_finite(self, field, scale, origin, value):
         with pytest.raises(DomainError, match=field):
             HermiteExpansion(scale, origin, {(1,): value})
+
+    @pytest.mark.parametrize("value", [WIDTH_MIN, WIDTH_MAX])
+    def test_width_and_scale_range_is_closed(self, value):
+        assert GaussianTerm(1.0, [0.0], value).width == value
+        assert HermiteExpansion(value, [0.0], {(0,): 1.0}).scale == value
+
+    @pytest.mark.parametrize("value", [
+        np.nextafter(WIDTH_MIN, 0.0), np.nextafter(WIDTH_MAX, np.inf), 1e-200, 1e200,
+    ])
+    def test_width_and_scale_beyond_the_range(self, value):
+        with pytest.raises(DomainError, match=r"width must be in \[1e-76, 1e\+76\]"):
+            GaussianTerm(1.0, [0.0], value)
+        with pytest.raises(DomainError, match=r"scale must be in \[1e-76, 1e\+76\]"):
+            HermiteExpansion(value, [0.0], {(0,): 1.0})
+
+    def test_scaled_equals_the_constructor_bit_for_bit(self, rng):
+        def bits(z):
+            return struct.pack("<dd", z.real, z.imag)
+
+        for _ in range(200):
+            d = int(rng.integers(1, 4))
+            term = GaussianTerm(
+                complex(*rng.normal(size=2)) * 10.0 ** rng.integers(-5, 5),
+                rng.normal(size=d) * 10.0 ** rng.integers(-3, 3),
+                10.0 ** rng.uniform(-3, 3),
+                rng.normal(size=d) if rng.random() < 0.7 else None,
+                float(rng.normal()),
+            )
+            factor = [complex(*rng.normal(size=2)), float(rng.normal()), np.float64(rng.normal()),
+                      np.complex128(complex(*rng.normal(size=2))), -0.0][int(rng.integers(5))]
+            fast = term.scaled(factor)
+            ref = GaussianTerm(term.amplitude * factor, term.center, term.width,
+                               term.linear_phase, term.quad_phase)
+            assert type(fast.amplitude) is complex
+            assert bits(fast.amplitude) == bits(ref.amplitude)
+            for name in ("center", "linear_phase"):
+                a, b = getattr(fast, name), getattr(ref, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+            assert struct.pack("<d", fast.width) == struct.pack("<d", ref.width)
+            assert struct.pack("<d", fast.quad_phase) == struct.pack("<d", ref.quad_phase)
+            assert fast.__dict__.keys() == ref.__dict__.keys()
+
+    def test_scaled_refuses_an_overflowing_amplitude(self):
+        with pytest.raises(DomainError, match="amplitude must be finite"):
+            GaussianTerm(1e10, [0.0], 1.0).scaled(1e300)
+        with pytest.raises(DomainError, match="amplitude must be finite"):
+            GaussianTerm(1e10j, [0.0], 1.0).scaled(np.float64(1e300))
 
     def test_hermite_index_dimension_checked(self):
         with pytest.raises(StructureError):
