@@ -212,10 +212,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    except FileNotFoundError as exc:
-        stderr.write(f"state file error: {exc}\n")
-        return STATE_ERROR
-    except StateFileError as exc:
+    except (FileNotFoundError, StateFileError) as exc:
         stderr.write(f"state file error: {exc}\n")
         return STATE_ERROR
     except CDEntError as exc:

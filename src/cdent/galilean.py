@@ -9,10 +9,11 @@ i.e. a spin-1/2 unitary tensor a momentum-space unitary.  On wave
 functions the phased-Gaussian family is closed under this action: centers
 map to R k + m v, widths are untouched, the translation lands in the
 linear phase, the time shift adds b/(2m) to the quadratic phase, and the
-rotation mixes the two components through D(R).  Because the scalar phase
-does not depend on the discrete index, every overlap h_{chi,chi'}
-transforms by conjugation with D(R) alone, which is what makes the
-reduced spectrum frame-independent.
+rotation mixes the two components through D(R), summing equal packets, so
+no component holds more terms than the state has distinct packets.  The
+scalar phase does not depend on the discrete index, so every overlap
+h_{chi,chi'} transforms by conjugation with D(R) alone, which is what makes
+the reduced spectrum frame-independent.
 
 Rotations are unit quaternions (w, x, y, z); the sign picks the SU(2)
 lift of the double cover.
@@ -28,7 +29,7 @@ import numpy as np
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
 from .overlaps import overlap_matrix
-from .states import GaussianSum, GaussianTerm, HybridState
+from .states import GaussianSum, GaussianTerm, HybridState, combine_components
 
 
 @dataclass(frozen=True)
@@ -53,9 +54,9 @@ class SpinRotation:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got {m.shape}")
-        if np.max(np.abs(m @ m.conj().T - np.eye(2))) > 1e-12:
+        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= 1e-12:
             raise DomainError("matrix is not unitary within 1e-12")
-        if abs(np.linalg.det(m) - 1.0) > 1e-12:
+        if not abs(np.linalg.det(m) - 1.0) <= 1e-12:
             raise DomainError("matrix determinant must be 1 (SU(2))")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -145,7 +146,7 @@ def su2_from_rotation(q) -> SpinRotation:
     """SU(2) matrix cos(theta/2) I - i sin(theta/2) (axis . sigma) of a
     unit quaternion; the quaternion sign carries the double cover."""
     q = np.array(q, dtype=float).reshape(-1)
-    if q.shape != (4,) or abs(np.dot(q, q) - 1.0) > 1e-12:
+    if q.shape != (4,) or not abs(np.dot(q, q) - 1.0) <= 1e-12:
         raise DomainError("expected a unit quaternion (w, x, y, z)")
     w, x, y, z = q
     return SpinRotation(
@@ -217,17 +218,8 @@ def apply_galilean(
             quad_phase=t.quad_phase + 0.5 * b / m,
         )
 
-    moved = [tuple(transform_term(t) for t in comp.terms) for comp in state.components]
-    new_components = []
-    for row in range(2):
-        terms: list[GaussianTerm] = []
-        for chi in range(2):
-            w = dmat[row, chi]
-            if w == 0.0:
-                continue
-            terms.extend(t.scaled(w) for t in moved[chi])
-        new_components.append(GaussianSum(tuple(terms)))
-    return HybridState(tuple(new_components))
+    moved = [GaussianSum(tuple(map(transform_term, comp.terms))) for comp in state.components]
+    return HybridState(tuple(combine_components(dmat[row], moved) for row in range(2)))
 
 
 def random_elements(samples: int, seed: int) -> list[GalileanElement]:

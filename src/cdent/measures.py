@@ -50,10 +50,10 @@ def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[flo
     """
     w0 = abs(c0) ** 2
     w1 = abs(c1) ** 2
-    if abs(w0 + w1 - 1.0) > 1e-9:
+    if not abs(w0 + w1 - 1.0) <= 1e-9:
         raise PreconditionError(f"|c0|^2 + |c1|^2 must be 1, got {w0 + w1!r}")
     ax = abs(x)
-    if ax > 1.0 + 1e-12:
+    if not ax <= 1.0 + 1e-12:
         raise PreconditionError(f"|x| must be <= 1, got {ax!r}")
     ax = min(ax, 1.0)
     # 1/4 - w0 w1 (1 - |x|^2) rewritten as ((w0-w1)/2)^2 + w0 w1 |x|^2,
@@ -97,9 +97,9 @@ class EntanglementReport:
         n = lam.shape[0]
         if not -1e-10 <= self.entropy_bits <= float(np.log2(n)) + 1e-10:
             raise DomainError(f"entropy {self.entropy_bits} outside [0, log2 {n}]")
-        if abs(self.entropy_bits - von_neumann_entropy(self.spectrum)) > 1e-10:
+        if not abs(self.entropy_bits - von_neumann_entropy(self.spectrum)) <= 1e-10:
             raise DomainError("entropy inconsistent with spectrum")
-        if abs(self.purity - float(np.sum(lam * lam))) > 1e-12:
+        if not abs(self.purity - float(np.sum(lam * lam))) <= 1e-12:
             raise DomainError("purity inconsistent with spectrum")
         if self.classification != _classify_spectrum(lam, CLASSIFY_TOL):
             raise DomainError("classification inconsistent with spectrum")

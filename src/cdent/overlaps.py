@@ -21,12 +21,13 @@ conjugation:
   once per distinct pair of (packet or frame, frame), up to the frame's
   largest mode on each axis.
 
-After k frame changes each component carries 2^k terms but the state only
-a few distinct packets, so G costs one evaluation per distinct pair instead
-of one per term pair.  This is the bookkeeping of expansions over a
-non-orthogonal basis with overlap matrix G (Szabo & Ostlund, Modern Quantum
-Chemistry, ch. 3).  The test suite certifies every route against
-tensor-product quadrature (``tests/quadrature_oracle.py``).
+A state file may repeat a packet within and across components; G costs one
+evaluation per distinct pair, not one per term pair.  Frame changes add no
+terms: ``states.combine_components`` merges equal packets.  This is the
+bookkeeping of expansions over a non-orthogonal basis with overlap matrix G
+(Szabo & Ostlund, Modern Quantum Chemistry, ch. 3).  The test suite
+certifies every route against tensor-product quadrature
+(``tests/quadrature_oracle.py``).
 
 Packet pairs.  For two unit-amplitude phased Gaussian packets (gamma_i =
 2/sigma_i^2, bilinear dot products) with Delta = k1 - k2, written about the
@@ -97,6 +98,7 @@ from .states import (
     HybridState,
     WaveComponent,
     _hermite_table,
+    _packet_key,
     require_unit_norm,
 )
 
@@ -150,18 +152,14 @@ def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
     )
 
 
-def gaussian_term_overlap(t1: GaussianTerm, t2: GaussianTerm, d: int | None = None) -> complex:
+def gaussian_term_overlap(t1: GaussianTerm, t2: GaussianTerm) -> complex:
     """integral t1(p) conj(t2(p)) d^d p, exactly.
 
     For phase-free unit-amplitude packets this reduces to
     (2 s1 s2/(s1^2+s2^2))^(d/2) exp(-2 q^2/(s1^2+s2^2)) with q = |k1-k2|.
     """
-    if d is None:
-        d = t1.dimension
-    if t1.dimension != d or t2.dimension != d:
+    if t1.dimension != t2.dimension:
         raise StructureError("terms disagree on dimension")
-    if not (t1.width > 0.0 and t2.width > 0.0):
-        raise DomainError("widths must be positive")
     amp = t1.amplitude * t2.amplitude.conjugate()
     return amp * cmath.exp(_log_unit_overlap(_packet(t1), _packet(t2)))
 
@@ -186,7 +184,7 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
         for w, part in comp.parts if isinstance(comp, ComponentSum) else ((None, comp),):
             if isinstance(part, GaussianSum):
                 for t in part.terms:
-                    key = (t.width, t.quad_phase, t.center.tobytes(), t.linear_phase.tobytes())
+                    key = _packet_key(t)
                     p = index.get(key)
                     if p is None:
                         p = index[key] = len(index)
@@ -239,7 +237,10 @@ def _gram(size: int, packets: list, frames: list) -> list[list[complex]]:
     for i, (p, u, _) in enumerate(packets):
         g_row = gram[p]
         for q, v, _ in packets[i:]:
-            val = cmath.exp(_log_unit_overlap(u, v))
+            try:
+                val = cmath.exp(_log_unit_overlap(u, v))
+            except ValueError:  # cmath refuses an infinite phase: |center| ~ 1e154 and unequal chirps
+                raise DomainError("packet overlap phase is not finite") from None
             g_row[q] = val
             gram[q][p] = val.conjugate()
     for f, (s, origin, top, modes) in enumerate(frames):

@@ -128,16 +128,8 @@ def _pipeline_row(
         abs_x = float(abs(h.matrix[0, 1] / c0c1))
     else:
         # degenerate weights: fall back to the unit-amplitude packet overlap
-        t0 = state.components[0].terms[0]
-        t1 = state.components[1].terms[0]
-        abs_x = float(
-            abs(
-                gaussian_term_overlap(
-                    GaussianTerm(1.0, t0.center, t0.width, t0.linear_phase, t0.quad_phase),
-                    GaussianTerm(1.0, t1.center, t1.width, t1.linear_phase, t1.quad_phase),
-                )
-            )
-        )
+        t0, t1 = (c.terms[0]._with_amplitude(1.0) for c in state.components)
+        abs_x = float(abs(gaussian_term_overlap(t0, t1)))
     return SweepRow(
         parameter=parameter,
         value=float(value),

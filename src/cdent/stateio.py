@@ -21,9 +21,10 @@ Schema (version 1)::
     }
 
 Widths and scales lie in [1e-76, 1e76] (``states.WIDTH_MIN`` and
-``WIDTH_MAX``).  Complex numbers are two-element [re, im] arrays.  Floats
-are rendered with 17 significant digits so every value round-trips
-exactly; all output is byte-deterministic.
+``WIDTH_MAX``), multi-index entries in [0, 256] (``HERMITE_INDEX_MAX``).
+Complex numbers are two-element [re, im] arrays.  Floats are rendered with
+17 significant digits so every value round-trips exactly; all output is
+byte-deterministic.
 """
 
 from __future__ import annotations
@@ -36,6 +37,7 @@ import numpy as np
 
 from .errors import DomainError, StructureError
 from .states import (
+    HERMITE_INDEX_MAX,
     WIDTH_MAX,
     WIDTH_MIN,
     GaussianSum,
@@ -224,6 +226,7 @@ def _component_from_dict(entry, d: int, path: str) -> WaveComponent:
                 f"{cpath}.index",
                 f"expected {d} non-negative integers",
             )
+            _require(max(idx) <= HERMITE_INDEX_MAX, f"{cpath}.index", f"entries must be <= {HERMITE_INDEX_MAX}")
             key = tuple(idx)
             _require(key not in coeffs, f"{cpath}.index", f"duplicate multi-index {key}")
             coeffs[key] = _parse_complex(raw.get("value"), f"{cpath}.value")

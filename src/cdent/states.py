@@ -21,7 +21,8 @@ Widths and scales lie in [WIDTH_MIN, WIDTH_MAX] = [1e-76, 1e76].  There
 gamma = 2/sigma^2 lies in [2e-152, 2e152], so every product of two of them
 that an overlap forms (4 gamma1 gamma2 of two packets, the Gaussian factors
 of a Hermite table) stays finite and nonzero for any pair of packets and
-frames.  The constructors refuse anything outside.
+frames.  Hermite multi-index entries lie in [0, HERMITE_INDEX_MAX] = [0, 256].
+The constructors refuse anything outside.
 
 Everything here is an immutable value; all operations are pure functions.
 """
@@ -41,6 +42,7 @@ NORM_TOL = 1e-12         # guaranteed after normalize()
 NORM_PRECONDITION = 1e-9  # gate for operations that require a normalized state
 WIDTH_MIN = 1e-76        # range of packet widths and Hermite scales
 WIDTH_MAX = 1e76
+HERMITE_INDEX_MAX = 256  # a mode pair then needs <= 257 Gauss-Hermite nodes; numpy's rule is finite to 374
 
 
 def _check_width(value: float, name: str) -> None:
@@ -105,10 +107,13 @@ class GaussianTerm:
         return self.center.shape[0]
 
     def scaled(self, factor: complex) -> "GaussianTerm":
-        """The same packet with amplitude * factor.  The other fields are
-        checked, frozen values and are shared, not checked again; the
-        product is, since two finite numbers can multiply to infinity."""
-        amplitude = complex(self.amplitude * factor)
+        """The same packet with amplitude * factor."""
+        return self._with_amplitude(self.amplitude * factor)
+
+    def _with_amplitude(self, amplitude: complex) -> "GaussianTerm":
+        """The same packet with a new amplitude, checked, since a product or
+        sum of finite numbers can be infinite; the other fields are shared."""
+        amplitude = complex(amplitude)
         if not cmath.isfinite(amplitude):
             raise DomainError(f"amplitude must be finite, got {amplitude}")
         term = object.__new__(GaussianTerm)
@@ -134,6 +139,11 @@ class GaussianTerm:
             )
             vals = self.amplitude * pref * np.exp(expo)
         return np.where(np.exp(envelope.real) == 0.0, 0.0, vals)
+
+
+def _packet_key(t: GaussianTerm) -> tuple:
+    """Terms with equal keys are one packet up to amplitude (bit-equal fields)."""
+    return (t.width, t.quad_phase, t.center.tobytes(), t.linear_phase.tobytes())
 
 
 @dataclass(frozen=True)
@@ -210,6 +220,8 @@ class HermiteExpansion:
                 raise StructureError(f"multi-index {idx} does not match dimension {d}")
             if any(m < 0 for m in idx):
                 raise StructureError(f"multi-index {idx} has a negative entry")
+            if any(m > HERMITE_INDEX_MAX for m in idx):
+                raise DomainError(f"multi-index {idx} has an entry above {HERMITE_INDEX_MAX}")
             val = complex(val)
             if not cmath.isfinite(val):
                 raise DomainError(f"coefficient {idx} must be finite, got {val}")
@@ -298,15 +310,18 @@ WaveComponent = Union[GaussianSum, HermiteExpansion, ComponentSum]
 def combine_components(weights, components) -> WaveComponent:
     """Linear combination of components, merged into a single representation
     when the families allow it (all Gaussian sums, or Hermite expansions on
-    one frame); otherwise a ComponentSum."""
+    one frame); otherwise a ComponentSum.  A merged representation holds
+    each packet or multi-index once, its amplitudes summed in term order."""
     pairs = [(complex(w), c) for w, c in zip(weights, components) if w != 0.0]
     if not pairs:
         pairs = [(complex(weights[0]), components[0])]
     if all(isinstance(c, GaussianSum) for _, c in pairs):
-        terms: list[GaussianTerm] = []
+        terms: dict[tuple, GaussianTerm] = {}
         for w, c in pairs:
-            terms.extend(c.scaled(w).terms)
-        return GaussianSum(tuple(terms))
+            for t in c.terms:
+                first = terms.get(key := _packet_key(t))
+                terms[key] = t.scaled(w) if first is None else first._with_amplitude(first.amplitude + t.amplitude * w)
+        return GaussianSum(tuple(terms.values()))
     if all(isinstance(c, HermiteExpansion) for _, c in pairs) and all(
         pairs[0][1].same_frame(c) for _, c in pairs[1:]
     ):

@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 
 from cdent.cli import run
+from cdent.galilean import apply_galilean, random_elements
 from cdent.scenarios import beam_pair
 from cdent.stateio import save_state
 from conftest import EQUAL, ZHAT
@@ -24,13 +25,19 @@ def load_tracer():
 
 def test_traced_commands_and_metrics(tmp_path):
     path = str(tmp_path / "beam.json")
-    save_state(beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0), path)
+    beam = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+    save_state(beam, path)
+    chain = str(tmp_path / "chain.json")
+    for g in random_elements(3, seed=5):
+        beam = apply_galilean(beam, g)
+    save_state(beam, chain)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
         for argv in (
             ["analyze", path],
             ["galilean-check", path, "--samples=1", "--seed=1"],
+            ["galilean-check", chain, "--samples=2", "--seed=1"],
             ["kernel", path, "--axis=2", "--grid=-1:1:3"],
             ["sweep-q", "--c0=0.6", "--c1=0.8", "--sigma=1", "--q-start=0", "--q-stop=2", "--q-steps=3"],
         ):
@@ -41,4 +48,6 @@ def test_traced_commands_and_metrics(tmp_path):
     metrics = tracer.metrics(1, 0.0, 0.0)
     assert metrics["scenarios.rows"][0] == 3
     assert metrics["overlaps.matrix_calls"][0] > 0
-    assert metrics["galilean.apply_calls"][0] == 1
+    assert metrics["galilean.apply_calls"][0] == 3
+    # a frame change adds no terms: the beam state has 2 distinct packets
+    assert metrics["galilean.terms_out"][0] <= 2

@@ -20,6 +20,7 @@ from cdent.measures import entanglement_report
 from cdent.overlaps import overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair
 from cdent.states import (
+    HERMITE_INDEX_MAX,
     WIDTH_MAX,
     WIDTH_MIN,
     ComponentSum,
@@ -249,6 +250,19 @@ class TestGalileanCheck:
         code, _, err = run_cli(["galilean-check", shape_file, "--samples", "3", "--seed", "1"])
         assert code == 3
         assert "numerical error" in err
+
+    def test_infinite_overlap_phase_is_numerical_error(self, tmp_path):
+        # packets boosted to |center| ~ 1e154 with unequal quadratic phases:
+        # the phase of their overlap overflows (was: an uncaught ValueError)
+        state = HybridState((
+            GaussianSum((GaussianTerm(0.6, [0.0, 0.0, 0.0], 1.0, None, 0.0625),)),
+            GaussianSum((GaussianTerm(0.8j, [0.0, 0.0, 0.0], 1.0),)),
+        ))
+        save_state(state, str(tmp_path / "chirped.json"))
+        code, out, err = run_cli(["galilean-check", str(tmp_path / "chirped.json"),
+                                  "--samples=2", "--seed=0", "--mass=1e154"])
+        assert (code, out) == (3, "")
+        assert "packet overlap phase is not finite" in err
 
 
 class TestKernel:
@@ -600,6 +614,37 @@ class TestWidthRange:
         code, out, err = run_cli(["kernel", path, "--axis=0", "--grid=-1:1:3"])
         assert code == 0, err
         assert "nan" not in out and "inf" not in out
+
+
+class TestHermiteIndexBound:
+    @staticmethod
+    def two_frames(tmp_path, index):
+        return write_state(tmp_path / "modes.json", 1, [
+            hermite_entry(1.0, [0.0], [index], EQUAL), hermite_entry(1.3, [0.2], [index], EQUAL),
+        ])
+
+    def test_two_frames_at_the_bound(self, tmp_path):
+        path = self.two_frames(tmp_path, HERMITE_INDEX_MAX)
+        h = analyze_h(path)
+        assert abs(np.trace(h) - 1.0) < 1e-12
+        # independent leg: the trapezoid rule, spectrally accurate for
+        # these smooth, decaying functions once the step resolves them
+        a, b = load_state(path).components
+        p = np.linspace(-25.0, 25.0, 6001)[:, None]
+        ref = np.sum(a.eval_many(p) * np.conj(b.eval_many(p))) * (p[1, 0] - p[0, 0])
+        assert abs(h[0, 1] - ref) < 1e-12
+        code, out, err = run_cli(["kernel", path, "--axis=0", "--grid=-2:2:5"])
+        assert code == 0, err
+        assert "nan" not in out and "inf" not in out
+
+    @pytest.mark.parametrize("index", [HERMITE_INDEX_MAX + 1, 400, 10**7, 10**20])
+    def test_past_the_bound_exits_2_with_field_path(self, tmp_path, index):
+        # was: MemoryError, OverflowError or ValueError, or exit 3 at 400
+        path = self.two_frames(tmp_path, index)
+        for argv in (["analyze", path], ["kernel", path, "--axis=0", "--grid=0:1:2"]):
+            code, out, err = run_cli(argv)
+            assert (code, out) == (2, "")
+            assert f"$.components[0].coefficients[0].index: entries must be <= {HERMITE_INDEX_MAX}" in err
 
 
 def unbuild_parser(monkeypatch):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
-from cdent.density import spectrum
+from cdent.density import schmidt_decomposition, spectrum
 from cdent.errors import DomainError, PreconditionError, UnsupportedError
 from cdent.galilean import (
     GalileanElement,
     PhysicalParams,
+    SpinRotation,
     apply_galilean,
     compose,
     invariance_report,
@@ -91,6 +92,24 @@ class TestSpinRotation:
         with pytest.raises(DomainError):
             su2_from_rotation([1.0, 1.0, 0.0, 0.0])
 
+    @pytest.mark.parametrize("q", [[np.nan, 0.0, 0.0, 0.0], [1.0, np.nan, 0.0, 0.0]])
+    def test_nan_quaternion_rejected(self, q):
+        # was: a NaN matrix
+        with pytest.raises(DomainError, match="unit quaternion"):
+            su2_from_rotation(q)
+
+    @pytest.mark.parametrize("matrix", [[[np.nan, 0.0], [0.0, np.nan]], [[np.inf, 0.0], [0.0, 1.0]]])
+    def test_non_finite_matrix_is_not_unitary(self, matrix):
+        with pytest.raises(DomainError, match="not unitary"):
+            SpinRotation(matrix)
+
+    def test_nan_determinant_rejected(self, monkeypatch):
+        # a finite unitary matrix has a finite determinant, so the gate is
+        # handed a NaN one directly
+        monkeypatch.setattr(np.linalg, "det", lambda m: np.nan)
+        with pytest.raises(DomainError, match="determinant"):
+            SpinRotation(np.eye(2))
+
 
 @pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, np.inf])
 def test_mass_must_be_positive_and_finite(mass):
@@ -163,6 +182,20 @@ class TestApplyGalilean:
             hs = overlap_matrix(seq).matrix
             hd = overlap_matrix(direct).matrix
             assert np.max(np.abs(hs - hd)) < 1e-9
+
+    def test_ten_changes_keep_the_packet_count(self):
+        # concatenating the mixed terms would leave 1024 per component here
+        state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+        h0 = overlap_matrix(state).matrix
+        dmat = np.eye(2)
+        for g in random_elements(10, seed=21):
+            state = apply_galilean(state, g, PhysicalParams(1.5))
+            dmat = su2_from_rotation(g.rotation).matrix @ dmat
+            assert all(len(c.terms) <= 2 for c in state.components)
+        h = overlap_matrix(state).matrix
+        assert np.max(np.abs(h - dmat @ h0 @ dmat.conj().T)) < 1e-12
+        modes = schmidt_decomposition(state).continuous_modes
+        assert len(modes) == 2 and all(len(m.terms) <= 2 for m in modes)
 
     def test_wrong_dimension_rejected(self):
         state = HybridState(

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cdent import measures
 from cdent.density import Spectrum, spectrum
 from cdent.errors import DomainError, PreconditionError
 from cdent.measures import (
@@ -92,6 +93,12 @@ class TestGaussianPairEigenvalues:
         with pytest.raises(PreconditionError):
             gaussian_pair_eigenvalues(EQUAL, EQUAL, 1.5)
 
+    @pytest.mark.parametrize("args", [(np.nan, 0.5, 0.3), (0.6, 0.8, np.nan)])
+    def test_nan_fails_the_preconditions(self, args):
+        # was: (nan, nan)
+        with pytest.raises(PreconditionError):
+            gaussian_pair_eigenvalues(*args)
+
     @settings(max_examples=60, deadline=None)
     @given(w=st.floats(0.0, 1.0), ax=st.floats(0.0, 1.0))
     def test_valid_spectrum_everywhere(self, w, ax):
@@ -169,6 +176,19 @@ class TestReport:
             EntanglementReport(s, entropy_bits=1.0, purity=0.9, schmidt_rank=2, classification=MAXIMAL)
         with pytest.raises(DomainError):
             EntanglementReport(s, entropy_bits=1.0, purity=0.5, schmidt_rank=2, classification=SEPARABLE)
+
+    def test_report_refuses_nan_purity(self):
+        with pytest.raises(DomainError, match="purity inconsistent"):
+            EntanglementReport(Spectrum([0.5, 0.5]), entropy_bits=1.0, purity=np.nan,
+                               schmidt_rank=2, classification=MAXIMAL)
+
+    def test_report_entropy_gate_refuses_nan(self, monkeypatch):
+        # the range gate stops a NaN entropy field; this gate must also stop
+        # a NaN reference value
+        monkeypatch.setattr(measures, "von_neumann_entropy", lambda s: np.nan)
+        with pytest.raises(DomainError, match="entropy inconsistent"):
+            EntanglementReport(Spectrum([0.5, 0.5]), entropy_bits=1.0, purity=0.5,
+                               schmidt_rank=2, classification=MAXIMAL)
 
     def test_report_refuses_a_nan_matrix(self):
         # was: entropy 0.0, Schmidt rank 0 and "entangled"

@@ -328,7 +328,8 @@ class TestPacketDictionary:
             g = GalileanElement(rng.uniform(-1, 1), rng.normal(size=3), 0.5 * rng.normal(size=3), q / np.linalg.norm(q))
             state = apply_galilean(state, g)
             dmat = su2_from_rotation(g.rotation).matrix @ dmat
-            assert [len(c.terms) for c in state.components] == [2**k, 2**k]
+            # equal packets merge: never more terms than the 2 packets
+            assert all(len(c.terms) <= 2 for c in state.components)
             h = overlap_matrix(state).matrix
             assert np.max(np.abs(h - dmat @ h0 @ dmat.conj().T)) < 1e-12
 

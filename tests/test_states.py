@@ -10,6 +10,7 @@ from hypothesis import strategies as st
 
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError, StructureError
 from cdent.states import (
+    HERMITE_INDEX_MAX,
     WIDTH_MAX,
     WIDTH_MIN,
     ComponentSum,
@@ -281,6 +282,12 @@ class TestConstruction:
         with pytest.raises(StructureError):
             HermiteExpansion(1.0, [0.0], {(-1,): 1.0})
 
+    def test_hermite_index_has_an_upper_bound(self):
+        assert HermiteExpansion(1.0, [0.0, 0.0], {(0, HERMITE_INDEX_MAX): 1.0}).coefficients
+        for index in ((HERMITE_INDEX_MAX + 1, 0), (0, 10**20)):
+            with pytest.raises(DomainError, match=f"entry above {HERMITE_INDEX_MAX}"):
+                HermiteExpansion(1.0, [0.0, 0.0], {index: 1.0})
+
     def test_terms_share_dimension(self):
         with pytest.raises(StructureError):
             GaussianSum((GaussianTerm(1.0, [0.0], 1.0), GaussianTerm(1.0, [0.0, 0.0], 1.0)))
@@ -292,6 +299,25 @@ class TestConstruction:
         assert isinstance(merged, GaussianSum)
         assert len(merged.terms) == 2
         assert merged.terms[1].amplitude == pytest.approx(0.5j)
+
+    def test_combine_components_sums_equal_packets_in_term_order(self, rng):
+        def term(amp, k, **kw):
+            return GaussianTerm(amp, [k, 0.5], 1.2, [0.25, -1.0], 0.125, **kw)
+
+        a = GaussianSum((term(0.3 + 0.1j, 0.0), term(-0.7j, 1.0), term(1.1, 0.0)))
+        b = GaussianSum((term(0.2, 2.0), term(0.9 - 0.4j, 1.0), term(-0.5, 0.0)))
+        w = [complex(*rng.normal(size=2)) for _ in range(2)]
+        merged = combine_components(w, [a, b])
+        # packets in order of first appearance; amplitudes summed term by term
+        assert [t.center[0] for t in merged.terms] == [0.0, 1.0, 2.0]
+        expected = [
+            ((0.3 + 0.1j) * w[0] + 1.1 * w[0]) + -0.5 * w[1],
+            -0.7j * w[0] + (0.9 - 0.4j) * w[1],
+            0.2 * w[1],
+        ]
+        assert [t.amplitude for t in merged.terms] == expected
+        # equal up to amplitude means bit-equal: -0.0 is another center
+        assert len(combine_components([1.0, 1.0], [packet(1.0, 0.0, 1.0), packet(1.0, -0.0, 1.0)]).terms) == 2
 
     def test_combine_components_merges_same_frame_hermite(self):
         a = HermiteExpansion(1.0, [0.0], {(0,): 1.0})
