@@ -121,8 +121,13 @@ def schmidt_decomposition(state: HybridState) -> SchmidtData:
 
 
 def _schmidt_from(state: HybridState, rho: OverlapMatrix) -> SchmidtData:
-    """Schmidt form of ``state`` from its overlap matrix ``rho``."""
-    values, vectors = hermitian_eigensystem(rho.matrix)
+    """Schmidt form of ``state`` from its overlap matrix ``rho``, with the
+    eigensystem its validation computed when there is one (n >= 3)."""
+    if rho.eigenvectors is None:
+        values, vectors = hermitian_eigensystem(rho.matrix)
+        vectors.setflags(write=False)
+    else:
+        values, vectors = rho.eigenvalues, rho.eigenvectors
     coefficients = Spectrum(values)
     modes: list[WaveComponent] = []
     for i, lam in enumerate(coefficients.eigenvalues):
@@ -130,8 +135,6 @@ def _schmidt_from(state: HybridState, rho: OverlapMatrix) -> SchmidtData:
             continue
         weights = np.conj(vectors[:, i]) / np.sqrt(lam)
         modes.append(combine_components(weights, state.components))
-    vectors = vectors.copy()
-    vectors.setflags(write=False)
     return SchmidtData(coefficients, vectors, tuple(modes))
 
 

@@ -50,6 +50,7 @@ class SpinRotation:
 
     matrix: np.ndarray
 
+    @np.errstate(over="ignore", invalid="ignore")  # non-finite entries fail the gates
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
@@ -71,6 +72,7 @@ class GalileanElement:
     boost_velocity: np.ndarray | None = None
     rotation: np.ndarray | None = None  # unit quaternion (w, x, y, z)
 
+    @np.errstate(over="ignore")  # an overflowing quaternion norm fails its gate
     def __post_init__(self):
         object.__setattr__(self, "time_shift", float(self.time_shift))
         if not math.isfinite(self.time_shift):
@@ -210,6 +212,11 @@ def apply_galilean(
             + m * np.dot(rot @ t.linear_phase, v)
             + t.quad_phase * m * m * np.dot(v, v)
         )
+        if not math.isfinite(phase0):
+            raise DomainError(
+                f"the phase of the frame change with time_shift {b!r}, translation "
+                f"{a.tolist()} and boost_velocity {v.tolist()} is not finite at mass {m!r}"
+            )
         return GaussianTerm(
             amplitude=t.amplitude * np.exp(1j * phase0),
             center=rot @ t.center + m * v,
@@ -218,7 +225,8 @@ def apply_galilean(
             quad_phase=t.quad_phase + 0.5 * b / m,
         )
 
-    moved = [GaussianSum(tuple(map(transform_term, comp.terms))) for comp in state.components]
+    with np.errstate(over="ignore", invalid="ignore"):  # the phase check and GaussianTerm refuse overflow
+        moved = [GaussianSum(tuple(map(transform_term, comp.terms))) for comp in state.components]
     return HybridState(tuple(combine_components(dmat[row], moved) for row in range(2)))
 
 

@@ -103,9 +103,3 @@ def hermitian_eigensystem(
             w = col[nz[0]]
             vectors[:, i] = col * (np.conj(w) / abs(w))
     return values, vectors
-
-
-def hermitian_eigenvalues(matrix: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a Hermitian matrix."""
-    values, _ = hermitian_eigensystem(matrix)
-    return values

@@ -35,9 +35,10 @@ def purity(s) -> float:
     return float(np.sum(lam * lam))
 
 
-def schmidt_rank(s, tol: float = RANK_TOL) -> int:
+def schmidt_rank(s) -> int:
+    """Number of eigenvalues above RANK_TOL."""
     lam = _as_spectrum(s).eigenvalues
-    return int(np.sum(lam > tol))
+    return int(np.sum(lam > RANK_TOL))
 
 
 def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[float, float]:
@@ -105,7 +106,7 @@ class EntanglementReport:
             raise DomainError("classification inconsistent with spectrum")
 
 
-def entanglement_report(rho: OverlapMatrix, tol: float = CLASSIFY_TOL) -> EntanglementReport:
+def entanglement_report(rho: OverlapMatrix) -> EntanglementReport:
     """Bundle spectrum, entropy, purity, Schmidt rank and the label."""
     s = spectrum(rho)
     return EntanglementReport(
@@ -113,5 +114,5 @@ def entanglement_report(rho: OverlapMatrix, tol: float = CLASSIFY_TOL) -> Entang
         entropy_bits=von_neumann_entropy(s),
         purity=purity(s),
         schmidt_rank=schmidt_rank(s),
-        classification=_classify_spectrum(s.eigenvalues, tol),
+        classification=_classify_spectrum(s.eigenvalues, CLASSIFY_TOL),
     )

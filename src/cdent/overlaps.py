@@ -1,7 +1,8 @@
 """Overlap integrals h_{chi,chi'} = integral phi_chi conj(phi_chi').
 
 One exact route, ``dictionary_overlap_matrix``.  The components of a state
-are written over one dictionary of functions u_1..u_P:
+are written over one dictionary of functions u_1..u_P by the one builder,
+``states._Dictionary``, which ``states.combine_components`` also uses:
 
 * phased Gaussian packets, packets equal up to amplitude being one entry;
 * Hermite modes, one multi-index on one frame, frames equal bit for bit in
@@ -22,8 +23,8 @@ conjugation:
   largest mode on each axis.
 
 A state file may repeat a packet within and across components; G costs one
-evaluation per distinct pair, not one per term pair.  Frame changes add no
-terms: ``states.combine_components`` merges equal packets.  This is the
+evaluation per distinct pair, not one per term pair.  Frame changes and
+Schmidt modes hold each packet or mode once (the same builder).  This is the
 bookkeeping of expansions over a non-orthogonal basis with overlap matrix G
 (Szabo & Ostlund, Modern Quantum Chemistry, ch. 3).  The test suite
 certifies every route against tensor-product quadrature
@@ -90,15 +91,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .linalg import hermitian_eigenvalues, two_level_eigenvalues
+from .linalg import hermitian_eigensystem, two_level_eigenvalues
 from .states import (
-    ComponentSum,
-    GaussianSum,
     GaussianTerm,
     HybridState,
     WaveComponent,
+    _Dictionary,
     _hermite_table,
-    _packet_key,
     require_unit_norm,
 )
 
@@ -169,45 +168,13 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     dimension, as h = C G C^dagger over their shared dictionary of packets
     and Hermite modes (see the module docstring).
 
-    Row i of C, kept sparse, sums the amplitudes component i puts on each
-    dictionary entry; G is filled up front (``_gram``).  h is filled on
-    its upper triangle and mirrored by conjugation, so it is Hermitian by
-    construction.
+    Row i of C, kept sparse, is the ``_Dictionary`` row of component i; G
+    is filled up front (``_gram``).  h is filled on its upper triangle and
+    mirrored by conjugation, so it is Hermitian by construction.
     """
-    index: dict[tuple, int] = {}  # packet or (frame, multi-index) -> entry
-    packets: list[tuple[int, tuple, GaussianTerm]] = []  # entry, _packet, term
-    frame_index: dict[tuple, int] = {}
-    frames: list[tuple[float, list[float], list[int], list]] = []  # s, origin, top modes, modes
-    rows: list[dict[int, complex]] = []
-    for comp in components:
-        row: dict[int, complex] = {}
-        for w, part in comp.parts if isinstance(comp, ComponentSum) else ((None, comp),):
-            if isinstance(part, GaussianSum):
-                for t in part.terms:
-                    key = _packet_key(t)
-                    p = index.get(key)
-                    if p is None:
-                        p = index[key] = len(index)
-                        packets.append((p, _packet(t), t))
-                    row[p] = row.get(p, 0.0) + (t.amplitude if w is None else w * t.amplitude)
-                continue
-            # a HermiteExpansion; + 0.0 makes origins -0.0 and 0.0 one frame
-            frame_key = (part.scale, (part.origin + 0.0).tobytes())
-            f = frame_index.get(frame_key)
-            if f is None:
-                f = frame_index[frame_key] = len(frames)
-                frames.append((part.gaussian_std, part.origin.tolist(), [0] * part.dimension, []))
-            top, modes = frames[f][2], frames[f][3]
-            for idx, c in part.coefficients.items():
-                key = (f, idx)
-                p = index.get(key)
-                if p is None:
-                    p = index[key] = len(index)
-                    modes.append((p, idx))
-                    top[:] = map(max, top, idx)
-                row[p] = row.get(p, 0.0) + (c if w is None else w * c)
-        rows.append(row)
-    gram = _gram(len(index), packets, frames)
+    dictionary = _Dictionary()
+    rows = [dictionary.row(((None, comp),)) for comp in components]
+    gram = _gram(dictionary)
 
     # scalar sums with the coefficient product formed first: swapping two
     # single-packet components then conjugates their entry exactly, as the
@@ -228,12 +195,18 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     return h
 
 
-def _gram(size: int, packets: list, frames: list) -> list[list[complex]]:
+def _gram(dictionary: _Dictionary) -> list[list[complex]]:
     """G as a list of rows indexed by entry number, each unordered pair
     filled once and mirrored by conjugation: the closed form for packet
     pairs, delta on each frame, and per-axis tables, one set per pair of
     (packet or frame, frame), for the rest."""
+    size = len(dictionary.index)
     gram = [[0j] * size for _ in range(size)]
+    packets = [(p, _packet(t), t) for p, t in dictionary.packets]
+    frames = [  # s, origin, top mode per axis, (entry, multi-index)
+        (first.gaussian_std, first.origin.tolist(), [max(m) for m in zip(*(idx for _, idx in modes))], modes)
+        for first, modes in dictionary.frames.values()
+    ]
     for i, (p, u, _) in enumerate(packets):
         g_row = gram[p]
         for q, v, _ in packets[i:]:
@@ -340,12 +313,15 @@ class OverlapMatrix:
     tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.
     The eigenvalues of that last check are kept, descending, in
     ``eigenvalues``: the two-level closed form for n = 2, the Jacobi
-    eigensolver for n >= 3.
+    eigensolver for n >= 3, whose eigenvectors are kept in
+    ``eigenvectors`` (None for n <= 2).
     """
 
     matrix: np.ndarray
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
+    eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
 
+    @np.errstate(over="ignore", invalid="ignore")  # the gates refuse what overflows
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         n = m.shape[0]
@@ -365,18 +341,21 @@ class OverlapMatrix:
             for j in range(i + 1, n):
                 if not abs(m[i, j]) ** 2 <= diag[i] * diag[j] + 1e-12:
                     raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
+        vectors = None
         if n == 1:
             values = diag.copy()
         elif n == 2:
             values = two_level_eigenvalues(m)
         else:
-            values = hermitian_eigenvalues(m)
+            values, vectors = hermitian_eigensystem(m)
+            vectors.setflags(write=False)
         if not values[-1] >= -1e-10:
             raise DomainError("overlap matrix is not positive semidefinite")
         m.setflags(write=False)
         values.setflags(write=False)
         object.__setattr__(self, "matrix", m)
         object.__setattr__(self, "eigenvalues", values)
+        object.__setattr__(self, "eigenvectors", vectors)
 
     @property
     def n(self) -> int:

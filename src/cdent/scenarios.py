@@ -122,7 +122,8 @@ def _pipeline_row(
     c1: complex,
 ) -> SweepRow:
     h = overlap_matrix(state)
-    lam = spectrum(h).eigenvalues
+    s = spectrum(h)
+    lam = s.eigenvalues
     c0c1 = c0 * np.conj(c1)
     if abs(c0c1) > 1e-15:
         abs_x = float(abs(h.matrix[0, 1] / c0c1))
@@ -136,8 +137,8 @@ def _pipeline_row(
         abs_x=abs_x,
         lambda_plus=float(lam[0]),
         lambda_minus=float(lam[1]),
-        entropy_bits=von_neumann_entropy(lam),
-        purity=_purity(lam),
+        entropy_bits=von_neumann_entropy(s),
+        purity=_purity(s),
     )
 
 

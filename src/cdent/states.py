@@ -10,6 +10,11 @@ families with exact overlap integrals:
 * ``ComponentSum`` -- a formal linear combination of the above (produced
   internally, e.g. by Schmidt modes of mixed-representation states).
 
+One builder, ``_Dictionary``, writes linear combinations of components as
+amplitudes over packets and Hermite modes, and alone decides which terms
+are one entry: ``overlaps`` reads its rows as C in h = C G C^dagger, and
+``combine_components`` holds each packet or mode once, whatever the mix.
+
 Width convention: a packet of ``width`` sigma centered at k has amplitude
 proportional to exp(-2(p-k)^2 / sigma^2), so two equal-width packets whose
 centers are separated by q overlap by exp(-q^2/sigma^2).  Equivalently the
@@ -238,9 +243,6 @@ class HermiteExpansion:
     def gaussian_std(self) -> float:
         return 0.5 * self.scale
 
-    def same_frame(self, other: "HermiteExpansion") -> bool:
-        return self.scale == other.scale and np.array_equal(self.origin, other.origin)
-
     def scaled(self, factor: complex) -> "HermiteExpansion":
         return HermiteExpansion(
             self.scale, self.origin, {k: v * factor for k, v in self.coefficients.items()}
@@ -307,30 +309,58 @@ class ComponentSum:
 WaveComponent = Union[GaussianSum, HermiteExpansion, ComponentSum]
 
 
+class _Dictionary:
+    """The packets and Hermite modes a set of components is written over,
+    numbered in order of first appearance.  Terms with one ``_packet_key``
+    are one packet; modes are one when their multi-index and frame are, and
+    frames are one when scale and origin bits are (origins -0.0 and 0.0 too)."""
+
+    def __init__(self):
+        self.index: dict[tuple, int] = {}  # packet key or (frame key, multi-index) -> entry
+        self.packets: list[tuple[int, GaussianTerm]] = []  # (entry, first term)
+        # frame key -> (first expansion on the frame, [(entry, multi-index)])
+        self.frames: dict[tuple, tuple[HermiteExpansion, list]] = {}
+
+    def row(self, weighted) -> dict[int, complex]:
+        """{entry: amplitude} of the sum of w * component over (w, component)
+        pairs, w None taking the amplitudes as they are, a ComponentSum's
+        parts entering through their weights; amplitudes sum in term order."""
+        row: dict[int, complex] = {}
+        for w, comp in weighted:
+            for w2, part in comp.parts if isinstance(comp, ComponentSum) else ((None, comp),):
+                weight = w if w2 is None else w2 if w is None else w * w2
+                if isinstance(part, GaussianSum):
+                    entries = ((_packet_key(t), t.amplitude, t) for t in part.terms)
+                    found = self.packets
+                else:
+                    frame = (part.scale, (part.origin + 0.0).tobytes())  # + 0.0: -0.0 is 0.0
+                    entries = (((frame, idx), c, idx) for idx, c in part.coefficients.items())
+                    found = self.frames.setdefault(frame, (part, []))[1]
+                for key, amp, item in entries:
+                    p = self.index.get(key)
+                    if p is None:
+                        p = self.index[key] = len(self.index)
+                        found.append((p, item))
+                    amp = amp if weight is None else amp * weight
+                    row[p] = amp if (prev := row.get(p)) is None else prev + amp
+        return row
+
+
 def combine_components(weights, components) -> WaveComponent:
-    """Linear combination of components, merged into a single representation
-    when the families allow it (all Gaussian sums, or Hermite expansions on
-    one frame); otherwise a ComponentSum.  A merged representation holds
-    each packet or multi-index once, its amplitudes summed in term order."""
+    """Linear combination of components over one ``_Dictionary`` row, so each
+    packet or mode is held once: one GaussianSum of the packets and one
+    HermiteExpansion per frame, or, if there are several, their ComponentSum."""
     pairs = [(complex(w), c) for w, c in zip(weights, components) if w != 0.0]
     if not pairs:
         pairs = [(complex(weights[0]), components[0])]
-    if all(isinstance(c, GaussianSum) for _, c in pairs):
-        terms: dict[tuple, GaussianTerm] = {}
-        for w, c in pairs:
-            for t in c.terms:
-                first = terms.get(key := _packet_key(t))
-                terms[key] = t.scaled(w) if first is None else first._with_amplitude(first.amplitude + t.amplitude * w)
-        return GaussianSum(tuple(terms.values()))
-    if all(isinstance(c, HermiteExpansion) for _, c in pairs) and all(
-        pairs[0][1].same_frame(c) for _, c in pairs[1:]
-    ):
-        merged: dict[tuple[int, ...], complex] = {}
-        for w, c in pairs:
-            for idx, val in c.coefficients.items():
-                merged[idx] = merged.get(idx, 0.0) + w * val
-        return HermiteExpansion(pairs[0][1].scale, pairs[0][1].origin, merged)
-    return ComponentSum(tuple(pairs))
+    dictionary = _Dictionary()
+    row = dictionary.row(pairs)
+    parts: list[WaveComponent] = []
+    if dictionary.packets:
+        parts.append(GaussianSum(tuple(t._with_amplitude(row[p]) for p, t in dictionary.packets)))
+    for first, modes in dictionary.frames.values():
+        parts.append(HermiteExpansion(first.scale, first.origin, {idx: row[p] for p, idx in modes}))
+    return parts[0] if len(parts) == 1 else ComponentSum(tuple((1.0, part) for part in parts))
 
 
 @dataclass(frozen=True)
@@ -383,16 +413,16 @@ def normalize(state: HybridState) -> HybridState:
     return HybridState(tuple(c.scaled(factor) for c in state.components))
 
 
-def require_unit_norm(value: float, tol: float = NORM_PRECONDITION) -> None:
-    """Raise PreconditionError unless a state norm lies within tol of 1
-    (NaN fails too)."""
+def require_unit_norm(value: float) -> None:
+    """Raise PreconditionError unless a state norm lies within
+    NORM_PRECONDITION of 1 (NaN fails too)."""
     dev = abs(value - 1.0)
-    if not dev <= tol:
-        raise PreconditionError(f"state is not normalized: |norm-1| = {dev:.3e} > {tol:g}")
+    if not dev <= NORM_PRECONDITION:
+        raise PreconditionError(f"state is not normalized: |norm-1| = {dev:.3e} > {NORM_PRECONDITION:g}")
 
 
-def check_normalized(state: HybridState, tol: float = NORM_PRECONDITION) -> None:
-    require_unit_norm(norm(state), tol)
+def check_normalized(state: HybridState) -> None:
+    require_unit_norm(norm(state))
 
 
 def evaluate(state: HybridState, chi: int, p) -> complex:

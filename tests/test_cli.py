@@ -264,6 +264,22 @@ class TestGalileanCheck:
         assert (code, out) == (3, "")
         assert "packet overlap phase is not finite" in err
 
+    def test_overflowing_frame_change_phase_is_numerical_error(self, tmp_path, capsys):
+        # the scalar phase holds quad_phase * m^2 |v|^2, which overflows at
+        # mass 1e160: the frame change is named, not the state's amplitude,
+        # and no numpy warning reaches the process's stderr
+        state = normalize(HybridState((
+            GaussianSum((GaussianTerm(1.0, [0.0, 0.0, 0.0], 1.0, None, 0.1),)),
+            GaussianSum((GaussianTerm(1.0, [0.0, 0.0, 1.0], 1.0, None, 0.2),)),
+        )))
+        save_state(state, str(tmp_path / "chirped.json"))
+        code, out, err = run_cli(["galilean-check", str(tmp_path / "chirped.json"),
+                                  "--samples=20", "--seed=1", "--mass=1e160"])
+        assert (code, out) == (3, "")
+        assert err.startswith("numerical error: the phase of the frame change with time_shift ")
+        assert err.endswith(" is not finite at mass 1e+160\n")
+        assert capsys.readouterr() == ("", "")
+
 
 class TestKernel:
     def test_grid_and_values(self, beam_file):

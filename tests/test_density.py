@@ -4,7 +4,7 @@ and the shared-spectrum trace identity."""
 import numpy as np
 import pytest
 
-from cdent import density, linalg
+from cdent import density, linalg, overlaps
 from cdent.density import (
     RANK_TOL,
     Spectrum,
@@ -16,7 +16,7 @@ from cdent.density import (
     trace_function_check,
 )
 from cdent.errors import DomainError, StructureError, UnsupportedError
-from cdent.linalg import hermitian_eigenvalues
+from cdent.linalg import hermitian_eigensystem
 from cdent.overlaps import OverlapMatrix, component_overlap, overlap_matrix
 from cdent.states import GaussianSum, GaussianTerm, HybridState, combine_components
 from conftest import EQUAL, random_gaussian_state, random_state
@@ -71,7 +71,7 @@ class TestSpectrum:
         assert s.eigenvalues[0] == pytest.approx(LAM_PLUS, abs=1e-12)
         assert s.eigenvalues[1] == pytest.approx(LAM_MINUS, abs=1e-12)
         # independent route: general eigensolver
-        assert np.max(np.abs(s.eigenvalues - hermitian_eigenvalues(h))) < 1e-12
+        assert np.max(np.abs(s.eigenvalues - hermitian_eigensystem(h)[0])) < 1e-12
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(DomainError):
@@ -92,7 +92,7 @@ class TestSpectrum:
             lam = spectrum(OverlapMatrix(h)).eigenvalues
             naive = 0.5 + np.sqrt(max(0.25 - (w * (1 - w) - mag * mag), 0.0)) * np.array([1.0, -1.0])
             assert np.max(np.abs(lam - naive)) < 1e-12
-            assert np.max(np.abs(lam - hermitian_eigenvalues(h))) < 1e-12
+            assert np.max(np.abs(lam - hermitian_eigensystem(h)[0])) < 1e-12
             assert np.max(np.abs(lam - np.linalg.eigvalsh(h)[::-1])) < 1e-12
 
     def test_determinant_quantity_bounded_on_random_states(self, rng):
@@ -269,9 +269,9 @@ class TestTraceFunction:
                 lhs, rhs = trace_function_check(state, poly)
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
-    def test_builds_h_once_and_solves_twice(self, rng, monkeypatch):
-        # n = 3: one Jacobi solve in the OverlapMatrix PSD check, one for the
-        # Schmidt eigensystem on the same matrix
+    def test_builds_h_once_and_solves_once(self, rng, monkeypatch):
+        # n = 3: the one Jacobi solve of the OverlapMatrix PSD check also
+        # gives the Schmidt eigensystem
         calls = {"overlap_matrix": 0, "eigensystem": 0}
 
         def counting(name, func):
@@ -284,7 +284,8 @@ class TestTraceFunction:
         solve = counting("eigensystem", linalg.hermitian_eigensystem)
         monkeypatch.setattr(linalg, "hermitian_eigensystem", solve)
         monkeypatch.setattr(density, "hermitian_eigensystem", solve)
+        monkeypatch.setattr(overlaps, "hermitian_eigensystem", solve)
         state = random_gaussian_state(rng, n=3, d=2)
         lhs, rhs = trace_function_check(state, [0.0, 0.0, 1.0])
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        assert calls == {"overlap_matrix": 1, "eigensystem": 2}
+        assert calls == {"overlap_matrix": 1, "eigensystem": 1}

@@ -239,6 +239,14 @@ class TestApplyGalilean:
         with pytest.raises(DomainError, match="quaternion norm deviates"):
             GalileanElement(rotation=[1e200, 0.0, 0.0, 0.0])
 
+    def test_overflowing_center_is_refused_without_a_warning(self):
+        # a pure boost leaves the phase of a phase-free packet at 0, while
+        # m v overflows; the suite turns a numpy warning into a failure
+        state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+        boost = GalileanElement(boost_velocity=[5.0, 0.0, 0.0])
+        with pytest.raises(DomainError, match="center must be finite"):
+            apply_galilean(state, boost, PhysicalParams(1e308))
+
 
 class TestInvarianceReport:
     def test_separable_state(self):

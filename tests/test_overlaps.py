@@ -9,7 +9,7 @@ from cdent import overlaps
 from cdent.density import schmidt_decomposition
 from cdent.errors import DomainError, PreconditionError, StructureError, UnsupportedError
 from cdent.galilean import GalileanElement, apply_galilean, su2_from_rotation
-from cdent.linalg import hermitian_eigenvalues
+from cdent.linalg import hermitian_eigensystem
 from cdent.overlaps import (
     OverlapMatrix,
     component_overlap,
@@ -203,7 +203,7 @@ class TestOverlapMatrix:
         h = overlap_matrix(state).matrix
         cn = c / np.linalg.norm(c)
         assert np.max(np.abs(h - np.outer(cn, np.conj(cn)))) < 1e-10
-        eigs = hermitian_eigenvalues(h)
+        eigs = hermitian_eigensystem(h)[0]
         assert eigs[1] < 1e-10
 
     def test_orthogonal_equal_weight_is_maximally_mixed(self):
@@ -241,7 +241,20 @@ class TestOverlapMatrix:
                 for j in range(i + 1, n):
                     assert abs(h[i, j]) ** 2 <= diag[i] * diag[j] + 1e-12
                     assert abs(h[i, j]) <= 0.5 + 1e-12
-            assert hermitian_eigenvalues(h)[-1] > -1e-10
+            assert hermitian_eigensystem(h)[0][-1] > -1e-10
+
+    def test_keeps_the_eigensystem_of_its_psd_check(self, rng):
+        # n >= 3: the Jacobi solve's eigenvectors, bit for bit; n <= 2 uses
+        # closed forms and keeps none
+        for n in (1, 2, 3, 5):
+            rho = overlap_matrix(random_state(rng, n=n))
+            if n <= 2:
+                assert rho.eigenvectors is None
+                continue
+            values, vectors = hermitian_eigensystem(rho.matrix)
+            assert rho.eigenvalues.tobytes() == values.tobytes()
+            assert rho.eigenvectors.tobytes() == vectors.tobytes()
+            assert not rho.eigenvectors.flags.writeable
 
     def test_validation_rejects_bad_matrices(self):
         with pytest.raises(DomainError):

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cdent.density import spectrum
+from cdent.density import Spectrum, spectrum
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError
 from cdent.galilean import quaternion_from_axis_angle, rotation_matrix
 from cdent.measures import gaussian_pair_eigenvalues, von_neumann_entropy
@@ -161,6 +161,17 @@ class TestSweepWidthRatio:
 
 
 class TestSweepRowInvariants:
+    def test_one_spectrum_per_row(self, monkeypatch):
+        # entropy and purity read the row's Spectrum instead of wrapping its
+        # eigenvalues in new ones
+        built = []
+        post_init = Spectrum.__post_init__
+        monkeypatch.setattr(Spectrum, "__post_init__", lambda self: built.append(1) or post_init(self))
+        rows = sweep_q(0.6, 0.8j, 1.0, np.linspace(0.0, 3.0, 7))
+        rows += sweep_width_ratio(EQUAL, EQUAL, 1.0, [0.5, 1.0, 2.0])
+        assert len(built) == len(rows) == 10
+
+
     def test_eigenvalues_sum_to_one_and_ordered(self, rng):
         c0, c1 = random_weights(rng)
         for row in sweep_q(c0, c1, 1.0, [0.0, 0.7, 2.4]):

@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError, StructureError
+from cdent.overlaps import component_overlap
 from cdent.states import (
     HERMITE_INDEX_MAX,
     WIDTH_MAX,
@@ -332,3 +333,39 @@ class TestConstruction:
         b = HermiteExpansion(1.0, [0.0], {(1,): 1.0})
         merged = combine_components([0.6, 0.8], [a, b])
         assert isinstance(merged, ComponentSum)
+
+    def test_combine_components_holds_each_packet_and_mode_once_in_a_mix(self):
+        # one merged part per family and frame, in unit weights; origins
+        # -0.0 and 0.0 are one frame, another scale is another frame
+        g1 = GaussianSum((GaussianTerm(0.5, [1.0], 1.0), GaussianTerm(0.25j, [2.0], 1.0)))
+        g2 = GaussianSum((GaussianTerm(-1.0, [2.0], 1.0),))
+        e1 = HermiteExpansion(1.5, [0.0], {(0,): 1.0, (2,): 0.5})
+        e2 = HermiteExpansion(1.5, [-0.0], {(2,): 2.0})
+        e3 = HermiteExpansion(0.7, [0.0], {(1,): 1.0})
+        w = [0.5, 2.0, 1j, -1.0, 0.25]
+        comps = [g1, e1, g2, e2, e3]
+        merged = combine_components(w, comps)
+        assert isinstance(merged, ComponentSum)
+        assert [weight for weight, _ in merged.parts] == [1.0, 1.0, 1.0]
+        gauss, frame, other = (part for _, part in merged.parts)
+        assert [t.center[0] for t in gauss.terms] == [1.0, 2.0]
+        assert [t.amplitude for t in gauss.terms] == [0.5 * 0.5, 0.25j * 0.5 + -1.0 * 1j]
+        assert (frame.scale, frame.origin.tobytes()) == (1.5, e1.origin.tobytes())
+        assert frame.coefficients == {(0,): 2.0, (2,): 0.5 * 2.0 + 2.0 * -1.0}
+        assert other.coefficients == {(1,): 0.25}
+        # the same function: bilinear overlaps against the unmerged sum
+        probe = ComponentSum(((1.0, GaussianSum((GaussianTerm(1.0, [1.5], 1.2, [0.3], 0.1),))), (1.0, e3)))
+        unmerged = ComponentSum(tuple(zip(w, comps)))
+        for other_side in (probe, merged):
+            assert component_overlap(merged, other_side) == pytest.approx(
+                component_overlap(unmerged, other_side), abs=1e-13
+            )
+
+    def test_combine_components_merges_component_sum_parts(self):
+        a = packet(1.0, 0.0, 1.0)
+        e = HermiteExpansion(1.0, [0.0], {(1,): 1.0})
+        mixed = combine_components([0.6, 0.8], [a, e])
+        again = combine_components([1.0, 1.0], [mixed, mixed])
+        assert [(w, type(c)) for w, c in again.parts] == [(1.0, GaussianSum), (1.0, HermiteExpansion)]
+        assert again.parts[0][1].terms[0].amplitude == 1.2
+        assert again.parts[1][1].coefficients == {(1,): 1.6}
