@@ -11,8 +11,6 @@ from .density import (
     RANK_TOL,
     SchmidtData,
     Spectrum,
-    kernel_eval,
-    reduced_spin_density,
     schmidt_decomposition,
     spectrum,
     trace_function_check,
@@ -44,7 +42,6 @@ from .measures import (
     MAXIMAL,
     SEPARABLE,
     EntanglementReport,
-    classify,
     entanglement_report,
     gaussian_pair_eigenvalues,
     purity,
@@ -54,10 +51,8 @@ from .measures import (
 from .overlaps import (
     OverlapMatrix,
     component_norm_sq,
-    component_overlap,
     gaussian_term_overlap,
     overlap_matrix,
-    state_inner,
 )
 from .scenarios import SweepRow, beam_pair, shape_pair, sweep_q, sweep_width_ratio
 from .states import (

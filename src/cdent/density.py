@@ -62,12 +62,6 @@ class SchmidtData:
     continuous_modes: tuple[WaveComponent, ...]
 
 
-def reduced_spin_density(state: HybridState) -> OverlapMatrix:
-    """Reduced density matrix of the discrete factor.  For pure states this
-    is the overlap matrix itself."""
-    return overlap_matrix(state)
-
-
 def spectrum(rho) -> Spectrum:
     """Eigenvalues of a reduced density matrix, descending.
 
@@ -102,15 +96,6 @@ def kernel_matrix(state: HybridState, points) -> np.ndarray:
         out.real += np.multiply.outer(a, a) - np.multiply.outer(b, d)
         out.imag += np.multiply.outer(a, d) + np.multiply.outer(b, a)
     return out
-
-
-def kernel_eval(state: HybridState, p, p2) -> complex:
-    """Kernel f(p, p') at one pair of momenta; see ``kernel_matrix``."""
-    pa = np.array(p, dtype=float).reshape(-1)
-    pb = np.array(p2, dtype=float).reshape(-1)
-    if pa.shape[0] != state.d or pb.shape[0] != state.d:
-        raise StructureError(f"momentum vectors must have length {state.d}")
-    return complex(kernel_matrix(state, np.stack([pa, pb]))[0, 1])
 
 
 def schmidt_decomposition(state: HybridState) -> SchmidtData:
@@ -160,7 +145,7 @@ def trace_function_check(state: HybridState, poly) -> tuple[float, float]:
         raise UnsupportedError(
             "constant term is not supported: its trace diverges on the continuous side"
         )
-    rho = reduced_spin_density(state)
+    rho = overlap_matrix(state)
     lam_s = spectrum(rho).eigenvalues
     lhs = float(np.sum(_poly_eval(coeffs, lam_s)))
     sd = _schmidt_from(state, rho)

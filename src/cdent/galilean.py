@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,6 +105,11 @@ class GalileanElement:
             "boost_velocity": list(self.boost_velocity),
             "rotation": list(self.rotation),
         }
+
+    @cached_property
+    def _su2(self) -> np.ndarray:
+        """D(R), built once per element for the action and the checks."""
+        return su2_from_rotation(self.rotation).matrix
 
 
 IDENTITY_ELEMENT = GalileanElement()
@@ -198,7 +204,7 @@ def apply_galilean(
 
     m = params.mass
     rot = rotation_matrix(g.rotation)
-    dmat = su2_from_rotation(g.rotation).matrix
+    dmat = g._su2
     a, v, b = g.translation, g.boost_velocity, g.time_shift
     rot_a = rot @ a
 
@@ -280,7 +286,7 @@ def invariance_report(
         rho2 = overlap_matrix(moved)
         lam2 = spectrum(rho2).eigenvalues
         dev_s = float(np.max(np.abs(lam2 - lam)))
-        dmat = su2_from_rotation(g.rotation).matrix
+        dmat = g._su2
         dev_c = float(np.max(np.abs(rho2.matrix - dmat @ rho.matrix @ dmat.conj().T)))
         if dev_s > worst_spec[0]:
             worst_spec = (dev_s, g)

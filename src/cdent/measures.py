@@ -65,16 +65,9 @@ def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[flo
     return 0.5 + root, 0.5 - root
 
 
-def classify(rho: OverlapMatrix, tol: float = CLASSIFY_TOL) -> str:
-    """Label a reduced density matrix: 'separable' when rank one within
-    tol, 'maximal' when within tol of the maximally mixed matrix, else
-    'entangled'.  The spectrum is the ground truth; this is a convenience
-    label."""
-    lam = spectrum(rho).eigenvalues
-    return _classify_spectrum(lam, tol)
-
-
 def _classify_spectrum(lam: np.ndarray, tol: float) -> str:
+    """'separable' when rank one within tol, 'maximal' when within tol of
+    the maximally mixed spectrum, else 'entangled'."""
     n = lam.shape[0]
     if lam[0] > 1.0 - tol:
         return SEPARABLE

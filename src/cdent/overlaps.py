@@ -172,6 +172,8 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     is filled up front (``_gram``).  h is filled on its upper triangle and
     mirrored by conjugation, so it is Hermitian by construction.
     """
+    if len({comp.dimension for comp in components}) > 1:
+        raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in components]
     gram = _gram(dictionary)
@@ -278,26 +280,9 @@ def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
     return (scale * ((poly1 * weights) @ poly2.T)).tolist()
 
 
-def component_overlap(a: WaveComponent, b: WaveComponent) -> complex:
-    """integral a(p) conj(b(p)) d^d p, exactly, over the dictionary of the
-    pair."""
-    if a.dimension != b.dimension:
-        raise StructureError("components disagree on dimension")
-    return complex(dictionary_overlap_matrix((a, b))[0, 1])
-
-
 def component_norm_sq(comp: WaveComponent) -> float:
     """Exact squared L2 norm of one component."""
     return float(dictionary_overlap_matrix((comp,))[0, 0].real)
-
-
-def state_inner(a: HybridState, b: HybridState) -> complex:
-    """sum_chi integral a_chi(p) conj(b_chi(p)) d^d p."""
-    if a.n != b.n or a.d != b.d:
-        raise StructureError("states disagree on (n, d)")
-    return complex(
-        sum(component_overlap(ca, cb) for ca, cb in zip(a.components, b.components))
-    )
 
 
 @dataclass(frozen=True)

@@ -421,10 +421,6 @@ def require_unit_norm(value: float) -> None:
         raise PreconditionError(f"state is not normalized: |norm-1| = {dev:.3e} > {NORM_PRECONDITION:g}")
 
 
-def check_normalized(state: HybridState) -> None:
-    require_unit_norm(norm(state))
-
-
 def evaluate(state: HybridState, chi: int, p) -> complex:
     """Pointwise value phi_chi(p)."""
     chi = int(chi)
@@ -441,9 +437,7 @@ def spin_expectation(state: HybridState) -> float:
     (n-1)/2 - chi, from the diagonal overlaps.  Requires a normalized state."""
     from . import overlaps
 
-    check_normalized(state)
+    weights = [overlaps.component_norm_sq(comp) for comp in state.components]
+    require_unit_norm(float(np.sqrt(sum(weights))))
     n = state.n
-    total = 0.0
-    for chi, comp in enumerate(state.components):
-        total += ((n - 1) / 2.0 - chi) * overlaps.component_norm_sq(comp)
-    return total
+    return sum(((n - 1) / 2.0 - chi) * w for chi, w in enumerate(weights))

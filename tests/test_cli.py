@@ -289,10 +289,10 @@ class TestKernel:
         assert lines[0] == "p,p_prime,re_f,im_f"
         assert len(lines) == 5  # 2x2 grid
         state = load_state(beam_file)
-        from cdent.density import kernel_eval
+        from cdent.density import kernel_matrix
 
         first = lines[1].split(",")
-        expected = kernel_eval(state, [0, 0, 0.0], [0, 0, 0.0])
+        expected = kernel_matrix(state, [[0, 0, 0.0], [0, 0, 0.0]])[0, 1]
         assert float(first[2]) == pytest.approx(expected.real, abs=1e-14)
         assert float(first[3]) == pytest.approx(expected.imag, abs=1e-14)
 
@@ -737,6 +737,21 @@ class TestParserReuse:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [serial] * 4
+
+
+def test_galilean_script_reports_invariance():
+    script = Path(__file__).resolve().parents[1] / "scripts" / "run_galilean_invariance.py"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(script.parents[1] / "src"),
+                                                                    os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run([sys.executable, str(script), "--samples", "2"], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    header, *rows = proc.stdout.splitlines()
+    assert header == "samples=2 seed=2024 mass=1.0"
+    assert len(rows) == 4
+    for row in rows:
+        words = row.split()
+        spec, conj = float(words[words.index("spectrum") + 2]), float(words[words.index("conjugation") + 2])
+        assert 0.0 <= spec <= 1e-12 and 0.0 <= conj <= 1e-12, row
 
 
 def test_beam_sweep_script_matches_cli(tmp_path):

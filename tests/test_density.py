@@ -8,16 +8,14 @@ from cdent import density, linalg, overlaps
 from cdent.density import (
     RANK_TOL,
     Spectrum,
-    kernel_eval,
     kernel_matrix,
-    reduced_spin_density,
     schmidt_decomposition,
     spectrum,
     trace_function_check,
 )
 from cdent.errors import DomainError, StructureError, UnsupportedError
 from cdent.linalg import hermitian_eigensystem
-from cdent.overlaps import OverlapMatrix, component_overlap, overlap_matrix
+from cdent.overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_matrix
 from cdent.states import GaussianSum, GaussianTerm, HybridState, combine_components
 from conftest import EQUAL, random_gaussian_state, random_state
 
@@ -41,18 +39,18 @@ class TestReducedSpinDensity:
     def test_separable_is_rank_one_projector(self):
         shared = GaussianSum((GaussianTerm(1.0, [0.0], 1.0),))
         state = HybridState((shared.scaled(0.6), shared.scaled(0.8j)))
-        rho = reduced_spin_density(state).matrix
+        rho = overlap_matrix(state).matrix
         expected = np.outer([0.6, 0.8j], np.conj([0.6, 0.8j]))
         assert np.max(np.abs(rho - expected)) < 1e-12
 
     def test_equal_weight_orthogonal_is_maximally_mixed(self):
         state = beam_state_with_x(0.0)
-        rho = reduced_spin_density(state).matrix
+        rho = overlap_matrix(state).matrix
         assert np.max(np.abs(rho - 0.5 * np.eye(2))) < 1e-12
 
     def test_polarized(self):
         state = HybridState((packet(1.0, 0.0, 1.0), packet(0.0, 0.0, 1.0)))
-        rho = reduced_spin_density(state).matrix
+        rho = overlap_matrix(state).matrix
         assert np.max(np.abs(rho - np.diag([1.0, 0.0]))) < 1e-14
 
 
@@ -125,37 +123,37 @@ class TestKernel:
     def test_diagonal_real_nonnegative(self, rng):
         state = random_state(rng, d=1)
         for p in (-0.7, 0.0, 1.3):
-            val = kernel_eval(state, [p], [p])
+            val = kernel_matrix(state, [[p], [p]])[0, 1]
             assert abs(val.imag) < 1e-14
             assert val.real >= -1e-14
 
     def test_hermitian_in_arguments(self, rng):
         state = random_state(rng, d=2)
         a, b = [0.3, -0.2], [-0.5, 0.9]
-        assert kernel_eval(state, a, b) == pytest.approx(np.conj(kernel_eval(state, b, a)), abs=0.0)
+        assert kernel_matrix(state, [a, b])[0, 1] == pytest.approx(np.conj(kernel_matrix(state, [b, a])[0, 1]), abs=0.0)
 
     def test_single_component_rank_one_peak(self):
         # width-2 packet has Gaussian std 1; f(0,0) is the squared peak pi^(-1/2)
         state = HybridState((packet(1.0, 0.0, 2.0),))
-        assert kernel_eval(state, [0.0], [0.0]) == pytest.approx(np.pi ** -0.5, abs=1e-12)
+        assert kernel_matrix(state, [[0.0], [0.0]])[0, 1] == pytest.approx(np.pi ** -0.5, abs=1e-12)
         # rank-1 factorization f(p,p') = phi(p) conj(phi(p'))
         from cdent.states import evaluate
 
         p, p2 = [0.4], [-1.1]
-        assert kernel_eval(state, p, p2) == pytest.approx(
+        assert kernel_matrix(state, [p, p2])[0, 1] == pytest.approx(
             evaluate(state, 0, p) * np.conj(evaluate(state, 0, p2)), abs=1e-14
         )
 
     def test_sampled_kernel_matrix_psd(self, rng):
         state = random_state(rng, d=1)
         pts = [[-1.5], [-0.4], [0.0], [0.8], [2.1]]
-        m = np.array([[kernel_eval(state, a, b) for b in pts] for a in pts])
+        m = np.array([[kernel_matrix(state, [a, b])[0, 1] for b in pts] for a in pts])
         assert np.min(np.linalg.eigvalsh(m)) > -1e-9
 
     def test_dimension_mismatch(self, rng):
         state = random_state(rng, d=2)
         with pytest.raises(StructureError):
-            kernel_eval(state, [0.0], [0.0, 0.0])
+            kernel_matrix(state, [[0.0], [0.0]])
 
     def test_matrix_entries_are_pair_values(self, rng):
         state = random_state(rng, d=2)
@@ -164,7 +162,7 @@ class TestKernel:
         assert f.shape == (6, 6)
         for i in range(6):
             for j in range(6):
-                assert f[i, j] == kernel_eval(state, pts[i], pts[j])
+                assert f[i, j] == kernel_matrix(state, pts[[i, j]])[0, 1]
         # exactly Hermitian, with an exactly real diagonal
         assert np.array_equal(f, f.conj().T)
         with pytest.raises(StructureError):
@@ -188,7 +186,7 @@ class TestSchmidt:
         # continuous modes coincide with the original packets up to phase
         mode_overlaps = np.array(
             [
-                [abs(component_overlap(m, c.scaled(np.sqrt(2.0)))) for c in state.components]
+                [abs(dictionary_overlap_matrix((m, c.scaled(np.sqrt(2.0))))[0, 1]) for c in state.components]
                 for m in sd.continuous_modes
             ]
         )
@@ -209,7 +207,8 @@ class TestSchmidt:
             k = len(sd.continuous_modes)
             gram = np.array(
                 [
-                    [component_overlap(sd.continuous_modes[i], sd.continuous_modes[j]) for j in range(k)]
+                    [dictionary_overlap_matrix((sd.continuous_modes[i], sd.continuous_modes[j]))[0, 1]
+                     for j in range(k)]
                     for i in range(k)
                 ]
             )

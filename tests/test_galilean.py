@@ -18,7 +18,7 @@ from cdent.galilean import (
     rotation_matrix,
     su2_from_rotation,
 )
-from cdent.overlaps import overlap_matrix, state_inner
+from cdent.overlaps import dictionary_overlap_matrix, overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair
 from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, spin_expectation
 from conftest import EQUAL, ZHAT, random_gaussian_component
@@ -167,10 +167,9 @@ class TestApplyGalilean:
         moved = apply_galilean(state, g, PhysicalParams(1.7))
         spec = QuadratureSpec(64)
         a, b = moved.components
-        from cdent.overlaps import component_overlap
-
-        assert component_overlap(a, b) == pytest.approx(quadrature_overlap(a, b, spec), abs=1e-8)
-        assert component_overlap(a, a) == pytest.approx(quadrature_overlap(a, a, spec), abs=1e-8)
+        h = dictionary_overlap_matrix((a, b))
+        assert h[0, 1] == pytest.approx(quadrature_overlap(a, b, spec), abs=1e-8)
+        assert h[0, 0] == pytest.approx(quadrature_overlap(a, a, spec), abs=1e-8)
 
     def test_composition_up_to_global_phase(self, rng):
         state = two_level_gaussian_state(rng)
@@ -178,7 +177,8 @@ class TestApplyGalilean:
         for g1, g2 in zip(random_elements(6, seed=3), random_elements(6, seed=4)):
             seq = apply_galilean(apply_galilean(state, g1, params), g2, params)
             direct = apply_galilean(state, compose(g2, g1), params)
-            assert abs(abs(state_inner(seq, direct)) - 1.0) < 1e-9
+            inner = sum(dictionary_overlap_matrix(pair)[0, 1] for pair in zip(seq.components, direct.components))
+            assert abs(abs(inner) - 1.0) < 1e-9
             hs = overlap_matrix(seq).matrix
             hd = overlap_matrix(direct).matrix
             assert np.max(np.abs(hs - hd)) < 1e-9
@@ -282,6 +282,17 @@ class TestInvarianceReport:
             )
             h1 = overlap_matrix(apply_galilean(state, g)).matrix
             assert np.max(np.abs(h1 - h0)) < 1e-10
+
+    def test_one_su2_matrix_per_sample(self, monkeypatch):
+        # the action and the conjugation check share each sample's D(R)
+        from cdent import galilean
+
+        calls = []
+        monkeypatch.setattr(galilean, "su2_from_rotation", lambda q: calls.append(1) or su2_from_rotation(q))
+        state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+        rep = invariance_report(state, samples=20, seed=1)
+        assert len(calls) == 20
+        assert rep.max_conjugation_deviation < 1e-9
 
     def test_deterministic_for_fixed_seed(self):
         state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)

@@ -13,7 +13,6 @@ from cdent.measures import (
     MAXIMAL,
     SEPARABLE,
     EntanglementReport,
-    classify,
     entanglement_report,
     gaussian_pair_eigenvalues,
     purity,
@@ -107,22 +106,30 @@ class TestGaussianPairEigenvalues:
         assert 0.0 - 1e-12 <= lm <= lp <= 1.0 + 1e-12
 
 
+def label(h) -> str:
+    return entanglement_report(OverlapMatrix(h)).classification
+
+
 class TestClassify:
     def test_rank_one(self):
-        assert classify(OverlapMatrix(np.diag([1.0, 0.0]))) == SEPARABLE
+        assert label(np.diag([1.0, 0.0])) == SEPARABLE
 
     def test_maximally_mixed(self):
         for n in (2, 3, 4):
-            assert classify(OverlapMatrix(np.eye(n) / n)) == MAXIMAL
+            assert label(np.eye(n) / n) == MAXIMAL
 
     def test_intermediate(self):
         h = np.array([[0.5, np.exp(-1) / 2], [np.exp(-1) / 2, 0.5]])
-        assert classify(OverlapMatrix(h), tol=1e-9) == ENTANGLED
+        assert label(h) == ENTANGLED
 
     def test_tolerance_is_adjustable(self):
+        # the report labels at CLASSIFY_TOL = 1e-9; the rule behind it
+        # takes its tolerance as an argument
         h = np.array([[0.5 + 1e-6, 0.0], [0.0, 0.5 - 1e-6]])
-        assert classify(OverlapMatrix(h), tol=1e-9) == ENTANGLED
-        assert classify(OverlapMatrix(h), tol=1e-4) == MAXIMAL
+        assert label(h) == ENTANGLED
+        lam = spectrum(OverlapMatrix(h)).eigenvalues
+        assert measures._classify_spectrum(lam, 1e-9) == ENTANGLED
+        assert measures._classify_spectrum(lam, 1e-4) == MAXIMAL
 
 
 class TestEndToEnd:

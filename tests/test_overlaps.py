@@ -12,11 +12,9 @@ from cdent.galilean import GalileanElement, apply_galilean, su2_from_rotation
 from cdent.linalg import hermitian_eigensystem
 from cdent.overlaps import (
     OverlapMatrix,
-    component_overlap,
     dictionary_overlap_matrix,
     gaussian_term_overlap,
     overlap_matrix,
-    state_inner,
 )
 from cdent.scenarios import beam_pair
 from cdent.states import (
@@ -111,12 +109,12 @@ class TestGaussianTermOverlap:
 class TestComponentOverlap:
     def test_normalized_self_overlap(self):
         comp = normalize(HybridState((GaussianSum((GaussianTerm(2.0, [0.1], 1.0),)),))).components[0]
-        assert component_overlap(comp, comp) == pytest.approx(1.0, abs=1e-12)
+        assert dictionary_overlap_matrix((comp, comp))[0, 1] == pytest.approx(1.0, abs=1e-12)
 
     def test_hermite_modes_orthogonal(self):
         h0 = HermiteExpansion(1.0, [0.0], {(0,): 1.0})
         h1 = HermiteExpansion(1.0, [0.0], {(1,): 1.0})
-        assert component_overlap(h0, h1) == pytest.approx(0.0, abs=1e-14)
+        assert dictionary_overlap_matrix((h0, h1))[0, 1] == pytest.approx(0.0, abs=1e-14)
 
     def test_gaussian_equals_mode_zero_hermite(self):
         # width-1 packet and the mode-0 Hermite function at scale 1 are the
@@ -124,15 +122,15 @@ class TestComponentOverlap:
         # per-axis Hermite tables
         g = GaussianSum((GaussianTerm(1.0, [0.0], 1.0),))
         h = HermiteExpansion(1.0, [0.0], {(0,): 1.0})
-        assert component_overlap(g, h) == pytest.approx(1.0, abs=1e-10)
+        assert dictionary_overlap_matrix((g, h))[0, 1] == pytest.approx(1.0, abs=1e-10)
 
     def test_conjugate_symmetry_closed_and_quadrature(self):
         g = GaussianSum((GaussianTerm(0.8 + 0.6j, [0.4], 1.2, [0.5], 0.2),))
         g2 = GaussianSum((GaussianTerm(0.3 - 0.2j, [-0.8], 0.9, [-1.0], -0.4),))
         h = HermiteExpansion(1.5, [-0.2], {(1,): 0.6, (3,): 0.8j})
         for a, b in ((g, g), (g, g2), (g, h)):
-            ab = component_overlap(a, b)
-            ba = component_overlap(b, a)
+            ab = dictionary_overlap_matrix((a, b))[0, 1]
+            ba = dictionary_overlap_matrix((b, a))[0, 1]
             assert ab == pytest.approx(np.conj(ba), abs=0.0)
         # the tilted-contour quadrature path satisfies the same symmetry
         ab = quadrature_overlap(g, g2, SPEC64)
@@ -142,13 +140,13 @@ class TestComponentOverlap:
     def test_same_frame_hermite_inner_product(self):
         a = HermiteExpansion(1.3, [0.1], {(0,): 0.6, (2,): 0.8})
         b = HermiteExpansion(1.3, [0.1], {(2,): 1.0})
-        assert component_overlap(a, b) == pytest.approx(0.8, abs=1e-14)
+        assert dictionary_overlap_matrix((a, b))[0, 1] == pytest.approx(0.8, abs=1e-14)
 
     def test_dimension_mismatch_rejected(self):
         a = GaussianSum((GaussianTerm(1.0, [0.0], 1.0),))
         b = HermiteExpansion(1.0, [0.0, 0.0], {(0, 0): 1.0})
-        with pytest.raises(StructureError):
-            component_overlap(a, b)
+        with pytest.raises(StructureError, match="components disagree on dimension"):
+            dictionary_overlap_matrix((a, b))
 
 
 class TestQuadratureOverlap:
@@ -289,8 +287,10 @@ class TestOverlapMatrix:
             OverlapMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
 
     def test_state_inner_matches_norm(self, rng):
+        # sum over chi of each component's overlap with itself
         state = random_state(rng, n=2, d=1)
-        assert state_inner(state, state).real == pytest.approx(1.0, abs=1e-10)
+        inner = sum(dictionary_overlap_matrix((c, c))[0, 1] for c in state.components)
+        assert inner.real == pytest.approx(1.0, abs=1e-10)
 
 
 def term_pair_reference(components) -> np.ndarray:
@@ -427,7 +427,7 @@ class TestHermiteRoute:
             g = random_gaussian_component(rng, d, max_terms=1 if d == 3 else 2)
             h1, h2 = random_hermite_component(rng, d), random_hermite_component(rng, d)
             a, b = ((g, h1), (h1, g), (h1, h2))[trial % 3]
-            worst = max(worst, abs(component_overlap(a, b) - quadrature_overlap(a, b, SPEC64)))
+            worst = max(worst, abs(dictionary_overlap_matrix((a, b))[0, 1] - quadrature_overlap(a, b, SPEC64)))
         # whole states with two frames next to multi-term packets and, on
         # the smaller ones, their Schmidt modes (ComponentSums over every
         # part), entry by entry; the oracle costs pieces^2 * 64^d points
@@ -476,15 +476,15 @@ class TestHermiteRoute:
             t = dyadic_packet(rng, d)
             h1, h2 = dyadic_hermite(rng, d), dyadic_hermite(rng, d)
             pairs = ((GaussianSum((t,)), h1), (h1, h2))
-            base = [abs(component_overlap(a, b)) for a, b in pairs]
+            base = [abs(dictionary_overlap_matrix((a, b))[0, 1]) for a, b in pairs]
             for size, tol in ((1e2, 1e-10), (1e4, 1e-10), (1e6, 1e-9)):
                 direction = rng.normal(size=d)
                 shift = np.round(size * direction / np.linalg.norm(direction))
                 moved_t = GaussianTerm(1.0, t.center + shift, t.width,
                                        t.linear_phase + 2.0 * t.quad_phase * shift, t.quad_phase)
                 moved = [HermiteExpansion(h.scale, h.origin + shift, h.coefficients) for h in (h1, h2)]
-                got = [abs(component_overlap(GaussianSum((moved_t,)), moved[0])),
-                       abs(component_overlap(moved[0], moved[1]))]
+                got = [abs(dictionary_overlap_matrix((GaussianSum((moved_t,)), moved[0]))[0, 1]),
+                       abs(dictionary_overlap_matrix((moved[0], moved[1]))[0, 1])]
                 assert max(abs(x - y) for x, y in zip(got, base)) < tol
 
 
@@ -515,11 +515,12 @@ class TestWidthRatios:
         chirped = GaussianSum((GaussianTerm(1.0, k2, s2, [0.2 / s2, -0.1 / s2], 0.3 / s2**2),))
         frame1 = HermiteExpansion(s1, k1, {(0, 0): 1.0})
         frame2 = HermiteExpansion(s2, k2, {(0, 0): 1.0})
-        packet = component_overlap(narrow, GaussianSum((GaussianTerm(1.0, k2, s2),)))
+        wide = GaussianSum((GaussianTerm(1.0, k2, s2),))
+        packet = dictionary_overlap_matrix((narrow, wide))[0, 1]
         assert abs(packet) > 1e-100
-        assert component_overlap(frame1, GaussianSum((GaussianTerm(1.0, k2, s2),))) == pytest.approx(packet, rel=1e-12)
-        assert component_overlap(frame1, frame2) == pytest.approx(packet, rel=1e-12)
-        assert component_overlap(narrow, frame2) == pytest.approx(packet, rel=1e-12)
-        phased = component_overlap(frame1, chirped)
+        assert dictionary_overlap_matrix((frame1, wide))[0, 1] == pytest.approx(packet, rel=1e-12)
+        assert dictionary_overlap_matrix((frame1, frame2))[0, 1] == pytest.approx(packet, rel=1e-12)
+        assert dictionary_overlap_matrix((narrow, frame2))[0, 1] == pytest.approx(packet, rel=1e-12)
+        phased = dictionary_overlap_matrix((frame1, chirped))[0, 1]
         assert abs(phased) > 1e-100
-        assert component_overlap(narrow, chirped) == pytest.approx(phased, rel=1e-12)
+        assert dictionary_overlap_matrix((narrow, chirped))[0, 1] == pytest.approx(phased, rel=1e-12)

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError, StructureError
-from cdent.overlaps import component_overlap
+from cdent.overlaps import dictionary_overlap_matrix
 from cdent.states import (
     HERMITE_INDEX_MAX,
     WIDTH_MAX,
@@ -186,6 +186,17 @@ class TestSpinExpectation:
         with pytest.raises(PreconditionError):
             spin_expectation(HybridState((packet(0.5, 0.0, 1.0),)))
 
+    def test_one_norm_per_component(self, monkeypatch):
+        # the norm gate reads the same n component norms as the expectation
+        from cdent import overlaps
+
+        calls = []
+        matrix = overlaps.dictionary_overlap_matrix
+        monkeypatch.setattr(overlaps, "dictionary_overlap_matrix", lambda comps: calls.append(1) or matrix(comps))
+        c = 1 / np.sqrt(2)
+        assert spin_expectation(HybridState((packet(c, -60.0, 1.0), packet(c, 60.0, 1.0)))) == 0.0
+        assert len(calls) == 2
+
     def test_within_spin_range(self, rng):
         for _ in range(15):
             state = random_state(rng)
@@ -357,8 +368,8 @@ class TestConstruction:
         probe = ComponentSum(((1.0, GaussianSum((GaussianTerm(1.0, [1.5], 1.2, [0.3], 0.1),))), (1.0, e3)))
         unmerged = ComponentSum(tuple(zip(w, comps)))
         for other_side in (probe, merged):
-            assert component_overlap(merged, other_side) == pytest.approx(
-                component_overlap(unmerged, other_side), abs=1e-13
+            assert dictionary_overlap_matrix((merged, other_side))[0, 1] == pytest.approx(
+                dictionary_overlap_matrix((unmerged, other_side))[0, 1], abs=1e-13
             )
 
     def test_combine_components_merges_component_sum_parts(self):
