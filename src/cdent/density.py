@@ -34,12 +34,12 @@ class Spectrum:
         vals = np.array(self.eigenvalues, dtype=float).reshape(-1)
         if vals.size == 0:
             raise DomainError("empty spectrum")
-        if not (np.min(vals) >= -1e-10 and np.max(vals) <= 1.0 + 1e-10):
+        listed = vals.tolist()  # scalar gates: cheaper than numpy reductions on a few values
+        if not all(-1e-10 <= x <= 1.0 + 1e-10 for x in listed):
             raise DomainError(f"eigenvalues outside [0,1]: {vals}")
-        if not abs(np.sum(vals) - 1.0) <= 1e-10:
-            raise DomainError(f"eigenvalues must sum to 1, got {float(np.sum(vals))!r}")
-        vals = np.clip(vals, 0.0, 1.0)
-        vals = np.sort(vals)[::-1].copy()
+        if not abs(sum(listed) - 1.0) <= 1e-10:
+            raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
+        vals = np.sort(vals.clip(0.0, 1.0))[::-1].copy()
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 

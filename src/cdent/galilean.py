@@ -9,11 +9,17 @@ i.e. a spin-1/2 unitary tensor a momentum-space unitary.  On wave
 functions the phased-Gaussian family is closed under this action: centers
 map to R k + m v, widths are untouched, the translation lands in the
 linear phase, the time shift adds b/(2m) to the quadratic phase, and the
-rotation mixes the two components through D(R), summing equal packets, so
-no component holds more terms than the state has distinct packets.  The
-scalar phase does not depend on the discrete index, so every overlap
-h_{chi,chi'} transforms by conjugation with D(R) alone, which is what makes
-the reduced spectrum frame-independent.
+rotation mixes the two components through D(R).  A state is keyed once into
+its P distinct packets and rows C over them (``states._Dictionary``); a
+frame change moves the P packets, sets C' = D C diag(e^{i phi}) with phi the
+scalar phase of each packet, and merges packets it made bit-equal, so no
+component holds more terms than the state has distinct packets.  The scalar
+phase does not depend on the discrete index, so every overlap h_{chi,chi'}
+transforms by conjugation with D(R) alone, which is what makes the reduced
+spectrum frame-independent.  ``invariance_report`` checks this per sample on
+the moved packets and C' without building a state: G of the moved packets is
+recomputed from the closed form, the check's independent leg, and
+h = C' G C'^dagger passes every gate of ``overlap_matrix``.
 
 Rotations are unit quaternions (w, x, y, z); the sign picks the SU(2)
 lift of the double cover.
@@ -21,6 +27,7 @@ lift of the double cover.
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -29,8 +36,8 @@ import numpy as np
 
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .overlaps import overlap_matrix
-from .states import GaussianSum, GaussianTerm, HybridState, combine_components
+from .overlaps import OverlapMatrix, _fill_packet_pairs, _normalized_overlap_matrix, _sandwich, overlap_matrix
+from .states import GaussianSum, GaussianTerm, HybridState, _Dictionary
 
 
 @dataclass(frozen=True)
@@ -51,12 +58,14 @@ class SpinRotation:
 
     matrix: np.ndarray
 
-    @np.errstate(over="ignore", invalid="ignore")  # non-finite entries fail the gates
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got {m.shape}")
-        if not np.max(np.abs(m @ m.conj().T - np.eye(2))) <= 1e-12:
+        (a, b), (c, d) = m.tolist()  # M M^dagger - I in Python scalars: an overflow is inf, not a warning
+        upper = (a * a.conjugate() + b * b.conjugate() - 1.0, a * c.conjugate() + b * d.conjugate(),
+                 c * c.conjugate() + d * d.conjugate() - 1.0)
+        if not all(math.hypot(x.real, x.imag) <= 1e-12 for x in upper):
             raise DomainError("matrix is not unitary within 1e-12")
         if not abs(np.linalg.det(m) - 1.0) <= 1e-12:
             raise DomainError("matrix determinant must be 1 (SU(2))")
@@ -73,7 +82,6 @@ class GalileanElement:
     boost_velocity: np.ndarray | None = None
     rotation: np.ndarray | None = None  # unit quaternion (w, x, y, z)
 
-    @np.errstate(over="ignore")  # an overflowing quaternion norm fails its gate
     def __post_init__(self):
         object.__setattr__(self, "time_shift", float(self.time_shift))
         if not math.isfinite(self.time_shift):
@@ -93,8 +101,9 @@ class GalileanElement:
             raise DomainError("rotation must be a quaternion (w, x, y, z)")
         if not all(map(math.isfinite, q.tolist())):
             raise DomainError(f"rotation must be finite, got {q.tolist()}")
-        if not abs(np.dot(q, q) - 1.0) <= 1e-12:
-            raise DomainError(f"quaternion norm deviates from 1 by {abs(np.dot(q,q)-1):.2e}")
+        deviation = abs(sum(x * x for x in q.tolist()) - 1.0)  # an overflow is inf, not a warning
+        if not deviation <= 1e-12:
+            raise DomainError(f"quaternion norm deviates from 1 by {deviation:.2e}")
         q.setflags(write=False)
         object.__setattr__(self, "rotation", q)
 
@@ -110,9 +119,6 @@ class GalileanElement:
     def _su2(self) -> np.ndarray:
         """D(R), built once per element for the action and the checks."""
         return su2_from_rotation(self.rotation).matrix
-
-
-IDENTITY_ELEMENT = GalileanElement()
 
 
 def quaternion_product(q2: np.ndarray, q1: np.ndarray) -> np.ndarray:
@@ -154,9 +160,9 @@ def su2_from_rotation(q) -> SpinRotation:
     """SU(2) matrix cos(theta/2) I - i sin(theta/2) (axis . sigma) of a
     unit quaternion; the quaternion sign carries the double cover."""
     q = np.array(q, dtype=float).reshape(-1)
-    if q.shape != (4,) or not abs(np.dot(q, q) - 1.0) <= 1e-12:
+    if q.shape != (4,) or not abs(sum(x * x for x in q.tolist()) - 1.0) <= 1e-12:
         raise DomainError("expected a unit quaternion (w, x, y, z)")
-    w, x, y, z = q
+    w, x, y, z = q.tolist()
     return SpinRotation(
         np.array(
             [
@@ -191,49 +197,68 @@ def apply_galilean(
     under the action); Hermite states are checked through the conjugation
     law instead of being transformed.
     """
+    moved, rows = _move(*_keyed(state), g, params.mass)
+    return HybridState(tuple(
+        GaussianSum(tuple(GaussianTerm(amplitude, *moved[q]) for q, amplitude in row.items()))
+        for row in rows
+    ))
+
+
+def _keyed(state: HybridState) -> tuple[list, list]:
+    """The distinct packets (center, width, linear_phase, quad_phase) of a
+    state the action moves, and its rows of C, keyed once by ``_Dictionary``."""
     if state.d != 3:
         raise UnsupportedError(f"the Galilean action needs d = 3, got d = {state.d}")
     if state.n != 2:
         raise UnsupportedError(f"the spin-1/2 action needs n = 2, got n = {state.n}")
     for comp in state.components:
         if not isinstance(comp, GaussianSum):
-            raise UnsupportedError(
-                "only GaussianSum components transform exactly; "
-                f"got {type(comp).__name__}"
-            )
+            raise UnsupportedError(f"only GaussianSum components transform exactly; got {type(comp).__name__}")
+    dictionary = _Dictionary()
+    rows = [dictionary.row(((None, comp),)) for comp in state.components]
+    packets = [(t.center.tolist(), t.width, t.linear_phase.tolist(), t.quad_phase) for _, t in dictionary.packets]
+    return packets, rows
 
-    m = params.mass
-    rot = rotation_matrix(g.rotation)
-    dmat = g._su2
-    a, v, b = g.translation, g.boost_velocity, g.time_shift
-    rot_a = rot @ a
 
-    def transform_term(t: GaussianTerm) -> GaussianTerm:
-        # scalar phase exp(i(m a.v/2 - a.p + b p^2/(2m))) pushed through the
-        # substitution p -> R^T(p - m v), collected per power of p
-        phase0 = (
-            0.5 * m * np.dot(a, v)
-            + m * np.dot(rot_a, v)
-            + 0.5 * b * m * np.dot(v, v)
-            + m * np.dot(rot @ t.linear_phase, v)
-            + t.quad_phase * m * m * np.dot(v, v)
-        )
-        if not math.isfinite(phase0):
+def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list, list]:
+    """g at mass m on ``_keyed`` packets and rows, in Python scalars (which
+    overflow to inf, not to a warning): each packet moved once, C' = D C
+    diag(e^{i phi}) in term order, dropping exactly-zero D weights, and moved
+    packets that became bit-equal under ``_packet_key``'s rules merged."""
+    rot = rotation_matrix(g.rotation.tolist()).tolist()
+    a, v, b = g.translation.tolist(), g.boost_velocity.tolist(), g.time_shift
+    # the scalar phase exp(i(m a.v/2 - a.p + b p^2/(2m))) pushed through the
+    # substitution p -> R^T(p - m v), collected per power of p
+    vv = _dot(v, v)
+    phase_base = 0.5 * m * _dot(a, v) + m * _dot([_dot(r, a) for r in rot], v) + 0.5 * b * m * vv
+    index, merged, factors = {}, [], []  # packet key -> (entry, moved packet); per input packet
+    for center, width, linear, quad in packets:
+        phase = phase_base + m * _dot([_dot(r, linear) for r in rot], v) + quad * m * m * vv
+        if not math.isfinite(phase):
             raise DomainError(
                 f"the phase of the frame change with time_shift {b!r}, translation "
-                f"{a.tolist()} and boost_velocity {v.tolist()} is not finite at mass {m!r}"
+                f"{a} and boost_velocity {v} is not finite at mass {m!r}"
             )
-        return GaussianTerm(
-            amplitude=t.amplitude * np.exp(1j * phase0),
-            center=rot @ t.center + m * v,
-            width=t.width,
-            linear_phase=rot @ (t.linear_phase + a) + (b + 2.0 * m * t.quad_phase) * v,
-            quad_phase=t.quad_phase + 0.5 * b / m,
-        )
+        center = [_dot(r, center) + m * y for r, y in zip(rot, v)]
+        shifted = [x + y for x, y in zip(linear, a)]
+        linear = [_dot(r, shifted) + (b + 2.0 * m * quad) * y for r, y in zip(rot, v)]
+        quad = quad + 0.5 * b / m
+        if not all(map(math.isfinite, center + linear + [quad])):
+            GaussianTerm(1.0, center, width, linear, quad)  # refuses the field in its own words
+        key = (width, quad, np.array(center + linear).tobytes())
+        merged.append(index.setdefault(key, (len(index), (center, width, linear, quad)))[0])
+        factors.append(cmath.exp(1j * phase))
+    out: list[dict[int, complex]] = [{}, {}]
+    for row, d_row in zip(out, g._su2.tolist()):
+        for weight, c_row in zip(d_row, rows):
+            for p, c in c_row.items() if weight != 0.0 else ():
+                q, amp = merged[p], c * factors[p] * weight
+                row[q] = amp if (prev := row.get(q)) is None else prev + amp
+    return [packet for _, packet in index.values()], out
 
-    with np.errstate(over="ignore", invalid="ignore"):  # the phase check and GaussianTerm refuse overflow
-        moved = [GaussianSum(tuple(map(transform_term, comp.terms))) for comp in state.components]
-    return HybridState(tuple(combine_components(dmat[row], moved) for row in range(2)))
+
+def _dot(x: list[float], y: list[float]) -> float:
+    return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
 def random_elements(samples: int, seed: int) -> list[GalileanElement]:
@@ -254,6 +279,15 @@ def random_elements(samples: int, seed: int) -> list[GalileanElement]:
         q /= np.linalg.norm(q)
         out.append(GalileanElement(b, vecs[0], vecs[1], q))
     return out
+
+
+def _moved_overlap_matrix(packets: list, rows: list, g: GalileanElement, m: float) -> OverlapMatrix:
+    """overlap_matrix of g at mass m on ``_keyed`` packets and rows, with no
+    state built and G of the moved packets recomputed from the closed form."""
+    moved, moved_rows = _move(packets, rows, g, m)
+    gram = [[0j] * len(moved) for _ in moved]
+    _fill_packet_pairs(gram, [(q, (2.0 / w**2, quad, k, a)) for q, (k, w, a, quad) in enumerate(moved)])
+    return _normalized_overlap_matrix(_sandwich(moved_rows, gram))
 
 
 @dataclass(frozen=True)
@@ -278,25 +312,19 @@ def invariance_report(
     spectrum deviation and the largest deviation of the transformed reduced
     matrix from D rho D^dagger."""
     rho = overlap_matrix(state)
-    lam = spectrum(rho).eigenvalues
-    worst_spec = (-1.0, IDENTITY_ELEMENT)
-    worst_conj = (-1.0, IDENTITY_ELEMENT)
-    for g in random_elements(samples, seed):
-        moved = apply_galilean(state, g, params)
-        rho2 = overlap_matrix(moved)
-        lam2 = spectrum(rho2).eigenvalues
-        dev_s = float(np.max(np.abs(lam2 - lam)))
-        dmat = g._su2
-        dev_c = float(np.max(np.abs(rho2.matrix - dmat @ rho.matrix @ dmat.conj().T)))
-        if dev_s > worst_spec[0]:
-            worst_spec = (dev_s, g)
-        if dev_c > worst_conj[0]:
-            worst_conj = (dev_c, g)
-    return InvarianceReport(
-        samples=samples,
-        seed=seed,
-        max_spectrum_deviation=worst_spec[0],
-        max_conjugation_deviation=worst_conj[0],
-        worst_spectrum_element=worst_spec[1].params_dict(),
-        worst_conjugation_element=worst_conj[1].params_dict(),
-    )
+    lam = spectrum(rho).eigenvalues.tolist()
+    h0 = rho.matrix.tolist()
+    elements = random_elements(samples, seed)
+    packets, rows = _keyed(state)
+    deviations = []  # (spectrum, conjugation, element) per sample
+    for g in elements:
+        rho2 = _moved_overlap_matrix(packets, rows, g, params.mass)
+        dev_s = max(abs(x - y) for x, y in zip(spectrum(rho2).eigenvalues.tolist(), lam))
+        dmat = g._su2.tolist()  # D rho D^dagger in Python scalars
+        d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]
+        dev_c = max(abs(x - (y0 * r0.conjugate() + y1 * r1.conjugate()))
+                    for h_row, (y0, y1) in zip(rho2.matrix.tolist(), d_h0) for x, (r0, r1) in zip(h_row, dmat))
+        deviations.append((dev_s, dev_c, g))
+    worst_s = max(deviations, key=lambda d: d[0])  # max keeps the first of equal maxima
+    worst_c = max(deviations, key=lambda d: d[1])
+    return InvarianceReport(samples, seed, worst_s[0], worst_c[1], worst_s[2].params_dict(), worst_c[2].params_dict())

@@ -24,7 +24,7 @@ conjugation:
 
 A state file may repeat a packet within and across components; G costs one
 evaluation per distinct pair, not one per term pair.  Frame changes and
-Schmidt modes hold each packet or mode once (the same builder).  This is the
+Schmidt modes hold each packet or mode once (the same keying).  This is the
 bookkeeping of expansions over a non-orthogonal basis with overlap matrix G
 (Szabo & Ostlund, Modern Quantum Chemistry, ch. 3).  The test suite
 certifies every route against tensor-product quadrature
@@ -169,19 +169,21 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     and Hermite modes (see the module docstring).
 
     Row i of C, kept sparse, is the ``_Dictionary`` row of component i; G
-    is filled up front (``_gram``).  h is filled on its upper triangle and
-    mirrored by conjugation, so it is Hermitian by construction.
+    is filled up front (``_gram``), and h on its upper triangle, mirrored by
+    conjugation (``_sandwich``), so it is Hermitian by construction.
     """
     if len({comp.dimension for comp in components}) > 1:
         raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in components]
-    gram = _gram(dictionary)
+    return _sandwich(rows, _gram(dictionary))
 
-    # scalar sums with the coefficient product formed first: swapping two
-    # single-packet components then conjugates their entry exactly, as the
-    # term-pair sum did (numpy's array complex multiply may fuse into FMA
-    # and leave c conj(c) with a rounding-size imaginary part)
+
+def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> np.ndarray:
+    """h = C G C^dagger for rows of C as {entry: coefficient}, the upper
+    triangle mirrored by conjugation.  The coefficient product comes first,
+    so swapping two single-packet components conjugates their entry exactly
+    (a numpy complex multiply may fuse into FMA and leave c conj(c) complex)."""
     n = len(rows)
     h = np.empty((n, n), dtype=complex)
     for i, row_i in enumerate(rows):
@@ -204,24 +206,15 @@ def _gram(dictionary: _Dictionary) -> list[list[complex]]:
     (packet or frame, frame), for the rest."""
     size = len(dictionary.index)
     gram = [[0j] * size for _ in range(size)]
-    packets = [(p, _packet(t), t) for p, t in dictionary.packets]
     frames = [  # s, origin, top mode per axis, (entry, multi-index)
         (first.gaussian_std, first.origin.tolist(), [max(m) for m in zip(*(idx for _, idx in modes))], modes)
         for first, modes in dictionary.frames.values()
     ]
-    for i, (p, u, _) in enumerate(packets):
-        g_row = gram[p]
-        for q, v, _ in packets[i:]:
-            try:
-                val = cmath.exp(_log_unit_overlap(u, v))
-            except ValueError:  # cmath refuses an infinite phase: |center| ~ 1e154 and unequal chirps
-                raise DomainError("packet overlap phase is not finite") from None
-            g_row[q] = val
-            gram[q][p] = val.conjugate()
+    _fill_packet_pairs(gram, [(p, _packet(t)) for p, t in dictionary.packets])
     for f, (s, origin, top, modes) in enumerate(frames):
         for p, _ in modes:
             gram[p][p] = 1.0 + 0.0j
-        for p, _, t in packets:
+        for p, t in dictionary.packets:
             tables = [
                 _axis_table(0.5 * t.width, k1, a1, t.quad_phase, 0, s, k2, m2)
                 for k1, a1, k2, m2 in zip(t.center.tolist(), t.linear_phase.tolist(), origin, top)
@@ -234,6 +227,20 @@ def _gram(dictionary: _Dictionary) -> list[list[complex]]:
             ]
             _fill_pairs(gram, tables, modes, modes2)
     return gram
+
+
+def _fill_packet_pairs(gram: list[list[complex]], packets: list) -> None:
+    """G[p, q] for packets given as (entry, ``_packet`` tuple), each unordered
+    pair once by the closed form, then mirrored by conjugation."""
+    for i, (p, u) in enumerate(packets):
+        g_row = gram[p]
+        for q, v in packets[i:]:
+            try:
+                val = cmath.exp(_log_unit_overlap(u, v))
+            except ValueError:  # cmath refuses an infinite phase: |center| ~ 1e154 and unequal chirps
+                raise DomainError("packet overlap phase is not finite") from None
+            g_row[q] = val
+            gram[q][p] = val.conjugate()
 
 
 def _fill_pairs(gram: list[list[complex]], tables: list, left: list, right: list) -> None:
@@ -306,26 +313,30 @@ class OverlapMatrix:
     eigenvalues: np.ndarray = field(init=False, repr=False, compare=False)
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
 
-    @np.errstate(over="ignore", invalid="ignore")  # the gates refuse what overflows
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
         n = m.shape[0]
         if m.ndim != 2 or m.shape != (n, n):
             raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        # a non-finite entry makes the deviation nan or inf
-        if not np.max(np.abs(m - m.conj().T)) <= 1e-10:
-            if not np.all(np.isfinite(m)):
+        # gates on Python scalars, which overflow to inf, not to a warning; a
+        # non-finite entry makes a deviation nan or inf
+        a = m.tolist()
+        pairs = {(i, j): (a[i][j], a[j][i].conjugate()) for i in range(n) for j in range(i, n)}
+        if not all(math.hypot((x - y).real, (x - y).imag) <= 1e-10 for x, y in pairs.values()):
+            if not all(map(cmath.isfinite, sum(a, []))):
                 raise DomainError("overlap matrix entries must be finite")
             raise DomainError("overlap matrix is not Hermitian within 1e-10")
-        m = 0.5 * (m + m.conj().T)
-        trace = float(np.trace(m).real)
+        diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
+        trace = sum(diag)
         if not abs(trace - 1.0) <= 1e-10:
             raise DomainError(f"trace must be 1, got {trace!r}")
+        for (i, j), (x, y) in pairs.items():
+            size = 0.5 * math.hypot((x + y).real, (x + y).imag)
+            if i < j and not size * size <= diag[i] * diag[j] + 1e-12:
+                raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
+        # the gates bound every entry by about 1: no overflow from here on
+        m = 0.5 * (m + m.conj().T)
         diag = m.diagonal().real
-        for i in range(n):
-            for j in range(i + 1, n):
-                if not abs(m[i, j]) ** 2 <= diag[i] * diag[j] + 1e-12:
-                    raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
         vectors = None
         if n == 1:
             values = diag.copy()
@@ -349,9 +360,11 @@ class OverlapMatrix:
 
 def overlap_matrix(state: HybridState) -> OverlapMatrix:
     """Assemble h_{chi,chi'} = integral phi_chi conj(phi_chi') for a
-    normalized state in one pass over its dictionary.  The norm
-    precondition is read from the trace, which is the squared norm of the
-    state."""
-    h = dictionary_overlap_matrix(state.components)
+    normalized state in one pass over its dictionary."""
+    return _normalized_overlap_matrix(dictionary_overlap_matrix(state.components))
+
+
+def _normalized_overlap_matrix(h: np.ndarray) -> OverlapMatrix:
+    """OverlapMatrix(h) once its trace, the squared norm, passes the norm gate."""
     require_unit_norm(float(np.sqrt(np.trace(h).real)))
     return OverlapMatrix(h)

@@ -393,14 +393,11 @@ class HybridState:
 
 
 def norm(state: HybridState) -> float:
-    """sqrt(sum_chi integral |phi_chi|^2), via the exact overlaps of
-    ``overlaps.component_norm_sq``."""
+    """sqrt(sum_chi integral |phi_chi|^2), the root of the real trace of
+    ``overlaps.dictionary_overlap_matrix``, summed in component order."""
     from . import overlaps  # deferred: overlaps imports the types above
 
-    total = 0.0
-    for comp in state.components:
-        total += overlaps.component_norm_sq(comp)
-    return float(np.sqrt(total))
+    return float(np.sqrt(sum(overlaps.dictionary_overlap_matrix(state.components).diagonal().real.tolist())))
 
 
 def normalize(state: HybridState) -> HybridState:

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 
 from cdent.cli import run
-from cdent.galilean import apply_galilean, random_elements
+from cdent import galilean
+from cdent.galilean import random_elements
 from cdent.scenarios import beam_pair
 from cdent.stateio import save_state
 from conftest import EQUAL, ZHAT
@@ -28,12 +29,14 @@ def test_traced_commands_and_metrics(tmp_path):
     beam = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
     save_state(beam, path)
     chain = str(tmp_path / "chain.json")
-    for g in random_elements(3, seed=5):
-        beam = apply_galilean(beam, g)
-    save_state(beam, chain)
     tracer = load_tracer().Tracer()
     tracer.install()
     try:
+        # galilean-check moves packets without calling apply_galilean, so
+        # the chain is built here, through the traced binding site
+        for g in random_elements(3, seed=5):
+            beam = galilean.apply_galilean(beam, g)
+        save_state(beam, chain)
         for argv in (
             ["analyze", path],
             ["galilean-check", path, "--samples=1", "--seed=1"],

@@ -4,8 +4,10 @@ Start states are two-level d = 3 states over a pool of 1-3 phased packets:
 each component sums 1-3 picks from the pool, so packets repeat within and
 across components.  A chain of up to 8 seeded frame changes at a mass drawn
 log-uniformly over 1e-2..1e2 must keep every component at no more terms
-than the start state has distinct packets, and h must follow
-h = D h0 D^dagger.  ``galilean-check`` on the start state, at masses drawn
+than the start state has distinct packets, h must follow h = D h0 D^dagger,
+and at every step the h that ``galilean-check`` computes from the keyed
+packets must equal the overlap matrix of the state ``apply_galilean``
+returns.  ``galilean-check`` on the start state, at masses drawn
 log-uniformly over 1e-200..1e200, exits 0, 2 or 3, raises nothing and
 prints finite strict JSON on success.
 """
@@ -18,7 +20,14 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from cdent.cli import run
-from cdent.galilean import PhysicalParams, apply_galilean, random_elements, su2_from_rotation
+from cdent.galilean import (
+    PhysicalParams,
+    _keyed,
+    _moved_overlap_matrix,
+    apply_galilean,
+    random_elements,
+    su2_from_rotation,
+)
 from cdent.overlaps import overlap_matrix
 from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, normalize
 from cdent.stateio import save_state
@@ -66,7 +75,9 @@ def test_frame_chains_and_galilean_check(tmp_path, state, changes, seed, chain_m
     h0 = overlap_matrix(state).matrix
     moved, dmat = state, np.eye(2)
     for g in random_elements(changes, seed):
+        checked = _moved_overlap_matrix(*_keyed(moved), g, chain_mass).matrix
         moved = apply_galilean(moved, g, PhysicalParams(chain_mass))
+        assert np.max(np.abs(checked - overlap_matrix(moved).matrix)) <= 1e-15
         dmat = su2_from_rotation(g.rotation).matrix @ dmat
         assert all(len(c.terms) <= packets for c in moved.components)
     h = overlap_matrix(moved).matrix

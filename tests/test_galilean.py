@@ -294,6 +294,18 @@ class TestInvarianceReport:
         assert len(calls) == 20
         assert rep.max_conjugation_deviation < 1e-9
 
+    def test_keys_the_state_once(self, monkeypatch):
+        # one dictionary for the base h and one for the packet keying; the
+        # samples move the keyed packets and build no dictionary
+        from cdent.states import _Dictionary
+
+        state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+        calls = []
+        init = _Dictionary.__init__
+        monkeypatch.setattr(_Dictionary, "__init__", lambda self: calls.append(1) or init(self))
+        invariance_report(state, samples=20, seed=1)
+        assert len(calls) <= 2
+
     def test_deterministic_for_fixed_seed(self):
         state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
         r1 = invariance_report(state, samples=8, seed=123)
