@@ -2,9 +2,12 @@
 
 ``beam_pair`` builds the separated-Gaussian family (small overlap from
 disjoint momentum support); ``shape_pair`` builds the orthogonal-mode
-family (zero overlap from cancellation on shared support).  Sweeps drive
-each row through the full overlap/eigensolve pipeline so the closed-form
-eigenvalue formula acts as a checker, never as the producer.
+family (zero overlap from cancellation on shared support).  Sweep rows are
+beam pairs built as no state: each row keys its two packets once and
+shares one packet Gram G between the norm and h = C G C^dagger, which still
+passes the ``OverlapMatrix`` gates and the 2x2 eigensolve, so the closed
+form ``measures.gaussian_pair_eigenvalues`` stays a checker, never the
+producer.
 """
 
 from __future__ import annotations
@@ -17,9 +20,10 @@ from .density import spectrum
 from .errors import DegenerateStateError, DomainError, PreconditionError
 from .measures import purity as _purity
 from .measures import von_neumann_entropy
-from .overlaps import gaussian_term_overlap, overlap_matrix
+from .overlaps import _fill_packet_pairs, _normalized_overlap_matrix, _sandwich
 from .stateio import fmt_float
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
+from .states import _check_width, _finite_amplitude, _inverse_norm, _trace_norm
 
 
 @dataclass(frozen=True)
@@ -114,70 +118,70 @@ def shape_pair(c0, c1, m0, m1, scale: float = 1.0, origin=None) -> HybridState:
     )
 
 
-def _pipeline_row(
-    parameter: str,
-    value: float,
-    state: HybridState,
-    c0: complex,
-    c1: complex,
-) -> SweepRow:
-    h = overlap_matrix(state)
-    s = spectrum(h)
-    lam = s.eigenvalues
-    c0c1 = c0 * np.conj(c1)
-    if abs(c0c1) > 1e-15:
-        abs_x = float(abs(h.matrix[0, 1] / c0c1))
-    else:
-        # degenerate weights: fall back to the unit-amplitude packet overlap
-        t0, t1 = (c.terms[0]._with_amplitude(1.0) for c in state.components)
-        abs_x = float(abs(gaussian_term_overlap(t0, t1)))
-    return SweepRow(
-        parameter=parameter,
-        value=float(value),
-        abs_x=abs_x,
-        lambda_plus=float(lam[0]),
-        lambda_minus=float(lam[1]),
-        entropy_bits=von_neumann_entropy(s),
-        purity=_purity(s),
-    )
+_ORIGIN = [0.0, 0.0, 0.0]
 
 
-def sweep_q(
-    c0,
-    c1,
-    sigma: float,
-    q_values,
-) -> list[SweepRow]:
-    """Rows for equal-width packets with center separation q along z:
-    k0 = 0, k1 = q zhat, widths sigma.  The overlap modulus follows
-    exp(-q^2/sigma^2); each row is computed through the full pipeline."""
-    if not sigma > 0.0:
-        raise DomainError("sigma must be positive")
+def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
+    """Rows of the phase-free beam pair of packets (sigma0, center 0) and
+    (width, center) per (value, center, width) of ``points``, checked as by
+    ``beam_pair``: the packets keyed once, as ``_packet_key`` would, and one
+    G giving both the norm and h = C G C^dagger, as on a ``beam_pair`` state."""
     rows = []
-    for q in q_values:
-        q = float(q)
-        if not np.isfinite(q) or q < 0.0:
-            raise DomainError(f"q values must be finite and >= 0, got {q}")
-        state = beam_pair(c0, c1, np.zeros(3), np.array([0.0, 0.0, q]), sigma, sigma)
-        rows.append(_pipeline_row("q", q, state, complex(c0), complex(c1)))
+    for value, center, width in points:
+        if not rows:  # row-independent checks and products, after the first value's check
+            _check_weights(c0, c1)
+            sigma0 = float(sigma0)
+            _check_width(sigma0, "width")
+            u0, key0 = (2.0 / sigma0**2, 0.0, _ORIGIN, _ORIGIN), (sigma0, np.array(_ORIGIN).tobytes())
+            c0, c1 = complex(c0), complex(c1)
+            c0c1 = c0 * np.conj(c1)
+            weighted = abs(c0c1) > 1e-15
+        width = float(width)
+        _check_width(width, "width")
+        packets = [(0, u0)]
+        if (width, np.array(center).tobytes()) != key0:
+            packets.append((1, (2.0 / width**2, 0.0, center, _ORIGIN)))
+        p1 = len(packets) - 1
+        gram = [[0j] * len(packets) for _ in packets]
+        _fill_packet_pairs(gram, packets)
+        factor = _inverse_norm(_trace_norm(_sandwich([{0: c0}, {p1: c1}], gram)))
+        scaled = [{0: _finite_amplitude(c0 * factor)}, {p1: _finite_amplitude(c1 * factor)}]
+        h = _normalized_overlap_matrix(_sandwich(scaled, gram))
+        s = spectrum(h)
+        # degenerate weights: the unit-amplitude packet overlap, G_01 (G_00 if merged)
+        abs_x = float(abs(h.matrix[0, 1] / c0c1)) if weighted else abs(gram[0][p1])
+        rows.append(SweepRow(parameter, value, abs_x, *s.eigenvalues.tolist(), von_neumann_entropy(s), _purity(s)))
     return rows
 
 
-def sweep_width_ratio(
-    c0,
-    c1,
-    sigma0: float,
-    ratios,
-) -> list[SweepRow]:
+def sweep_q(c0, c1, sigma: float, q_values) -> list[SweepRow]:
+    """Rows for equal-width packets with center separation q along z:
+    k0 = 0, k1 = q zhat, widths sigma.  The overlap modulus follows
+    exp(-q^2/sigma^2)."""
+    if not sigma > 0.0:
+        raise DomainError("sigma must be positive")
+
+    def points():
+        for q in q_values:
+            q = float(q)
+            if not np.isfinite(q) or q < 0.0:
+                raise DomainError(f"q values must be finite and >= 0, got {q}")
+            yield q, [0.0, 0.0, q], sigma
+
+    return _beam_rows("q", c0, c1, sigma, points())
+
+
+def sweep_width_ratio(c0, c1, sigma0: float, ratios) -> list[SweepRow]:
     """Rows for coincident centers and widths (sigma0, ratio * sigma0):
     the overlap modulus is (2 r / (1 + r^2))^(3/2)."""
     if not sigma0 > 0.0:
         raise DomainError("sigma0 must be positive")
-    rows = []
-    for r in ratios:
-        r = float(r)
-        if not np.isfinite(r) or r <= 0.0:
-            raise DomainError(f"ratios must be finite and > 0, got {r}")
-        state = beam_pair(c0, c1, np.zeros(3), np.zeros(3), sigma0, r * sigma0)
-        rows.append(_pipeline_row("ratio", r, state, complex(c0), complex(c1)))
-    return rows
+
+    def points():
+        for r in ratios:
+            r = float(r)
+            if not np.isfinite(r) or r <= 0.0:
+                raise DomainError(f"ratios must be finite and > 0, got {r}")
+            yield r, _ORIGIN, r * sigma0
+
+    return _beam_rows("ratio", c0, c1, sigma0, points())

@@ -67,6 +67,13 @@ def _frozen_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _finite_amplitude(amplitude: complex) -> complex:
+    amplitude = complex(amplitude)
+    if not cmath.isfinite(amplitude):
+        raise DomainError(f"amplitude must be finite, got {amplitude}")
+    return amplitude
+
+
 @dataclass(frozen=True)
 class GaussianTerm:
     """One phased Gaussian packet.
@@ -118,11 +125,8 @@ class GaussianTerm:
     def _with_amplitude(self, amplitude: complex) -> "GaussianTerm":
         """The same packet with a new amplitude, checked, since a product or
         sum of finite numbers can be infinite; the other fields are shared."""
-        amplitude = complex(amplitude)
-        if not cmath.isfinite(amplitude):
-            raise DomainError(f"amplitude must be finite, got {amplitude}")
         term = object.__new__(GaussianTerm)
-        term.__dict__.update(self.__dict__, amplitude=amplitude)
+        term.__dict__.update(self.__dict__, amplitude=_finite_amplitude(amplitude))
         return term
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
@@ -397,17 +401,24 @@ def norm(state: HybridState) -> float:
     ``overlaps.dictionary_overlap_matrix``, summed in component order."""
     from . import overlaps  # deferred: overlaps imports the types above
 
-    return float(np.sqrt(sum(overlaps.dictionary_overlap_matrix(state.components).diagonal().real.tolist())))
+    return _trace_norm(overlaps.dictionary_overlap_matrix(state.components))
+
+
+def _trace_norm(h: np.ndarray) -> float:
+    return float(np.sqrt(sum(h.diagonal().real.tolist())))
 
 
 def normalize(state: HybridState) -> HybridState:
     """Same state scaled to unit norm.  Raises DegenerateStateError on a
     zero-norm state."""
-    n = norm(state)
+    factor = _inverse_norm(norm(state))
+    return HybridState(tuple(c.scaled(factor) for c in state.components))
+
+
+def _inverse_norm(n: float) -> float:
     if n < 1e-300:
         raise DegenerateStateError("cannot normalize a zero-norm state")
-    factor = 1.0 / n
-    return HybridState(tuple(c.scaled(factor) for c in state.components))
+    return 1.0 / n
 
 
 def require_unit_norm(value: float) -> None:

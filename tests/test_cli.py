@@ -222,6 +222,17 @@ class TestSweeps:
         assert code == 0, err
         assert float(out.splitlines()[1].split(",")[1]) == pytest.approx(np.exp(-1.0), abs=1e-12)
 
+    @pytest.mark.parametrize("argv, width", [
+        (["sweep-width", "--sigma0=1.0", "--r-start=1", "--r-stop=1e80", "--r-steps=3"], "5e+79"),
+        (["sweep-width", "--sigma0=1e-70", "--r-start=1e-10", "--r-stop=1", "--r-steps=3"], "1e-80"),
+        (["sweep-q", "--sigma=1e77", "--q-start=0", "--q-stop=1", "--q-steps=3"], "1e+77"),
+    ])
+    def test_width_beyond_the_range_exits_3(self, argv, width):
+        # a row's packet width is checked as a GaussianTerm checks it
+        code, out, err = run_cli(argv + ["--c0=0.6", "--c1=0.8"])
+        assert (code, out) == (3, "")
+        assert err == f"numerical error: width must be in [1e-76, 1e+76], got {width}\n"
+
 
 class TestGalileanCheck:
     def test_invariance_and_determinism(self, beam_file):

@@ -3,11 +3,12 @@
 import numpy as np
 import pytest
 
+from cdent import overlaps, states
 from cdent.density import Spectrum, spectrum
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError
 from cdent.galilean import quaternion_from_axis_angle, rotation_matrix
-from cdent.measures import gaussian_pair_eigenvalues, von_neumann_entropy
-from cdent.overlaps import overlap_matrix
+from cdent.measures import gaussian_pair_eigenvalues, purity, von_neumann_entropy
+from cdent.overlaps import gaussian_term_overlap, overlap_matrix
 from cdent.scenarios import SweepRow, beam_pair, shape_pair, sweep_q, sweep_width_ratio
 from cdent.states import GaussianSum, GaussianTerm, norm
 from conftest import EQUAL, ZHAT, random_weights
@@ -171,6 +172,71 @@ class TestSweepRowInvariants:
         rows += sweep_width_ratio(EQUAL, EQUAL, 1.0, [0.5, 1.0, 2.0])
         assert len(built) == len(rows) == 10
 
+    def test_one_packet_gram_per_row(self, monkeypatch):
+        # the norm and h share one G: at most 3 closed-form packet overlaps
+        # per row (1 when the two packets are one), and no state is built
+        calls, built = [], []
+        log_overlap = overlaps._log_unit_overlap
+        post_init = states.HybridState.__post_init__
+        monkeypatch.setattr(overlaps, "_log_unit_overlap", lambda u, v: calls.append(1) or log_overlap(u, v))
+        monkeypatch.setattr(states.HybridState, "__post_init__", lambda self: built.append(1) or post_init(self))
+        rows = sweep_q(0.6, 0.8j, 1.0, np.linspace(0.0, 3.0, 7))
+        rows += sweep_width_ratio(EQUAL, EQUAL, 1.0, [0.5, 1.0, 2.0])
+        assert len(rows) == 10
+        assert len(calls) <= 3 * len(rows)
+        assert built == []
+
+    def test_rows_match_the_state_pipeline_bit_for_bit(self):
+        # every field equals the row built through beam_pair, overlap_matrix
+        # and spectrum, with the unit-amplitude term overlap for degenerate
+        # weights; the draws cover one merged packet (q = 0 at equal widths,
+        # ratio 1), c1 = 0 and an overlap that underflows to 0 (q = 1e300)
+        def reference(parameter, value, state, c0, c1):
+            h = overlap_matrix(state)
+            s = spectrum(h)
+            c0c1 = c0 * np.conj(c1)
+            if abs(c0c1) > 1e-15:
+                abs_x = float(abs(h.matrix[0, 1] / c0c1))
+            else:
+                t0, t1 = (c.terms[0]._with_amplitude(1.0) for c in state.components)
+                abs_x = float(abs(gaussian_term_overlap(t0, t1)))
+            lam = s.eigenvalues
+            return SweepRow(parameter, float(value), abs_x, float(lam[0]), float(lam[1]),
+                            von_neumann_entropy(s), purity(s))
+
+        rng = np.random.default_rng(2024)
+        draws = 0
+        for i in range(120):
+            c0, c1 = (1.0, 0.0) if i % 10 == 0 else random_weights(rng)
+            sigma = 10.0 ** rng.uniform(-2.0, 2.0)
+            qs = [0.0, rng.uniform(0.0, 4.0) * sigma, 10.0 ** rng.uniform(0.0, 300.0), 1e300]
+            ratios = [1.0, rng.uniform(0.1, 10.0), 10.0 ** rng.uniform(-3.0, 3.0)]
+            rows = sweep_q(c0, c1, sigma, qs) + sweep_width_ratio(c0, c1, sigma, ratios)
+            expected = [
+                reference("q", q, beam_pair(c0, c1, np.zeros(3), q * ZHAT, sigma, sigma), complex(c0), complex(c1))
+                for q in qs
+            ] + [
+                reference("ratio", r, beam_pair(c0, c1, np.zeros(3), np.zeros(3), sigma, r * sigma),
+                          complex(c0), complex(c1))
+                for r in ratios
+            ]
+            for row, ref in zip(rows, expected, strict=True):
+                assert row == ref
+                draws += 1
+        assert draws == 120 * 7
+        assert sweep_q(1.0, 0.0, 1.0, [1e300])[0].abs_x == 0.0
+
+    def test_checks_in_beam_pair_order(self):
+        # the first value, then the weights, then the widths
+        with pytest.raises(DomainError, match="q values"):
+            sweep_q(1.0, 1.0, 1e80, [-1.0])
+        with pytest.raises(PreconditionError):
+            sweep_width_ratio(1.0, 1.0, 1e80, [1.0, -1.0])
+        with pytest.raises(DomainError, match="got 1e\\+80"):
+            sweep_width_ratio(1.0, 0.0, 1e80, [1e-10])
+        with pytest.raises(DomainError, match="got 1e\\+90"):
+            sweep_width_ratio(1.0, 0.0, 1.0, [1.0, 1e90, -1.0])
+        assert sweep_q(1.0, 1.0, 1.0, []) == []
 
     def test_eigenvalues_sum_to_one_and_ordered(self, rng):
         c0, c1 = random_weights(rng)
