@@ -101,6 +101,8 @@ def _cmd_analyze(args, stdout) -> int:
 
 
 def _cmd_sweep_q(args, stdout) -> int:
+    if args.q_steps < 1:
+        raise _UsageError("--q-steps needs at least one step")
     qs = np.linspace(args.q_start, args.q_stop, args.q_steps)
     rows = sweep_q(_parse_complex(args.c0), _parse_complex(args.c1), args.sigma, qs)
     _emit(sweep_csv(rows), args.out, stdout)
@@ -108,6 +110,8 @@ def _cmd_sweep_q(args, stdout) -> int:
 
 
 def _cmd_sweep_width(args, stdout) -> int:
+    if args.r_steps < 1:
+        raise _UsageError("--r-steps needs at least one step")
     ratios = np.linspace(args.r_start, args.r_stop, args.r_steps)
     rows = sweep_width_ratio(_parse_complex(args.c0), _parse_complex(args.c1), args.sigma0, ratios)
     _emit(sweep_csv(rows), args.out, stdout)

@@ -1,12 +1,17 @@
 """Self-contained Hermitian eigensolver for the small dense matrices that
-appear as reduced density matrices (n <= ~8).
+appear as reduced density matrices (n <= ~16).
 
 Cyclic complex Jacobi rotations; deterministic sweep order, deterministic
-eigenvector phases.  numpy's LAPACK wrapper is used only as an independent
-cross-check in the test suite.
+eigenvector phases.  Each rotation updates two rows and two columns in
+scalar arithmetic, O(n) per rotation: at these sizes numpy's per-call
+overhead costs more than the arithmetic.  numpy's LAPACK wrapper is used
+only as an independent cross-check in the test suite.
 """
 
 from __future__ import annotations
+
+import cmath
+import math
 
 import numpy as np
 
@@ -17,10 +22,9 @@ _MAX_SWEEPS = 60
 _TINY = np.finfo(float).tiny
 
 
-def _offdiag_norm(a: np.ndarray) -> float:
-    n = a.shape[0]
-    mask = ~np.eye(n, dtype=bool)
-    return float(np.sqrt(np.sum(np.abs(a[mask]) ** 2)))
+def _offdiag_norm(upper) -> float:
+    """Off-diagonal Frobenius norm of a (skew-)Hermitian matrix from its strict upper triangle."""
+    return math.sqrt(2.0 * sum(r * r for r in map(abs, upper)))
 
 
 def two_level_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -50,56 +54,70 @@ def hermitian_eigensystem(
     entries and when the off-diagonal norm is still above that bound after
     ``_MAX_SWEEPS`` sweeps.
     """
-    a = np.array(matrix, dtype=complex)
-    n = a.shape[0]
-    if a.shape != (n, n):
-        raise DomainError(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    m = np.array(matrix, dtype=complex)
+    n = m.shape[0]
+    if m.shape != (n, n):
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    a = m.tolist()
+    if not all(map(cmath.isfinite, sum(a, []))):
         raise DomainError("matrix has non-finite entries")
-    if _offdiag_norm(a - a.conj().T) > 1e-10 or np.max(np.abs(a.imag.diagonal())) > 1e-10:
+    upper = [(p, q) for p in range(n) for q in range(p + 1, n)]
+    if (_offdiag_norm(a[p][q] - a[q][p].conjugate() for p, q in upper) > 1e-10
+            or max(abs(row[p].imag) for p, row in enumerate(a)) > 1e-10):
         raise DomainError("matrix is not Hermitian within 1e-10")
-    a = 0.5 * (a + a.conj().T)  # symmetrize roundoff away
-    tol = tol * max(1.0, float(np.linalg.norm(a)))
+    # symmetrize roundoff away; rotations below keep A exactly Hermitian
+    for p, row in enumerate(a):
+        row[p] = complex(row[p].real)
+    for p, q in upper:
+        a[p][q] = 0.5 * (a[p][q] + a[q][p].conjugate())
+        a[q][p] = a[p][q].conjugate()
+    tol = tol * max(1.0, math.hypot(*map(abs, sum(a, []))))  # hypot: no overflow to inf
+    # zero and subnormal pivots are skipped whatever tol is: normalizing
+    # them to a phase would divide 0/0 or overflow
+    floor = max(tol / (n * n), _TINY)
 
-    v = np.eye(n, dtype=complex)
+    v = np.eye(n, dtype=complex).tolist()  # columns of V
     sweeps = 0
-    while not _offdiag_norm(a) <= tol:
+    while not _offdiag_norm(a[p][q] for p, q in upper) <= tol:
         if sweeps == _MAX_SWEEPS:
             raise DomainError(
                 f"Jacobi eigensolver did not converge in {_MAX_SWEEPS} sweeps "
-                f"(off-diagonal norm {_offdiag_norm(a):.3e} > {tol:g})"
+                f"(off-diagonal norm {_offdiag_norm(a[p][q] for p, q in upper):.3e} > {tol:g})"
             )
         sweeps += 1
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                g = a[p, q]
-                # zero and subnormal pivots are skipped whatever tol is:
-                # normalizing them to a phase would divide 0/0 or overflow
-                if abs(g) <= max(tol / (n * n), _TINY):
-                    continue
-                phase = g / abs(g)
-                tau = (a[q, q].real - a[p, p].real) / (2.0 * abs(g))
-                # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0
-                sign = 1.0 if tau >= 0.0 else -1.0
-                t = sign / (abs(tau) + np.hypot(1.0, tau))
-                c = 1.0 / np.hypot(1.0, t)
-                s = t * c
-                u = np.eye(n, dtype=complex)
-                u[p, p] = c
-                u[p, q] = s * phase
-                u[q, p] = -s * np.conj(phase)
-                u[q, q] = c
-                a = u.conj().T @ a @ u
-                v = v @ u
+        for p, q in upper:
+            rp, rq = a[p], a[q]
+            g = rp[q]
+            if abs(g) <= floor:
+                continue
+            tau = (rq[q].real - rp[p].real) / (2.0 * abs(g))
+            # smaller-magnitude root of t^2 + 2*tau*t - 1 = 0
+            sign = 1.0 if tau >= 0.0 else -1.0
+            t = sign / (abs(tau) + math.hypot(1.0, tau))
+            c = 1.0 / math.hypot(1.0, t)
+            u = t * c * (g / abs(g))  # U = I but U[p,p] = U[q,q] = c, U[p,q] = u = -conj(U[q,p])
+            ub = u.conjugate()
+            # the pivot block U^H B U, from B U
+            bpp, bqp = rp[p] * c - g * ub, rq[p] * c - rq[q] * ub
+            bpq, bqq = rp[p] * u + g * c, rq[p] * u + rq[q] * c
+            # columns p and q of A U, mirrored into rows p and q of U^H A U
+            for k, row in enumerate(a):
+                if k != p and k != q:
+                    x, y = row[p], row[q]
+                    row[p] = xp = x * c - y * ub
+                    row[q] = xq = x * u + y * c
+                    rp[k], rq[k] = xp.conjugate(), xq.conjugate()
+            rp[p], rq[q] = c * bpp - u * bqp, ub * bpq + c * bqq
+            rp[q] = c * bpq - u * bqq
+            rq[p] = rp[q].conjugate()
+            v[p], v[q] = ([x * c - y * ub for x, y in zip(v[p], v[q])],
+                          [x * u + y * c for x, y in zip(v[p], v[q])])
 
-    values = a.diagonal().real.copy()
-    order = np.argsort(-values, kind="stable")
-    values = values[order]
-    vectors = v[:, order]
-    for i in range(n):
-        col = vectors[:, i]
-        nz = np.nonzero(np.abs(col) > 1e-12)[0]
-        if nz.size:
-            w = col[nz[0]]
-            vectors[:, i] = col * (np.conj(w) / abs(w))
-    return values, vectors
+    diagonal = [row[p].real for p, row in enumerate(a)]
+    order = sorted(range(n), key=lambda j: -diagonal[j])  # stable: ties keep index order
+    columns = []
+    for j in order:
+        w = next(z for z in v[j] if abs(z) > 1e-12)  # a unit column has one
+        f = w.conjugate() / abs(w)
+        columns.append([z * f for z in v[j]])
+    return np.array([diagonal[j] for j in order]), np.array(columns, dtype=complex).T.copy()

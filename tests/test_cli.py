@@ -13,7 +13,7 @@ import pytest
 
 from cdent import __version__, cli, overlaps
 from cdent.cli import run
-from cdent.density import schmidt_decomposition
+from cdent.density import schmidt_decomposition, trace_function_check
 from cdent.errors import DomainError
 from cdent.galilean import GalileanElement, apply_galilean
 from cdent.measures import entanglement_report
@@ -232,6 +232,17 @@ class TestSweeps:
         code, out, err = run_cli(argv + ["--c0=0.6", "--c1=0.8"])
         assert (code, out) == (3, "")
         assert err == f"numerical error: width must be in [1e-76, 1e+76], got {width}\n"
+
+
+    @pytest.mark.parametrize("argv, flag", [
+        (["sweep-q", "--sigma=1.0", "--q-start=0", "--q-stop=1"], "--q-steps"),
+        (["sweep-width", "--sigma0=1.0", "--r-start=1", "--r-stop=2"], "--r-steps"),
+    ])
+    @pytest.mark.parametrize("steps", ["0", "-1"])
+    def test_fewer_than_one_step_is_usage_error(self, argv, flag, steps):
+        code, out, err = run_cli(argv + ["--c0=0.6", "--c1=0.8", f"{flag}={steps}"])
+        assert (code, out) == (1, "")
+        assert err == f"usage error: {flag} needs at least one step\n"
 
 
 class TestGalileanCheck:
@@ -539,6 +550,34 @@ class TestMixedAnalyze:
                 HermiteExpansion(1.3, [o], {(m,): 1.0}),
             )
         assert abs(analyze_h(path)[0, 1] - expected) < 1e-10
+
+    def test_six_level_spectrum_agrees_with_its_h(self, tmp_path):
+        # n = 6 with overlapping packets and modes: the Jacobi solver, not
+        # the 2 x 2 closed form, gives the printed spectrum
+        path = write_state(tmp_path / "n6.json", 2, [
+            packet_entry(0.5, [0.0, 0.0], 1.0),
+            packet_entry(0.4, [0.6, -0.3], 1.3, [0.2, 0.1], 0.1),
+            hermite_entry(1.0, [0.2, 0.1], [1, 0], 0.4),
+            hermite_entry(0.8, [-0.3, 0.4], [0, 2], 0.3),
+            packet_entry(0.3, [-0.5, 0.2], 0.7),
+            hermite_entry(1.2, [0.1, -0.2], [2, 1], np.sqrt(1.0 - 0.75)),
+        ])
+        code, out, err = run_cli(["analyze", path])
+        assert code == 0, err
+        report = json.loads(out)
+        h = np.array([[complex(re, im) for re, im in row] for row in report["h"]])
+        lam = np.array(report["spectrum"])
+        assert h.shape == (6, 6) and np.min(np.abs(h[np.triu_indices(6, 1)])) > 1e-4
+        assert np.max(np.abs(lam - np.linalg.eigvalsh(h)[::-1])) <= 1e-15
+        assert abs(np.sum(lam) - 1.0) <= 1e-15
+        pos = lam[lam > 0.0]
+        assert abs(report["entropy_bits"] - float(-np.sum(pos * np.log2(pos)))) <= 1e-15
+        assert abs(report["purity"] - float(np.sum(lam * lam))) <= 1e-15
+        # the Schmidt modes come from the same eigenvectors
+        state = load_state(path)
+        for poly in ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]):
+            lhs, rhs = trace_function_check(state, poly)
+            assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_no_route_reaches_quadrature(self, tmp_path, monkeypatch, rng):
         def refuse(*args, **kwargs):

@@ -40,7 +40,7 @@ REPLACEMENTS = st.one_of(
 
 @st.composite
 def valid_states(draw):
-    n = draw(st.integers(1, 4))
+    n = draw(st.integers(1, 6))
     d = draw(st.integers(1, 3))
 
     def vector():

@@ -5,7 +5,7 @@ import pytest
 
 from cdent import linalg
 from cdent.errors import DomainError
-from cdent.linalg import hermitian_eigensystem
+from cdent.linalg import hermitian_eigensystem, two_level_eigenvalues
 
 
 def random_hermitian(rng, n):
@@ -74,10 +74,14 @@ class TestJacobi:
         vals, vecs = hermitian_eigensystem(np.diag([1.0, 3.0, 2.0]), tol=0.0)
         assert vals.tolist() == [3.0, 2.0, 1.0]
         assert np.all(np.isfinite(vecs))
-        # rotations leave rounding-size off-diagonals that never reach 0:
-        # that is reported, not returned as nan
+        # rotations shrink a 2 x 2 pivot's rounding residue to exactly 0
+        for m in (np.array([[1.0, 0.3], [0.3, 2.0]]), np.array([[1.0, 0.3 + 0.1j], [0.3 - 0.1j, 2.0]])):
+            vals = hermitian_eigensystem(m, tol=0.0)[0]
+            assert np.max(np.abs(vals - two_level_eigenvalues(m))) <= 4.5e-16
+        # a pivot 1e-310 times the diagonal gap: tau overflows, t = 0, and
+        # no rotation can reach 0; that is reported, not returned as nan
         with pytest.raises(DomainError, match="did not converge"):
-            hermitian_eigensystem(np.array([[1.0, 0.3], [0.3, 2.0]]), tol=0.0)
+            hermitian_eigensystem(np.array([[0.0, 1e-150], [1e-150, 1e160]]), tol=0.0)
 
     def test_raises_after_max_sweeps(self, rng, monkeypatch):
         a = random_hermitian(rng, 5)
@@ -97,3 +101,40 @@ class TestJacobi:
         vals, vecs = hermitian_eigensystem(a)
         assert np.max(np.abs(vals - np.linalg.eigvalsh(a)[::-1])) < 1e-12 * 500.0
         assert np.max(np.abs(a @ vecs - vecs * vals)) < 1e-12 * 500.0
+
+
+def density_matrix(rng, kind, n):
+    """A unit-trace density matrix Q diag(lam) Q^H of one spectral kind."""
+    if kind == "full rank":
+        lam = rng.uniform(0.1, 1.0, n)
+    elif kind == "rank deficient":  # fewer distinct functions than levels
+        lam = np.concatenate([rng.uniform(0.1, 1.0, n // 2), np.zeros(n - n // 2)])
+    elif kind == "degenerate block":
+        lam = np.concatenate([np.full(3, 0.3), rng.uniform(0.1, 1.0, n - 3)])
+    elif kind == "near-degenerate cluster":
+        lam = np.concatenate([0.2 + 1e-12 * np.arange(3), rng.uniform(0.1, 1.0, n - 3)])
+    else:  # exactly diagonal
+        lam = rng.uniform(0.0, 1.0, n)
+        return np.diag(lam / lam.sum()).astype(complex)
+    lam = rng.permutation(lam) / lam.sum()
+    q = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))[0]
+    a = (q * lam) @ q.conj().T
+    return 0.5 * (a + a.conj().T)
+
+
+KINDS = ("full rank", "rank deficient", "degenerate block", "near-degenerate cluster", "diagonal")
+
+
+@pytest.mark.parametrize("kind", KINDS)
+@pytest.mark.parametrize("n", range(3, 17))
+def test_density_matrices_up_to_sixteen_levels(kind, n):
+    a = density_matrix(np.random.default_rng([n, KINDS.index(kind)]), kind, n)
+    vals, vecs = hermitian_eigensystem(a)
+    assert np.max(np.abs(vals - np.linalg.eigvalsh(a)[::-1])) <= 1e-14
+    assert np.linalg.norm(a @ vecs - vecs * vals) <= 1e-13
+    assert np.linalg.norm(vecs.conj().T @ vecs - np.eye(n)) <= 1e-13
+    for i in range(n):
+        first = vecs[:, i][np.abs(vecs[:, i]) > 1e-12][0]
+        assert abs(first.imag) < 1e-13 and first.real > 0
+    again = hermitian_eigensystem(a)
+    assert np.array_equal(vals, again[0]) and np.array_equal(vecs, again[1])
