@@ -50,7 +50,6 @@ from .measures import (
 )
 from .overlaps import (
     OverlapMatrix,
-    component_norm_sq,
     gaussian_term_overlap,
     overlap_matrix,
 )

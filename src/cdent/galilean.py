@@ -10,15 +10,15 @@ functions the phased-Gaussian family is closed under this action: centers
 map to R k + m v, widths are untouched, the translation lands in the
 linear phase, the time shift adds b/(2m) to the quadratic phase, and the
 rotation mixes the two components through D(R).  A state is keyed once into
-its P distinct packets and rows C over them (``states._Dictionary``); a
-frame change moves the P packets, sets C' = D C diag(e^{i phi}) with phi the
-scalar phase of each packet, and merges packets it made bit-equal, so no
-component holds more terms than the state has distinct packets.  The scalar
-phase does not depend on the discrete index, so every overlap h_{chi,chi'}
+its P distinct packet records and rows C over them (``states._Dictionary``);
+a frame change moves the P records, sets C' = D C diag(e^{i phi}) with phi
+the scalar phase of each packet, and merges records of one ``_packet_key``,
+so no component holds more terms than the state has distinct packets.  The
+scalar phase does not depend on the discrete index, so every h_{chi,chi'}
 transforms by conjugation with D(R) alone, which is what makes the reduced
 spectrum frame-independent.  ``invariance_report`` checks this per sample on
-the moved packets and C' without building a state: G of the moved packets is
-recomputed from the closed form, the check's independent leg, and
+the moved packets and C' without building a state: ``overlaps._gram``
+recomputes their G from the closed form, the check's independent leg, and
 h = C' G C'^dagger passes every gate of ``overlap_matrix``.
 
 Rotations are unit quaternions (w, x, y, z); the sign picks the SU(2)
@@ -36,8 +36,8 @@ import numpy as np
 
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .overlaps import OverlapMatrix, _fill_packet_pairs, _normalized_overlap_matrix, _sandwich, overlap_matrix
-from .states import GaussianSum, GaussianTerm, HybridState, _Dictionary
+from .overlaps import OverlapMatrix, _gram, _normalized_overlap_matrix, _sandwich, overlap_matrix
+from .states import GaussianSum, GaussianTerm, HybridState, _Dictionary, _packet_key
 
 
 @dataclass(frozen=True)
@@ -205,8 +205,8 @@ def apply_galilean(
 
 
 def _keyed(state: HybridState) -> tuple[list, list]:
-    """The distinct packets (center, width, linear_phase, quad_phase) of a
-    state the action moves, and its rows of C, keyed once by ``_Dictionary``."""
+    """The distinct packets of a state the action moves, as ``_packet``
+    records, and its rows of C, keyed once by ``_Dictionary``."""
     if state.d != 3:
         raise UnsupportedError(f"the Galilean action needs d = 3, got d = {state.d}")
     if state.n != 2:
@@ -216,15 +216,14 @@ def _keyed(state: HybridState) -> tuple[list, list]:
             raise UnsupportedError(f"only GaussianSum components transform exactly; got {type(comp).__name__}")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in state.components]
-    packets = [(t.center.tolist(), t.width, t.linear_phase.tolist(), t.quad_phase) for _, t in dictionary.packets]
-    return packets, rows
+    return [record for _, record in dictionary.packets], rows
 
 
 def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list, list]:
     """g at mass m on ``_keyed`` packets and rows, in Python scalars (which
     overflow to inf, not to a warning): each packet moved once, C' = D C
     diag(e^{i phi}) in term order, dropping exactly-zero D weights, and moved
-    packets that became bit-equal under ``_packet_key``'s rules merged."""
+    packets with one ``_packet_key`` merged."""
     rot = rotation_matrix(g.rotation.tolist()).tolist()
     a, v, b = g.translation.tolist(), g.boost_velocity.tolist(), g.time_shift
     # the scalar phase exp(i(m a.v/2 - a.p + b p^2/(2m))) pushed through the
@@ -245,8 +244,8 @@ def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list
         quad = quad + 0.5 * b / m
         if not all(map(math.isfinite, center + linear + [quad])):
             GaussianTerm(1.0, center, width, linear, quad)  # refuses the field in its own words
-        key = (width, quad, np.array(center + linear).tobytes())
-        merged.append(index.setdefault(key, (len(index), (center, width, linear, quad)))[0])
+        record = center, width, linear, quad
+        merged.append(index.setdefault(_packet_key(record), (len(index), record))[0])
         factors.append(cmath.exp(1j * phase))
     out: list[dict[int, complex]] = [{}, {}]
     for row, d_row in zip(out, g._su2.tolist()):
@@ -283,11 +282,9 @@ def random_elements(samples: int, seed: int) -> list[GalileanElement]:
 
 def _moved_overlap_matrix(packets: list, rows: list, g: GalileanElement, m: float) -> OverlapMatrix:
     """overlap_matrix of g at mass m on ``_keyed`` packets and rows, with no
-    state built and G of the moved packets recomputed from the closed form."""
+    state built and G of the moved packets recomputed by ``_gram``."""
     moved, moved_rows = _move(packets, rows, g, m)
-    gram = [[0j] * len(moved) for _ in moved]
-    _fill_packet_pairs(gram, [(q, (2.0 / w**2, quad, k, a)) for q, (k, w, a, quad) in enumerate(moved)])
-    return _normalized_overlap_matrix(_sandwich(moved_rows, gram))
+    return _normalized_overlap_matrix(_sandwich(moved_rows, _gram(list(enumerate(moved)))))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,7 @@ _TINY = np.finfo(float).tiny
 
 def _offdiag_norm(upper) -> float:
     """Off-diagonal Frobenius norm of a (skew-)Hermitian matrix from its strict upper triangle."""
-    return math.sqrt(2.0 * sum(r * r for r in map(abs, upper)))
+    return math.sqrt(2.0) * math.hypot(*map(abs, upper))  # hypot: no overflow to inf
 
 
 def two_level_eigenvalues(m: np.ndarray) -> np.ndarray:
@@ -58,6 +58,8 @@ def hermitian_eigensystem(
     n = m.shape[0]
     if m.shape != (n, n):
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if n == 0:
+        raise DomainError("expected a non-empty matrix, got shape (0, 0)")
     a = m.tolist()
     if not all(map(cmath.isfinite, sum(a, []))):
         raise DomainError("matrix has non-finite entries")

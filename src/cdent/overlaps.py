@@ -4,7 +4,7 @@ One exact route, ``dictionary_overlap_matrix``.  The components of a state
 are written over one dictionary of functions u_1..u_P by the one builder,
 ``states._Dictionary``, which ``states.combine_components`` also uses:
 
-* phased Gaussian packets, packets equal up to amplitude being one entry;
+* phased Gaussian packets, terms of one ``states._packet_key`` being one entry;
 * Hermite modes, one multi-index on one frame, frames equal bit for bit in
   scale and origin (up to the sign of zero) being one frame.
 
@@ -13,14 +13,14 @@ row of C through their weights),
 
     h = C G C^dagger,    G[p, q] = integral u_p conj(u_q),
 
-and G is filled once per unordered pair of entries, then mirrored by
-conjugation:
+and ``_gram``, the one builder of G (also of frame changes and sweep rows),
+fills it once per unordered pair of entries, mirrored by conjugation:
 
 * two packets: the closed form below;
 * two modes on one frame: orthonormal, G = delta;
 * every other pair: a product of per-axis Hermite tables, each computed
-  once per distinct pair of (packet or frame, frame), up to the frame's
-  largest mode on each axis.
+  once per distinct pair of (phased frame, Hermite frame), a packet being
+  mode 0 of its phased frame, up to the frame's largest mode on each axis.
 
 A state file may repeat a packet within and across components; G costs one
 evaluation per distinct pair, not one per term pair.  Frame changes and
@@ -98,27 +98,24 @@ from .states import (
     WaveComponent,
     _Dictionary,
     _hermite_table,
+    _packet,
     require_unit_norm,
 )
 
 _PI_QUARTER = np.pi ** (-0.25)
 
 
-def _packet(t: GaussianTerm) -> tuple[float, float, list[float], list[float]]:
-    """(gamma, quad_phase, center, linear_phase) of a packet as Python
-    floats, the form ``_log_unit_overlap`` reads."""
-    return 2.0 / t.width**2, t.quad_phase, t.center.tolist(), t.linear_phase.tolist()
-
-
 def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
     """log integral u1 conj(u2) d^d p of two unit-amplitude packets given
-    as ``_packet`` tuples, in the envelope-center form of the module
-    docstring.
+    as ``states._packet`` records, in the envelope-center form of the
+    module docstring.
 
     Scalar arithmetic throughout: for the few axes and the small Gram
     matrices met here it is faster than numpy on tiny arrays."""
-    g1, beta1, k1, a1 = p1
-    g2, beta2, k2, a2 = p2
+    k1, width1, a1, beta1 = p1
+    k2, width2, a2, beta2 = p2
+    g1 = 2.0 / width1**2
+    g2 = 2.0 / width2**2
     g_sum = g1 + g2
     shift = 0.5 * (g1 - g2) / g_sum
     dbeta = beta1 - beta2
@@ -176,7 +173,7 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
         raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in components]
-    return _sandwich(rows, _gram(dictionary))
+    return _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values()))
 
 
 def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> np.ndarray:
@@ -199,39 +196,15 @@ def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> np.n
     return h
 
 
-def _gram(dictionary: _Dictionary) -> list[list[complex]]:
-    """G as a list of rows indexed by entry number, each unordered pair
-    filled once and mirrored by conjugation: the closed form for packet
-    pairs, delta on each frame, and per-axis tables, one set per pair of
-    (packet or frame, frame), for the rest."""
-    size = len(dictionary.index)
+def _gram(packets: list, frames=()) -> list[list[complex]]:
+    """G as a list of rows indexed by entry number, for packets given as
+    (entry, ``states._packet`` record) and Hermite frames as (first
+    expansion, [(entry, multi-index)]), each unordered pair filled once and
+    mirrored by conjugation: the closed form for packet pairs, delta on each
+    frame, and per-axis tables for the rest, one set per pair of (phased
+    frame, Hermite frame), a packet entering as mode 0 of its phased frame."""
+    size = len(packets) + sum(len(modes) for _, modes in frames) if frames else len(packets)
     gram = [[0j] * size for _ in range(size)]
-    frames = [  # s, origin, top mode per axis, (entry, multi-index)
-        (first.gaussian_std, first.origin.tolist(), [max(m) for m in zip(*(idx for _, idx in modes))], modes)
-        for first, modes in dictionary.frames.values()
-    ]
-    _fill_packet_pairs(gram, [(p, _packet(t)) for p, t in dictionary.packets])
-    for f, (s, origin, top, modes) in enumerate(frames):
-        for p, _ in modes:
-            gram[p][p] = 1.0 + 0.0j
-        for p, t in dictionary.packets:
-            tables = [
-                _axis_table(0.5 * t.width, k1, a1, t.quad_phase, 0, s, k2, m2)
-                for k1, a1, k2, m2 in zip(t.center.tolist(), t.linear_phase.tolist(), origin, top)
-            ]
-            _fill_pairs(gram, tables, [(p, (0,) * len(top))], modes)
-        for s2, origin2, top2, modes2 in frames[f + 1:]:
-            tables = [
-                _axis_table(s, k1, 0.0, 0.0, m1, s2, k2, m2)
-                for k1, m1, k2, m2 in zip(origin, top, origin2, top2)
-            ]
-            _fill_pairs(gram, tables, modes, modes2)
-    return gram
-
-
-def _fill_packet_pairs(gram: list[list[complex]], packets: list) -> None:
-    """G[p, q] for packets given as (entry, ``_packet`` tuple), each unordered
-    pair once by the closed form, then mirrored by conjugation."""
     for i, (p, u) in enumerate(packets):
         g_row = gram[p]
         for q, v in packets[i:]:
@@ -241,17 +214,29 @@ def _fill_packet_pairs(gram: list[list[complex]], packets: list) -> None:
                 raise DomainError("packet overlap phase is not finite") from None
             g_row[q] = val
             gram[q][p] = val.conjugate()
-
-
-def _fill_pairs(gram: list[list[complex]], tables: list, left: list, right: list) -> None:
-    """G[p, q] = prod_axis tables[axis][m][n] for every entry (p, m) of
-    ``left`` and (q, n) of ``right``, and G[q, p] its conjugate."""
-    for p, m in left:
-        g_row = gram[p]
-        for q, n in right:
-            val = math.prod(table[i][j] for table, i, j in zip(tables, m, n))
-            g_row[q] = val
-            gram[q][p] = val.conjugate()
+    if not frames:
+        return gram
+    hermite = []  # s, origin, linear phase, quad phase, top mode per axis, [(entry, multi-index)]
+    for first, modes in frames:
+        hermite.append((first.gaussian_std, first.origin.tolist(), [0.0] * first.dimension, 0.0,
+                        [max(m) for m in zip(*(idx for _, idx in modes))], modes))
+        for p, _ in modes:
+            gram[p][p] = 1.0 + 0.0j
+    phased = [(0.5 * width, center, linear, quad, [0] * len(center), [(p, (0,) * len(center))])
+              for p, (center, width, linear, quad) in packets] + hermite
+    for f, (s1, origin1, linear, quad, top1, left) in enumerate(phased):
+        for s2, origin2, _, _, top2, right in hermite[max(0, f + 1 - len(packets)):]:
+            tables = [
+                _axis_table(s1, k1, a1, quad, m1, s2, k2, m2)
+                for k1, a1, m1, k2, m2 in zip(origin1, linear, top1, origin2, top2)
+            ]
+            for p, m in left:
+                g_row = gram[p]
+                for q, n in right:
+                    val = math.prod(table[i][j] for table, i, j in zip(tables, m, n))
+                    g_row[q] = val
+                    gram[q][p] = val.conjugate()
+    return gram
 
 
 @lru_cache(maxsize=16)
@@ -285,11 +270,6 @@ def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
     poly1 = _hermite_table(m1, (t - (g2 / g_sum) * delta) / s1, _PI_QUARTER)
     poly2 = _hermite_table(m2, (t + u_w) / s2, _PI_QUARTER)
     return (scale * ((poly1 * weights) @ poly2.T)).tolist()
-
-
-def component_norm_sq(comp: WaveComponent) -> float:
-    """Exact squared L2 norm of one component."""
-    return float(dictionary_overlap_matrix((comp,))[0, 0].real)
 
 
 @dataclass(frozen=True)

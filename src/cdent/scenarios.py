@@ -3,11 +3,11 @@
 ``beam_pair`` builds the separated-Gaussian family (small overlap from
 disjoint momentum support); ``shape_pair`` builds the orthogonal-mode
 family (zero overlap from cancellation on shared support).  Sweep rows are
-beam pairs built as no state: each row keys its two packets once and
-shares one packet Gram G between the norm and h = C G C^dagger, which still
-passes the ``OverlapMatrix`` gates and the 2x2 eigensolve, so the closed
-form ``measures.gaussian_pair_eigenvalues`` stays a checker, never the
-producer.
+beam pairs built as no state: each row keys its two packet records with
+``states._packet_key`` and shares one packet Gram G from ``overlaps._gram``
+between the norm and h = C G C^dagger, which still passes the
+``OverlapMatrix`` gates and the 2x2 eigensolve, so the closed form
+``measures.gaussian_pair_eigenvalues`` stays a checker, never the producer.
 """
 
 from __future__ import annotations
@@ -20,10 +20,10 @@ from .density import spectrum
 from .errors import DegenerateStateError, DomainError, PreconditionError
 from .measures import purity as _purity
 from .measures import von_neumann_entropy
-from .overlaps import _fill_packet_pairs, _normalized_overlap_matrix, _sandwich
+from .overlaps import _gram, _normalized_overlap_matrix, _sandwich
 from .stateio import fmt_float
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
-from .states import _check_width, _finite_amplitude, _inverse_norm, _trace_norm
+from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key, _trace_norm
 
 
 @dataclass(frozen=True)
@@ -124,7 +124,7 @@ _ORIGIN = [0.0, 0.0, 0.0]
 def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
     """Rows of the phase-free beam pair of packets (sigma0, center 0) and
     (width, center) per (value, center, width) of ``points``, checked as by
-    ``beam_pair``: the packets keyed once, as ``_packet_key`` would, and one
+    ``beam_pair``: the two packet records keyed by ``_packet_key``, and one
     G giving both the norm and h = C G C^dagger, as on a ``beam_pair`` state."""
     rows = []
     for value, center, width in points:
@@ -132,18 +132,17 @@ def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
             _check_weights(c0, c1)
             sigma0 = float(sigma0)
             _check_width(sigma0, "width")
-            u0, key0 = (2.0 / sigma0**2, 0.0, _ORIGIN, _ORIGIN), (sigma0, np.array(_ORIGIN).tobytes())
+            key0 = _packet_key(record0 := (_ORIGIN, sigma0, _ORIGIN, 0.0))
             c0, c1 = complex(c0), complex(c1)
             c0c1 = c0 * np.conj(c1)
             weighted = abs(c0c1) > 1e-15
         width = float(width)
         _check_width(width, "width")
-        packets = [(0, u0)]
-        if (width, np.array(center).tobytes()) != key0:
-            packets.append((1, (2.0 / width**2, 0.0, center, _ORIGIN)))
+        packets = [(0, record0)]
+        if _packet_key(record1 := (center, width, _ORIGIN, 0.0)) != key0:
+            packets.append((1, record1))
         p1 = len(packets) - 1
-        gram = [[0j] * len(packets) for _ in packets]
-        _fill_packet_pairs(gram, packets)
+        gram = _gram(packets)
         factor = _inverse_norm(_trace_norm(_sandwich([{0: c0}, {p1: c1}], gram)))
         scaled = [{0: _finite_amplitude(c0 * factor)}, {p1: _finite_amplitude(c1 * factor)}]
         h = _normalized_overlap_matrix(_sandwich(scaled, gram))

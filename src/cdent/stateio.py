@@ -245,13 +245,10 @@ def state_from_dict(data) -> HybridState:
     comps = data.get("components")
     _require(isinstance(comps, list), "$.components", "expected a list")
     _require(len(comps) == n, "$.components", f"expected {n} components, got {len(comps)}")
-    parsed = tuple(
+    # every component is parsed at the file's one d, so they cannot clash
+    return HybridState(tuple(
         _component_from_dict(entry, d, f"$.components[{i}]") for i, entry in enumerate(comps)
-    )
-    try:
-        return HybridState(parsed)
-    except StructureError as exc:  # e.g. cross-component dimension clash
-        raise StateFileError(f"$.components: {exc}") from exc
+    ))
 
 
 def save_state(state: HybridState, path: str) -> None:

@@ -10,9 +10,10 @@ families with exact overlap integrals:
 * ``ComponentSum`` -- a formal linear combination of the above (produced
   internally, e.g. by Schmidt modes of mixed-representation states).
 
-One builder, ``_Dictionary``, writes linear combinations of components as
-amplitudes over packets and Hermite modes, and alone decides which terms
-are one entry: ``overlaps`` reads its rows as C in h = C G C^dagger, and
+A packet is a ``_packet`` record, and ``_packet_key`` alone decides when two
+are one: the builder ``_Dictionary`` keys with it, as do frame changes and
+sweep rows.  ``_Dictionary`` writes components as amplitudes over packets
+and Hermite modes: ``overlaps`` reads its rows as C in h = C G C^dagger, and
 ``combine_components`` holds each packet or mode once, whatever the mix.
 
 Width convention: a packet of ``width`` sigma centered at k has amplitude
@@ -36,6 +37,7 @@ from __future__ import annotations
 
 import cmath
 import math
+from array import array
 from dataclasses import dataclass
 from typing import Mapping, Union
 
@@ -150,9 +152,18 @@ class GaussianTerm:
         return np.where(np.exp(envelope.real) == 0.0, 0.0, vals)
 
 
-def _packet_key(t: GaussianTerm) -> tuple:
-    """Terms with equal keys are one packet up to amplitude (bit-equal fields)."""
-    return (t.width, t.quad_phase, t.center.tobytes(), t.linear_phase.tobytes())
+def _packet(t: GaussianTerm) -> tuple[list[float], float, list[float], float]:
+    """The packet record (center, width, linear_phase, quad_phase) of a term
+    in Python floats: its fields after the amplitude, so
+    ``GaussianTerm(amplitude, *record)`` rebuilds the term."""
+    return t.center.tolist(), t.width, t.linear_phase.tolist(), t.quad_phase
+
+
+def _packet_key(record: tuple) -> tuple:
+    """Records with equal keys are one packet: bit-equal center and linear
+    phase (-0.0 and 0.0 differ), equal width and quad phase."""
+    center, width, linear, quad = record
+    return width, quad, array("d", center + linear).tobytes()
 
 
 @dataclass(frozen=True)
@@ -321,7 +332,7 @@ class _Dictionary:
 
     def __init__(self):
         self.index: dict[tuple, int] = {}  # packet key or (frame key, multi-index) -> entry
-        self.packets: list[tuple[int, GaussianTerm]] = []  # (entry, first term)
+        self.packets: list[tuple[int, tuple]] = []  # (entry, ``_packet`` record of the first term)
         # frame key -> (first expansion on the frame, [(entry, multi-index)])
         self.frames: dict[tuple, tuple[HermiteExpansion, list]] = {}
 
@@ -334,7 +345,7 @@ class _Dictionary:
             for w2, part in comp.parts if isinstance(comp, ComponentSum) else ((None, comp),):
                 weight = w if w2 is None else w2 if w is None else w * w2
                 if isinstance(part, GaussianSum):
-                    entries = ((_packet_key(t), t.amplitude, t) for t in part.terms)
+                    entries = ((_packet_key(r), t.amplitude, r) for t, r in zip(part.terms, map(_packet, part.terms)))
                     found = self.packets
                 else:
                     frame = (part.scale, (part.origin + 0.0).tobytes())  # + 0.0: -0.0 is 0.0
@@ -361,7 +372,7 @@ def combine_components(weights, components) -> WaveComponent:
     row = dictionary.row(pairs)
     parts: list[WaveComponent] = []
     if dictionary.packets:
-        parts.append(GaussianSum(tuple(t._with_amplitude(row[p]) for p, t in dictionary.packets)))
+        parts.append(GaussianSum(tuple(GaussianTerm(row[p], *record) for p, record in dictionary.packets)))
     for first, modes in dictionary.frames.values():
         parts.append(HermiteExpansion(first.scale, first.origin, {idx: row[p] for p, idx in modes}))
     return parts[0] if len(parts) == 1 else ComponentSum(tuple((1.0, part) for part in parts))
@@ -445,7 +456,6 @@ def spin_expectation(state: HybridState) -> float:
     (n-1)/2 - chi, from the diagonal overlaps.  Requires a normalized state."""
     from . import overlaps
 
-    weights = [overlaps.component_norm_sq(comp) for comp in state.components]
-    require_unit_norm(float(np.sqrt(sum(weights))))
-    n = state.n
-    return sum(((n - 1) / 2.0 - chi) * w for chi, w in enumerate(weights))
+    h = overlaps.dictionary_overlap_matrix(state.components)
+    require_unit_norm(_trace_norm(h))
+    return sum(((state.n - 1) / 2.0 - chi) * w for chi, w in enumerate(h.diagonal().real.tolist()))

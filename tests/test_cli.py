@@ -421,6 +421,18 @@ class TestExitCodes:
         assert run_cli(["sweep-q", "--c0", "1"])[0] == 1
         assert run_cli(["kernel", "x.json", "--axis", "0", "--grid=bad"])[0] == 1
 
+    @pytest.mark.parametrize("argv, message", [
+        (["sweep-q", "--c0=abc", "--c1=0.8", "--sigma=1.0", "--q-start=0", "--q-stop=1", "--q-steps=3"],
+         "cannot parse complex number 'abc'"),
+        (["sweep-width", "--c0=0.6", "--c1=1+", "--sigma0=1.0", "--r-start=1", "--r-stop=2", "--r-steps=3"],
+         "cannot parse complex number '1+'"),
+        (["kernel", "x.json", "--axis=0", "--grid=a:1:3"], "grid must be lo:hi:steps, got 'a:1:3'"),
+        (["kernel", "x.json", "--axis=0", "--grid=0:1:0"], "grid needs at least one step"),
+        (["kernel", "x.json", "--axis=0", "--grid=0:1:-2"], "grid needs at least one step"),
+    ])
+    def test_usage_error_messages(self, argv, message):
+        assert run_cli(argv) == (1, "", f"usage error: {message}\n")
+
     def test_state_file_errors(self, tmp_path):
         missing = tmp_path / "missing.json"
         assert run_cli(["analyze", str(missing)])[0] == 2

@@ -12,6 +12,12 @@ oracle's real-line grid for a packet against a Hermite mode misses by up to
 1e-8 with 64 nodes, while 128 nodes agree with the closed form to 1e-16.
 The oracle costs 64^d nodes per pair of pieces, so d = 3 is drawn for about
 one state in twenty, with n <= 2 and single packets.
+
+A second fuzz draws every component from a small pool of packets and
+Hermite frames, so equal packets and frames repeat within and across
+components and the dictionary merges them.  The pool holds a twin pair: one
+center or origin with a coordinate 0.0 and the same with -0.0, which are
+two packets but one frame.
 """
 
 import math
@@ -21,7 +27,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdent.overlaps import dictionary_overlap_matrix
-from cdent.states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, norm, normalize
+from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion, HybridState, norm, normalize
 from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
 SPEC64 = QuadratureSpec(64)
@@ -63,6 +69,58 @@ def mixed_states(draw):
 @settings(max_examples=60, derandomize=True, database=None, deadline=None)
 @given(state=mixed_states())
 def test_every_entry_matches_the_quadrature_oracle(state):
+    comps = state.components
+    h = dictionary_overlap_matrix(comps)
+    for i, a in enumerate(comps):
+        for j in range(i, len(comps)):
+            assert abs(h[i, j] - quadrature_overlap(a, comps[j], SPEC64)) < 1e-12
+    assert np.array_equal(h, h.conj().T)
+
+
+@st.composite
+def pooled_states(draw):
+    d = draw(st.integers(0, 19).map(lambda k: 3 if k == 19 else 1 + k % 2))
+    n = draw(st.integers(1, 2 if d == 3 else 4))
+    coordinates = st.lists(signed(LOG_RANGE), min_size=d, max_size=d)
+    base = draw(coordinates)
+    zero, twin = [0.0] + base[1:], [-0.0] + base[1:]
+
+    def packet(center):
+        return (center, draw(LOG_RANGE), draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)),
+                draw(st.floats(-0.5, 0.5)))
+
+    width, linear, quad = packet(zero)[1:]
+    packets = [packet(draw(coordinates)), (zero, width, linear, quad), (twin, width, linear, quad)]
+    scale = draw(LOG_RANGE)
+    frames = [(draw(LOG_RANGE), draw(coordinates)), (scale, zero), (scale, twin)]
+    indices = st.tuples(*[st.integers(0, 3)] * d)
+    pieces = 1 if d == 3 else 3
+
+    def gaussian_sum():
+        return GaussianSum(tuple(GaussianTerm(draw(amplitude()), *draw(st.sampled_from(packets)))
+                                 for _ in range(draw(st.integers(1, pieces)))))
+
+    def hermite():
+        return HermiteExpansion(*draw(st.sampled_from(frames)),
+                                {draw(indices): draw(amplitude()) for _ in range(draw(st.integers(1, 3)))})
+
+    components = []
+    for _ in range(n):
+        kind = draw(st.sampled_from(["gaussian", "hermite", "sum"]))
+        if kind == "gaussian":
+            components.append(gaussian_sum())
+        elif kind == "hermite":
+            components.append(hermite())
+        else:
+            components.append(ComponentSum(((draw(amplitude()), gaussian_sum()), (draw(amplitude()), hermite()))))
+    state = HybridState(tuple(components))
+    assume(norm(state) > 1e-3)
+    return normalize(state)
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(state=pooled_states())
+def test_repeated_packets_and_frames_match_the_quadrature_oracle(state):
     comps = state.components
     h = dictionary_overlap_matrix(comps)
     for i, a in enumerate(comps):

@@ -91,6 +91,19 @@ class TestJacobi:
         monkeypatch.setattr(linalg, "_MAX_SWEEPS", 60)
         assert np.max(np.abs(hermitian_eigensystem(a)[0] - np.linalg.eigvalsh(a)[::-1])) < 1e-12
 
+    def test_entries_beyond_the_square_root_of_the_float_range(self, rng):
+        # the off-diagonal norm is formed without squaring entries, so it
+        # stays finite and the solve converges at 1e200
+        a = 1e200 * random_hermitian(rng, 4)
+        vals, vecs = hermitian_eigensystem(a)
+        ref = np.linalg.eigvalsh(a)[::-1]
+        assert np.max(np.abs(vals - ref)) <= 1e-14 * np.max(np.abs(ref))
+        assert np.max(np.abs(vecs.conj().T @ vecs - np.eye(4))) < 1e-12
+
+    def test_rejects_an_empty_matrix(self):
+        with pytest.raises(DomainError, match=r"non-empty matrix, got shape \(0, 0\)"):
+            hermitian_eigensystem(np.zeros((0, 0)))
+
     def test_stopping_test_is_relative_to_the_matrix_norm(self):
         # 16 x 16 with Frobenius norm 500: rotations bring the off-diagonal
         # norm down to about 1e-13, which an absolute 1e-14 never accepts

@@ -187,7 +187,7 @@ class TestSpinExpectation:
             spin_expectation(HybridState((packet(0.5, 0.0, 1.0),)))
 
     def test_one_norm_per_component(self, monkeypatch):
-        # the norm gate reads the same n component norms as the expectation
+        # the norm gate and the expectation read the diagonal of one h
         from cdent import overlaps
 
         calls = []
@@ -195,7 +195,7 @@ class TestSpinExpectation:
         monkeypatch.setattr(overlaps, "dictionary_overlap_matrix", lambda comps: calls.append(1) or matrix(comps))
         c = 1 / np.sqrt(2)
         assert spin_expectation(HybridState((packet(c, -60.0, 1.0), packet(c, 60.0, 1.0)))) == 0.0
-        assert len(calls) == 2
+        assert len(calls) == 1
 
     def test_within_spin_range(self, rng):
         for _ in range(15):
