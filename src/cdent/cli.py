@@ -78,8 +78,11 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def _emit(text: str, out_path: str | None, stdout) -> None:
     if out_path:
-        with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+        try:
+            with open(out_path, "w", encoding="utf-8", newline="\n") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise _UsageError(f"cannot write --out {out_path!r}: {exc.strerror or exc}") from exc
     else:
         stdout.write(text)
 
@@ -216,7 +219,7 @@ def run(argv, stdout=None, stderr=None) -> int:
     except SystemExit as exc:  # argparse --help / --version
         code = exc.code if isinstance(exc.code, int) else 0
         return code
-    except (FileNotFoundError, StateFileError) as exc:
+    except StateFileError as exc:
         stderr.write(f"state file error: {exc}\n")
         return STATE_ERROR
     except CDEntError as exc:

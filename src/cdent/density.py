@@ -67,7 +67,8 @@ def spectrum(rho) -> Spectrum:
 
     Accepts an OverlapMatrix or a raw Hermitian array, and reuses the
     eigenvalues its validation computed: the cancellation-free closed form
-    for n = 2, the cyclic Jacobi eigensolver for larger n.
+    for n = 2, the LAPACK solve of ``linalg.hermitian_eigensystem`` for
+    larger n.
     """
     if not isinstance(rho, OverlapMatrix):
         rho = OverlapMatrix(rho)

@@ -62,12 +62,12 @@ class SpinRotation:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got {m.shape}")
-        (a, b), (c, d) = m.tolist()  # M M^dagger - I in Python scalars: an overflow is inf, not a warning
+        (a, b), (c, d) = m.tolist()  # M M^dagger - I and det M in Python scalars: an overflow is inf, not a warning
         upper = (a * a.conjugate() + b * b.conjugate() - 1.0, a * c.conjugate() + b * d.conjugate(),
                  c * c.conjugate() + d * d.conjugate() - 1.0)
         if not all(math.hypot(x.real, x.imag) <= 1e-12 for x in upper):
             raise DomainError("matrix is not unitary within 1e-12")
-        if not abs(np.linalg.det(m) - 1.0) <= 1e-12:
+        if not abs(a * d - b * c - 1.0) <= 1e-12:
             raise DomainError("matrix determinant must be 1 (SU(2))")
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
@@ -193,9 +193,9 @@ def apply_galilean(
 ) -> HybridState:
     """Transformed state, exactly, within the phased-Gaussian family.
 
-    Requires d = 3, n = 2 and GaussianSum components (the family closed
-    under the action); Hermite states are checked through the conjugation
-    law instead of being transformed.
+    Requires d = 3, n = 2 and GaussianSum components, the family closed
+    under the action; any other state raises UnsupportedError, and so does
+    ``invariance_report``, which moves the same packets.
     """
     moved, rows = _move(*_keyed(state), g, params.mass)
     return HybridState(tuple(

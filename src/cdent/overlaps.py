@@ -284,9 +284,9 @@ class OverlapMatrix:
     Together these bound every off-diagonal magnitude by 1/2 (up to the
     tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.
     The eigenvalues of that last check are kept, descending, in
-    ``eigenvalues``: the two-level closed form for n = 2, the Jacobi
-    eigensolver for n >= 3, whose eigenvectors are kept in
-    ``eigenvectors`` (None for n <= 2).
+    ``eigenvalues``: the two-level closed form for n = 2, the LAPACK
+    solve of ``linalg.hermitian_eigensystem`` for n >= 3, whose
+    eigenvectors are kept in ``eigenvectors`` (None for n <= 2).
     """
 
     matrix: np.ndarray

@@ -258,9 +258,13 @@ def save_state(state: HybridState, path: str) -> None:
 
 
 def load_state(path: str) -> HybridState:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
+    """Read and validate a state file.  Raises StateFileError when the file
+    cannot be opened or decoded as UTF-8 JSON, and when it fails validation."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
             data = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise StateFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except json.JSONDecodeError as exc:
+        raise StateFileError(f"line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
+    except (OSError, UnicodeDecodeError, RecursionError) as exc:
+        raise StateFileError(str(exc)) from exc
     return state_from_dict(data)

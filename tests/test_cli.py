@@ -434,8 +434,9 @@ class TestExitCodes:
         assert run_cli(argv) == (1, "", f"usage error: {message}\n")
 
     def test_state_file_errors(self, tmp_path):
-        missing = tmp_path / "missing.json"
-        assert run_cli(["analyze", str(missing)])[0] == 2
+        missing = str(tmp_path / "missing.json")
+        assert run_cli(["analyze", missing]) == (
+            2, "", f"state file error: [Errno 2] No such file or directory: {missing!r}\n")
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         code, _, err = run_cli(["analyze", str(broken)])
@@ -456,6 +457,31 @@ class TestExitCodes:
         code, _, err = run_cli(["analyze", str(invalid)])
         assert code == 2
         assert "width" in err
+
+    @pytest.mark.parametrize("content, message", [
+        (None, "Is a directory"),
+        (b"\xff\xfe{}", "'utf-8' codec can't decode byte 0xff"),
+        (b"[" * 200_000 + b"]" * 200_000, "maximum recursion depth exceeded"),
+    ], ids=["directory", "not-utf8", "nested-200000-deep"])
+    def test_unreadable_state_file_exits_2(self, tmp_path, content, message):
+        path = tmp_path / "state.json"
+        if content is None:
+            path.mkdir()
+        else:
+            path.write_bytes(content)
+        code, out, err = run_cli(["analyze", str(path)])
+        assert (code, out) == (2, "")
+        assert err.startswith("state file error: ") and message in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("target, message", [
+        ("no-such-dir/rows.csv", "No such file or directory"),
+        (".", "Is a directory"),
+    ])
+    def test_unwritable_out_is_usage_error(self, tmp_path, target, message):
+        out_path = str(tmp_path / target)
+        argv = ["sweep-q", "--c0=0.6", "--c1=0.8", "--sigma=1.0", "--q-start=0", "--q-stop=1", "--q-steps=2"]
+        assert run_cli(argv + ["--out", out_path]) == (
+            1, "", f"usage error: cannot write --out {out_path!r}: {message}\n")
 
     def test_numerical_error_exit(self, tmp_path):
         unnorm = tmp_path / "unnorm.json"
@@ -564,7 +590,7 @@ class TestMixedAnalyze:
         assert abs(analyze_h(path)[0, 1] - expected) < 1e-10
 
     def test_six_level_spectrum_agrees_with_its_h(self, tmp_path):
-        # n = 6 with overlapping packets and modes: the Jacobi solver, not
+        # n = 6 with overlapping packets and modes: the LAPACK solve, not
         # the 2 x 2 closed form, gives the printed spectrum
         path = write_state(tmp_path / "n6.json", 2, [
             packet_entry(0.5, [0.0, 0.0], 1.0),
@@ -590,6 +616,31 @@ class TestMixedAnalyze:
         for poly in ([0.0, 1.0], [0.0, 0.0, 1.0], [0.0, 0.0, 0.0, 1.0]):
             lhs, rhs = trace_function_check(state, poly)
             assert lhs == pytest.approx(rhs, abs=1e-9)
+
+    def test_same_bytes_with_one_or_default_blas_threads(self, tmp_path):
+        # the benchmark's n = 6 mixed states: phased packets on the even
+        # levels, two-mode Hermite expansions on one frame on the odd ones
+        weights = [0.25, 0.2, 0.15, 0.15, 0.15, 0.1]
+        comps = []
+        for chi, w in enumerate(weights):
+            if chi % 2 == 0:
+                comps.append(packet_entry(np.sqrt(w), [0.1 * chi, -0.2, 0.3], 1.0 + 0.05 * chi,
+                                          [0.2, -0.1 * chi, 0.1], 0.05 * chi))
+            else:
+                comps.append({"type": "hermite", "scale": 1.1, "origin": [0.1, 0.0, -0.2], "coefficients": [
+                    {"index": [chi // 2, 1, 0], "value": [np.sqrt(0.6 * w), 0.0]},
+                    {"index": [0, 0, chi // 2 + 1], "value": [0.0, np.sqrt(0.4 * w)]},
+                ]})
+        path = write_state(tmp_path / "n6.json", 3, comps)
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        runs = [subprocess.run([sys.executable, "-m", "cdent", "analyze", path], capture_output=True, env=e)
+                for e in (dict(env, OPENBLAS_NUM_THREADS="1"), env)]
+        assert [r.returncode for r in runs] == [0, 0], runs[0].stderr
+        assert runs[0].stdout == runs[1].stdout and runs[0].stderr == runs[1].stderr == b""
+        h = analyze_h(path)
+        assert np.max(np.abs(h - np.diag(h.diagonal()))) > 0.1  # far from diagonal: the solve mixes
 
     def test_no_route_reaches_quadrature(self, tmp_path, monkeypatch, rng):
         def refuse(*args, **kwargs):

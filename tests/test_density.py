@@ -19,7 +19,7 @@ from cdent.overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_mat
 from cdent.states import GaussianSum, GaussianTerm, HybridState, combine_components
 from conftest import EQUAL, random_gaussian_state, random_state
 
-# frozen via the 2x2 closed form and the Jacobi eigensolver (cross-checked)
+# frozen via the 2x2 closed form, cross-checked with the eigensolver
 LAM_PLUS = 0.6839397205857212
 LAM_MINUS = 0.31606027941427883
 PURITY_E1 = 0.5676676416183063
@@ -80,7 +80,7 @@ class TestSpectrum:
             Spectrum(np.array([0.5, 0.6]))
 
     def test_closed_form_matches_eigensolvers_on_random_matrices(self, rng):
-        # 500 random valid 2x2 reduced matrices: closed form vs Jacobi vs LAPACK
+        # 500 random valid 2x2 reduced matrices: closed form vs naive form vs LAPACK
         for _ in range(500):
             w = rng.uniform(0.02, 0.98)
             mag_cap = min(np.sqrt(w * (1.0 - w)), 1.0 / np.sqrt(2.0))
@@ -269,7 +269,7 @@ class TestTraceFunction:
                 assert lhs == pytest.approx(rhs, abs=1e-9)
 
     def test_builds_h_once_and_solves_once(self, rng, monkeypatch):
-        # n = 3: the one Jacobi solve of the OverlapMatrix PSD check also
+        # n = 3: the one eigensolve of the OverlapMatrix PSD check also
         # gives the Schmidt eigensystem
         calls = {"overlap_matrix": 0, "eigensystem": 0}
 

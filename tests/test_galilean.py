@@ -103,12 +103,13 @@ class TestSpinRotation:
         with pytest.raises(DomainError, match="not unitary"):
             SpinRotation(matrix)
 
-    def test_nan_determinant_rejected(self, monkeypatch):
-        # a finite unitary matrix has a finite determinant, so the gate is
-        # handed a NaN one directly
-        monkeypatch.setattr(np.linalg, "det", lambda m: np.nan)
-        with pytest.raises(DomainError, match="determinant"):
-            SpinRotation(np.eye(2))
+    def test_determinant_must_be_one(self):
+        # unitary, but in U(2) only: det -1, det i, and a phase 1e-11 off 1
+        for phase in (np.pi, np.pi / 2, 1e-11):
+            with pytest.raises(DomainError, match=r"determinant must be 1 \(SU\(2\)\)"):
+                SpinRotation(np.diag([np.exp(1j * phase), 1.0]))
+        c, s = np.cos(0.3), np.sin(0.3)
+        SpinRotation([[c * np.exp(0.2j), s], [-s, c * np.exp(-0.2j)]])
 
 
 @pytest.mark.parametrize("mass", [0.0, -1.0, np.nan, np.inf])

@@ -242,7 +242,7 @@ class TestOverlapMatrix:
             assert hermitian_eigensystem(h)[0][-1] > -1e-10
 
     def test_keeps_the_eigensystem_of_its_psd_check(self, rng):
-        # n >= 3: the Jacobi solve's eigenvectors, bit for bit; n <= 2 uses
+        # n >= 3: the eigensolve's eigenvectors, bit for bit; n <= 2 uses
         # closed forms and keeps none
         for n in (1, 2, 3, 5):
             rho = overlap_matrix(random_state(rng, n=n))
