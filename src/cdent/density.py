@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, StructureError, UnsupportedError
-from .linalg import hermitian_eigensystem
-from .overlaps import OverlapMatrix, overlap_matrix
+from .linalg import _eigensystem
+from .overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_matrix
 from .states import HybridState, WaveComponent, combine_components
 
 RANK_TOL = 1e-10
@@ -67,8 +67,7 @@ def spectrum(rho) -> Spectrum:
 
     Accepts an OverlapMatrix or a raw Hermitian array, and reuses the
     eigenvalues its validation computed: the cancellation-free closed form
-    for n = 2, the LAPACK solve of ``linalg.hermitian_eigensystem`` for
-    larger n.
+    for n = 2, the LAPACK solve ``linalg._eigensystem`` for larger n.
     """
     if not isinstance(rho, OverlapMatrix):
         rho = OverlapMatrix(rho)
@@ -107,21 +106,19 @@ def schmidt_decomposition(state: HybridState) -> SchmidtData:
 
 
 def _schmidt_from(state: HybridState, rho: OverlapMatrix) -> SchmidtData:
-    """Schmidt form of ``state`` from its overlap matrix ``rho``, with the
-    eigensystem its validation computed when there is one (n >= 3)."""
-    if rho.eigenvectors is None:
-        values, vectors = hermitian_eigensystem(rho.matrix)
+    """Schmidt form of ``state`` from its overlap matrix ``rho``: for every
+    n the coefficients are ``spectrum(rho)``; the vectors are rho's for
+    n >= 3 and, for n <= 2, those of one solve of the gated ``rho.matrix``."""
+    vectors = rho.eigenvectors
+    if vectors is None:
+        vectors = _eigensystem(rho.matrix)[1]
         vectors.setflags(write=False)
-    else:
-        values, vectors = rho.eigenvalues, rho.eigenvectors
-    coefficients = Spectrum(values)
-    modes: list[WaveComponent] = []
-    for i, lam in enumerate(coefficients.eigenvalues):
-        if lam <= RANK_TOL:
-            continue
-        weights = np.conj(vectors[:, i]) / np.sqrt(lam)
-        modes.append(combine_components(weights, state.components))
-    return SchmidtData(coefficients, vectors, tuple(modes))
+    coefficients = spectrum(rho)
+    modes = tuple(
+        combine_components(np.conj(vectors[:, i]) / np.sqrt(lam), state.components)
+        for i, lam in enumerate(coefficients.eigenvalues) if lam > RANK_TOL
+    )
+    return SchmidtData(coefficients, vectors, modes)
 
 
 def _poly_eval(coeffs: np.ndarray, t: np.ndarray) -> np.ndarray:
@@ -137,20 +134,19 @@ def trace_function_check(state: HybridState, poly) -> tuple[float, float]:
     ``poly`` lists real coefficients in ascending powers, constant term
     first; the constant term must be zero (on the continuous side its
     trace diverges), otherwise UnsupportedError.  Returns (lhs, rhs): lhs
-    sums g over the discrete-side spectrum, rhs sums g over the Schmidt
-    coefficients, i.e. the non-zero spectrum shared with the continuous
-    side.
+    sums g over the discrete-side spectrum; rhs is Tr g of the continuous
+    side sum_i lambda_i |psi_i><psi_i| rebuilt from the Schmidt modes,
+    sum_k c_k Tr((Lambda M)^k) with Lambda the coefficients above the rank
+    tolerance and M the modes' exact Gram matrix, so it reads the modes.
     """
     coeffs = np.array(poly, dtype=float).reshape(-1)
     if coeffs.size and coeffs[0] != 0.0:
         raise UnsupportedError(
             "constant term is not supported: its trace diverges on the continuous side"
         )
-    rho = overlap_matrix(state)
-    lam_s = spectrum(rho).eigenvalues
-    lhs = float(np.sum(_poly_eval(coeffs, lam_s)))
-    sd = _schmidt_from(state, rho)
-    lam_shared = sd.coefficients.eigenvalues
-    lam_shared = lam_shared[lam_shared > RANK_TOL]
-    rhs = float(np.sum(_poly_eval(coeffs, lam_shared)))
-    return lhs, rhs
+    sd = _schmidt_from(state, overlap_matrix(state))
+    lam = sd.coefficients.eigenvalues  # the discrete-side spectrum, spectrum(rho)
+    lhs = float(np.sum(_poly_eval(coeffs, lam)))
+    lam_m = lam[lam > RANK_TOL][:, None] * dictionary_overlap_matrix(sd.continuous_modes)
+    rhs = sum(c * np.trace(np.linalg.matrix_power(lam_m, k)).real for k, c in enumerate(coeffs[1:], 1))
+    return lhs, float(rhs)

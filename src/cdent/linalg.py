@@ -1,12 +1,12 @@
-"""Hermitian eigensolver for the small dense matrices that appear as
-reduced density matrices (n <= ~16).
+"""Hermitian gate and eigensolver for the small dense matrices that appear
+as reduced density matrices (n <= ~16).
 
-One LAPACK solve (``numpy.linalg.eigh``) behind the gates every caller
-relies on: finite, square, non-empty and Hermitian within 1e-10.  Its
-error is a few ulps times ||A||, so the residual ||A V - V Lambda|| and
-the orthonormality ||V^H V - I|| stay near 1e-15 for a density matrix;
-every gate applied to the eigenvalues downstream is absolute and far
-above that.  Eigenvalues come out descending, eigenvector phases fixed.
+``require_hermitian`` is the one finite/Hermitian gate.  ``OverlapMatrix``
+and ``hermitian_eigensystem`` call it once and pass the symmetrized matrix
+to ``_eigensystem``: one LAPACK solve (``numpy.linalg.eigh``), no gate.  Its
+error is a few ulps times ||A||, so ||A V - V Lambda|| and ||V^H V - I||
+stay near 1e-15 for a density matrix, far below every (absolute) gate on
+the eigenvalues downstream.  Eigenvalues descend, eigenvector phases fixed.
 """
 
 from __future__ import annotations
@@ -31,35 +31,45 @@ def two_level_eigenvalues(m: np.ndarray) -> np.ndarray:
     return np.array([half_tr + root, half_tr - root])
 
 
+def require_hermitian(m: np.ndarray) -> list[list[complex]]:
+    """``m.tolist()``, once ``m`` is square, non-empty, finite and Hermitian
+    entry by entry, |a_ij - conj(a_ji)| <= 1e-10 for i <= j; DomainError
+    otherwise.  On Python scalars, with hypot over real and imaginary parts:
+    nothing overflows to a warning or an error, and NaN fails."""
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise DomainError(f"expected a square matrix, got shape {m.shape}")
+    if m.shape[0] == 0:
+        raise DomainError("expected a non-empty matrix, got shape (0, 0)")
+    a = m.tolist()
+    n = len(a)
+    deviations = (a[i][j] - a[j][i].conjugate() for i in range(n) for j in range(i, n))
+    if not all(math.hypot(z.real, z.imag) <= 1e-10 for z in deviations):
+        if not all(map(cmath.isfinite, sum(a, []))):
+            raise DomainError("matrix has non-finite entries: entries must be finite")
+        raise DomainError("matrix is not Hermitian within 1e-10")
+    return a
+
+
 def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
 
     Returns ``(values, vectors)`` with ``vectors[:, i]`` the eigenvector of
-    ``values[i]``.  Each eigenvector is phase-fixed so its first entry of
-    magnitude above 1e-12 is real positive, which makes degenerate subspaces
-    come out deterministically for identical inputs.  Raises DomainError on
-    a non-square, empty, non-finite or non-Hermitian matrix, when LAPACK
-    reports that the solve did not converge, and when it returns non-finite
+    ``values[i]``, phase-fixed so its first entry of magnitude above 1e-12
+    is real positive: identical inputs give identical degenerate subspaces.
+    Raises DomainError on a matrix that ``require_hermitian`` refuses, when
+    LAPACK reports that the solve did not converge, and on non-finite
     eigenvalues (an entry whose modulus exceeds the float range).
     """
     m = np.array(matrix, dtype=complex)
-    n = m.shape[0]
-    if m.shape != (n, n):
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if n == 0:
-        raise DomainError("expected a non-empty matrix, got shape (0, 0)")
-    a = m.tolist()
-    if not all(map(cmath.isfinite, sum(a, []))):
-        raise DomainError("matrix has non-finite entries")
-    # deviation from A^H in Python scalars, with hypot over real and imaginary
-    # parts: no overflow to inf, and no OverflowError from abs()
-    dev = [a[p][q] - a[q][p].conjugate() for p in range(n) for q in range(p + 1, n)]
-    deviation = math.hypot(*(z.real for z in dev), *(z.imag for z in dev))
-    if math.sqrt(2.0) * deviation > 1e-10 or max(abs(row[p].imag) for p, row in enumerate(a)) > 1e-10:
-        raise DomainError("matrix is not Hermitian within 1e-10")
+    require_hermitian(m)
     # symmetrize roundoff away; halving first keeps entries near the float
     # limit finite, and an exactly Hermitian matrix comes out unchanged
-    m = 0.5 * m + 0.5 * m.conj().T
+    return _eigensystem(0.5 * m + 0.5 * m.conj().T)
+
+
+def _eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``hermitian_eigensystem`` of an exactly Hermitian matrix that passed
+    ``require_hermitian``, without gating it again."""
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -67,5 +77,5 @@ def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(values).all():  # LAPACK's norm of A overflows past the float range
         raise DomainError("eigensolver returned non-finite eigenvalues")
     values, vectors = values[::-1], vectors[:, ::-1]
-    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), range(n)]  # a unit column has one
+    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), range(m.shape[0])]  # a unit column has one
     return values, vectors * (lead.conj() / np.abs(lead))

@@ -41,6 +41,15 @@ def schmidt_rank(s) -> int:
     return int(np.sum(lam > RANK_TOL))
 
 
+def _unit_weights(c0: complex, c1: complex) -> tuple[float, float]:
+    """(|c0|^2, |c1|^2), once their sum is 1 within 1e-9 (NaN fails)."""
+    w0 = abs(c0) ** 2
+    w1 = abs(c1) ** 2
+    if not abs(w0 + w1 - 1.0) <= 1e-9:
+        raise PreconditionError(f"|c0|^2 + |c1|^2 must be 1, got {w0 + w1!r}")
+    return w0, w1
+
+
 def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[float, float]:
     """Closed-form reduced spectrum for a two-level state whose components
     are single packets with amplitudes c0, c1 and unit-amplitude overlap x:
@@ -49,10 +58,7 @@ def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[flo
 
     For equal weights |c0|^2 = |c1|^2 = 1/2 this is 1/2 +- |x|/2.
     """
-    w0 = abs(c0) ** 2
-    w1 = abs(c1) ** 2
-    if not abs(w0 + w1 - 1.0) <= 1e-9:
-        raise PreconditionError(f"|c0|^2 + |c1|^2 must be 1, got {w0 + w1!r}")
+    w0, w1 = _unit_weights(c0, c1)
     ax = abs(x)
     if not ax <= 1.0 + 1e-12:
         raise PreconditionError(f"|x| must be <= 1, got {ax!r}")

@@ -91,7 +91,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .linalg import hermitian_eigensystem, two_level_eigenvalues
+from .linalg import _eigensystem, require_hermitian, two_level_eigenvalues
 from .states import (
     GaussianTerm,
     HybridState,
@@ -277,16 +277,15 @@ class OverlapMatrix:
     """The n x n Hermitian matrix h of component overlaps; for a pure state
     this is the reduced density matrix of the discrete factor.
 
-    Construction validates: finite entries, hermiticity (within 1e-10,
-    then symmetrized exactly), unit trace within 1e-10, Cauchy-Schwarz
-    |h_ij|^2 <= h_ii h_jj + 1e-12, and positive semidefiniteness down to
-    eigenvalue -1e-10; every gate is written so that NaN fails it.
-    Together these bound every off-diagonal magnitude by 1/2 (up to the
-    tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.
-    The eigenvalues of that last check are kept, descending, in
-    ``eigenvalues``: the two-level closed form for n = 2, the LAPACK
-    solve of ``linalg.hermitian_eigensystem`` for n >= 3, whose
-    eigenvectors are kept in ``eigenvectors`` (None for n <= 2).
+    Construction validates: ``linalg.require_hermitian`` (then symmetrized
+    exactly), unit trace within 1e-10, Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj
+    + 1e-12, and positive semidefiniteness down to eigenvalue -1e-10; every
+    gate is written so that NaN fails it.  Together these bound every
+    off-diagonal magnitude by 1/2 (up to the tolerances):
+    |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.  The eigenvalues of
+    that last check are kept, descending, in ``eigenvalues``: the two-level
+    closed form for n = 2, the solve ``linalg._eigensystem`` for n >= 3,
+    whose eigenvectors are kept in ``eigenvectors`` (None for n <= 2).
     """
 
     matrix: np.ndarray
@@ -295,35 +294,28 @@ class OverlapMatrix:
 
     def __post_init__(self):
         m = np.array(self.matrix, dtype=complex)
-        n = m.shape[0]
-        if m.ndim != 2 or m.shape != (n, n):
-            raise DomainError(f"expected a square matrix, got shape {m.shape}")
-        # gates on Python scalars, which overflow to inf, not to a warning; a
-        # non-finite entry makes a deviation nan or inf
-        a = m.tolist()
-        pairs = {(i, j): (a[i][j], a[j][i].conjugate()) for i in range(n) for j in range(i, n)}
-        if not all(math.hypot((x - y).real, (x - y).imag) <= 1e-10 for x, y in pairs.values()):
-            if not all(map(cmath.isfinite, sum(a, []))):
-                raise DomainError("overlap matrix entries must be finite")
-            raise DomainError("overlap matrix is not Hermitian within 1e-10")
+        a = require_hermitian(m)
+        # trace and Cauchy-Schwarz gates on the symmetrized entries in Python
+        # scalars, which overflow to inf, not to a warning
         diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
         trace = sum(diag)
         if not abs(trace - 1.0) <= 1e-10:
             raise DomainError(f"trace must be 1, got {trace!r}")
-        for (i, j), (x, y) in pairs.items():
-            size = 0.5 * math.hypot((x + y).real, (x + y).imag)
-            if i < j and not size * size <= diag[i] * diag[j] + 1e-12:
-                raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
+        n = len(a)
+        for i in range(n):
+            for j in range(i + 1, n):
+                size = 0.5 * math.hypot((z := a[i][j] + a[j][i].conjugate()).real, z.imag)
+                if not size * size <= diag[i] * diag[j] + 1e-12:
+                    raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
         # the gates bound every entry by about 1: no overflow from here on
         m = 0.5 * (m + m.conj().T)
-        diag = m.diagonal().real
         vectors = None
         if n == 1:
-            values = diag.copy()
+            values = m.diagonal().real.copy()
         elif n == 2:
             values = two_level_eigenvalues(m)
         else:
-            values, vectors = hermitian_eigensystem(m)
+            values, vectors = _eigensystem(m)
             vectors.setflags(write=False)
         if not values[-1] >= -1e-10:
             raise DomainError("overlap matrix is not positive semidefinite")

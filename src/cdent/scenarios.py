@@ -17,7 +17,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .density import spectrum
-from .errors import DegenerateStateError, DomainError, PreconditionError
+from .errors import DegenerateStateError, DomainError
+from .measures import _unit_weights
 from .measures import purity as _purity
 from .measures import von_neumann_entropy
 from .overlaps import _gram, _normalized_overlap_matrix, _sandwich
@@ -60,16 +61,10 @@ def sweep_csv(rows: list[SweepRow]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _check_weights(c0: complex, c1: complex) -> None:
-    total = abs(c0) ** 2 + abs(c1) ** 2
-    if not abs(total - 1.0) <= 1e-9:
-        raise PreconditionError(f"|c0|^2 + |c1|^2 must be 1, got {total!r}")
-
-
 def beam_pair(c0, c1, k0, k1, s0: float, s1: float) -> HybridState:
     """n=2, d=3 state with one Gaussian packet per level: amplitudes c0, c1,
     centers k0, k1, widths s0, s1, no phases."""
-    _check_weights(c0, c1)
+    _unit_weights(c0, c1)
     k0 = np.array(k0, dtype=float).reshape(-1)
     k1 = np.array(k1, dtype=float).reshape(-1)
     if k0.shape != (3,) or k1.shape != (3,):
@@ -97,7 +92,7 @@ def _as_multi_index(m, d: int) -> tuple[int, ...]:
 def shape_pair(c0, c1, m0, m1, scale: float = 1.0, origin=None) -> HybridState:
     """n=2 state whose components are two distinct Hermite modes on one
     frame: exactly orthogonal components, so h is diagonal."""
-    _check_weights(c0, c1)
+    _unit_weights(c0, c1)
     if origin is None:
         origin = np.zeros(3)
     origin = np.array(origin, dtype=float).reshape(-1)
@@ -129,7 +124,7 @@ def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
     rows = []
     for value, center, width in points:
         if not rows:  # row-independent checks and products, after the first value's check
-            _check_weights(c0, c1)
+            _unit_weights(c0, c1)
             sigma0 = float(sigma0)
             _check_width(sigma0, "width")
             key0 = _packet_key(record0 := (_ORIGIN, sigma0, _ORIGIN, 0.0))

@@ -45,7 +45,6 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError, PreconditionError, StructureError
 
-NORM_TOL = 1e-12         # guaranteed after normalize()
 NORM_PRECONDITION = 1e-9  # gate for operations that require a normalized state
 WIDTH_MIN = 1e-76        # range of packet widths and Hermite scales
 WIDTH_MAX = 1e76

@@ -15,6 +15,7 @@ from cdent.density import (
 )
 from cdent.errors import DomainError, StructureError, UnsupportedError
 from cdent.linalg import hermitian_eigensystem
+from cdent.measures import entanglement_report
 from cdent.overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_matrix
 from cdent.states import GaussianSum, GaussianTerm, HybridState, combine_components
 from conftest import EQUAL, random_gaussian_state, random_state
@@ -235,6 +236,51 @@ class TestSchmidt:
         assert len(sd.continuous_modes) == 1
         assert sd.discrete_modes.shape == (2, 2)
 
+    @pytest.mark.parametrize("hermite_fraction", [0.0, 1.0, 0.5], ids=["gaussian", "hermite", "mixed"])
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_coefficients_are_the_reported_spectrum_byte_for_byte(self, n, hermite_fraction):
+        # n = 2 too: the closed-form spectrum, not a second solve's
+        rng = np.random.default_rng([n, int(2 * hermite_fraction)])
+        for _ in range(10):
+            state = random_state(rng, n=n, hermite_fraction=hermite_fraction)
+            coefficients = schmidt_decomposition(state).coefficients.eigenvalues
+            assert coefficients.tobytes() == spectrum(overlap_matrix(state)).eigenvalues.tobytes()
+
+
+class TestOneGateOneSolve:
+    """Each matrix passes the shared finite/Hermitian gate once and is
+    diagonalized once, whichever of the gated entry points it takes."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        calls = {"gate": 0, "solve": 0}
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        gate = counting("gate", linalg.require_hermitian)
+        solve = counting("solve", linalg._eigensystem)
+        for module in (linalg, overlaps):
+            monkeypatch.setattr(module, "require_hermitian", gate)
+        for module in (linalg, overlaps, density):
+            monkeypatch.setattr(module, "_eigensystem", solve)
+        return calls
+
+    def test_report_of_a_three_level_state(self, rng, calls):
+        entanglement_report(overlap_matrix(random_state(rng, n=3)))
+        assert calls == {"gate": 1, "solve": 1}
+
+    def test_schmidt_form_of_a_two_level_state(self, rng, calls):
+        schmidt_decomposition(random_state(rng, n=2))
+        assert calls == {"gate": 1, "solve": 1}
+
+    def test_public_eigensystem_gates_and_solves_once(self, rng, calls):
+        hermitian_eigensystem(overlap_matrix(random_state(rng, n=4)).matrix)
+        assert calls == {"gate": 2, "solve": 2}  # the overlap matrix's, then its own
+
 
 class TestTraceFunction:
     def test_purity_of_maximally_mixed(self):
@@ -280,10 +326,10 @@ class TestTraceFunction:
             return wrapper
 
         monkeypatch.setattr(density, "overlap_matrix", counting("overlap_matrix", density.overlap_matrix))
-        solve = counting("eigensystem", linalg.hermitian_eigensystem)
-        monkeypatch.setattr(linalg, "hermitian_eigensystem", solve)
-        monkeypatch.setattr(density, "hermitian_eigensystem", solve)
-        monkeypatch.setattr(overlaps, "hermitian_eigensystem", solve)
+        solve = counting("eigensystem", linalg._eigensystem)
+        monkeypatch.setattr(linalg, "_eigensystem", solve)
+        monkeypatch.setattr(density, "_eigensystem", solve)
+        monkeypatch.setattr(overlaps, "_eigensystem", solve)
         state = random_gaussian_state(rng, n=3, d=2)
         lhs, rhs = trace_function_check(state, [0.0, 0.0, 1.0])
         assert lhs == pytest.approx(rhs, abs=1e-12)

@@ -1,0 +1,139 @@
+"""Exact symmetries of h that reach beyond the quadrature oracle's box.
+
+The oracle fuzz (``test_fuzz_overlaps.py``) certifies h for widths, scales
+and center magnitudes in [0.3, 3], linear phases in [-1.5, 1.5] and quadratic
+phases in [-0.5, 0.5].  Two relations need no oracle:
+
+* Dilation p -> lambda p with lambda = 2^k is unitary on L^2(R^d): it maps a
+  packet (sigma, k, a, beta) to (sigma/lambda, k/lambda, lambda a,
+  lambda^2 beta) and a Hermite frame (scale, origin) to (scale/lambda,
+  origin/lambda), every new parameter exact in binary, and leaves h
+  unchanged.  Only the logarithms of the closed forms round differently: h
+  agrees within 1e-14 relative up to |k| = 120.  Up to |k| = 250, which
+  carries states drawn in the box over the whole width range [1e-76, 1e76],
+  the packet prefactor's two cancelling logarithms of size d |k| log 2 round
+  to a few d |k| eps, and the bound says so.
+* Splitting a packet term into two adjacent terms of amplitude a/2, or a
+  Hermite expansion into two halves, changes no dictionary entry and no
+  coefficient sum (a/2 + a/2 is a exactly), so h is bit-identical.  This
+  exercises the sums of ``states._Dictionary``.
+"""
+
+import math
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from cdent.overlaps import dictionary_overlap_matrix
+from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion
+
+LOG_RANGE = st.floats(math.log(0.3), math.log(3.0)).map(math.exp)
+SIGN = st.sampled_from([1.0, -1.0])
+
+
+def signed(magnitudes):
+    return st.tuples(SIGN, magnitudes).map(lambda t: t[0] * t[1])
+
+
+# amplitudes bounded away from the subnormal range, where halving rounds
+PART = st.one_of(st.just(0.0), signed(st.floats(1e-3, 1.0)))
+AMPLITUDE = st.builds(complex, PART, PART)
+
+
+@st.composite
+def components(draw):
+    """n = 1..3 components over d = 1..3 axes: packet sums, Hermite
+    expansions and their weighted sums, parameters in the oracle's box."""
+    d = draw(st.integers(1, 3))
+    coordinates = st.lists(signed(LOG_RANGE), min_size=d, max_size=d)
+
+    def gaussian_sum():
+        return GaussianSum(tuple(
+            GaussianTerm(draw(AMPLITUDE), draw(coordinates), draw(LOG_RANGE),
+                         draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)),
+                         draw(st.floats(-0.5, 0.5)))
+            for _ in range(draw(st.integers(1, 3)))
+        ))
+
+    def hermite():
+        indices = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3, unique=True))
+        return HermiteExpansion(draw(LOG_RANGE), draw(coordinates), {idx: draw(AMPLITUDE) for idx in indices})
+
+    comps = []
+    for _ in range(draw(st.integers(1, 3))):
+        kind = draw(st.sampled_from(["gaussian", "hermite", "sum"]))
+        if kind == "gaussian":
+            comps.append(gaussian_sum())
+        elif kind == "hermite":
+            comps.append(hermite())
+        else:
+            comps.append(ComponentSum(((draw(AMPLITUDE), gaussian_sum()), (draw(AMPLITUDE), hermite()))))
+    h = dictionary_overlap_matrix(comps)
+    assume(np.max(np.abs(h)) > 1e-3)
+    return comps
+
+
+def dilated(comp, lam: float):
+    """The component under p -> lam p, written through the parameters."""
+    if isinstance(comp, GaussianSum):
+        return GaussianSum(tuple(
+            GaussianTerm(t.amplitude, t.center / lam, t.width / lam, t.linear_phase * lam, t.quad_phase * lam**2)
+            for t in comp.terms
+        ))
+    if isinstance(comp, HermiteExpansion):
+        return HermiteExpansion(comp.scale / lam, comp.origin / lam, comp.coefficients)
+    return ComponentSum(tuple((w, dilated(part, lam)) for w, part in comp.parts))
+
+
+def dilation_change(comps, k: int) -> float:
+    """max |h(dilated) - h| / max |h| at lambda = 2^k."""
+    h = dictionary_overlap_matrix(comps)
+    moved = dictionary_overlap_matrix([dilated(c, math.ldexp(1.0, k)) for c in comps])
+    return np.max(np.abs(moved - h)) / np.max(np.abs(h))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(comps=components(), k=st.integers(-120, 120))
+def test_dilation_by_a_power_of_two_leaves_h_unchanged(comps, k):
+    assert dilation_change(comps, k) <= 1e-14
+
+
+@settings(max_examples=40, derandomize=True, database=None, deadline=None)
+@given(comps=components(), k=st.integers(121, 250), sign=SIGN)
+def test_dilation_over_the_whole_width_range(comps, k, sign):
+    # the packet closed form takes (d/4) log(4 gamma1 gamma2) - (d/2) log A,
+    # two logarithms of size about d |k| log 2 that cancel: each rounds to
+    # an ulp of its size, so h moves by up to a few d |k| eps, not 1e-14
+    assert dilation_change(comps, int(sign * k)) <= 4 * comps[0].dimension * k * np.finfo(float).eps
+
+
+def pieces(comp) -> list:
+    """The pieces of a component a split can take: its packet terms and
+    its Hermite expansions."""
+    if isinstance(comp, GaussianSum):
+        return list(comp.terms)
+    if isinstance(comp, HermiteExpansion):
+        return [comp]
+    return [piece for _, part in comp.parts for piece in pieces(part)]
+
+
+def split(comp, target):
+    """The component with the piece ``target`` split in two halves: a packet
+    term into two adjacent terms of amplitude a/2, a Hermite expansion into
+    the sum of two copies weighted 1/2 (a weighted sum's parts flatten)."""
+    if isinstance(comp, GaussianSum):
+        return GaussianSum(tuple(u for t in comp.terms for u in ([t.scaled(0.5)] * 2 if t is target else [t])))
+    if isinstance(comp, HermiteExpansion):
+        return ComponentSum(((0.5, comp), (0.5, comp))) if comp is target else comp
+    return ComponentSum(tuple((w, split(part, target)) for w, part in comp.parts))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(comps=components(), data=st.data())
+def test_splitting_a_term_in_halves_leaves_h_bit_identical(comps, data):
+    chi = data.draw(st.integers(0, len(comps) - 1))
+    target = data.draw(st.sampled_from(pieces(comps[chi])))
+    halves = list(comps)
+    halves[chi] = split(comps[chi], target)
+    assert np.array_equal(dictionary_overlap_matrix(halves), dictionary_overlap_matrix(comps))
