@@ -146,11 +146,12 @@ def _cmd_kernel(args, stdout) -> int:
     points[:, args.axis] = grid
     f = kernel_matrix(state, points)
     labels = [fmt_float(x) for x in grid.tolist()]
-    lines = ["p,p_prime,re_f,im_f"]
-    for u, re_row, im_row in zip(labels, f.real.tolist(), f.imag.tolist()):
-        for v, re, im in zip(labels, re_row, im_row):
-            lines.append(f"{u},{v},{fmt_float(re)},{fmt_float(im)}")
-    _emit("\n".join(lines) + "\n", args.out, stdout)
+    parts = f.view(float)  # each row's re, im interleaved
+    if not np.isfinite(parts).all():  # fmt_float refuses the first non-finite value in row order
+        list(map(fmt_float, parts.ravel().tolist()))
+    # '%.17g' % x is fmt_float(x) on a finite float: one template per grid row
+    rows = ("".join(f"{u},{v},%.17g,%.17g\n" for v in labels) % tuple(row) for u, row in zip(labels, parts.tolist()))
+    _emit("p,p_prime,re_f,im_f\n" + "".join(rows), args.out, stdout)
     return 0
 
 

@@ -39,7 +39,8 @@ class Spectrum:
             raise DomainError(f"eigenvalues outside [0,1]: {vals}")
         if not abs(sum(listed) - 1.0) <= 1e-10:
             raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
-        vals = np.sort(vals.clip(0.0, 1.0))[::-1].copy()
+        if not (all(0.0 < x <= 1.0 for x in listed) and listed == sorted(listed, reverse=True)):
+            vals = np.sort(vals.clip(0.0, 1.0))[::-1].copy()  # else clip and sort leave vals as it is
         vals.setflags(write=False)
         object.__setattr__(self, "eigenvalues", vals)
 

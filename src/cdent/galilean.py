@@ -99,9 +99,10 @@ class GalileanElement:
         ).reshape(-1)
         if q.shape != (4,):
             raise DomainError("rotation must be a quaternion (w, x, y, z)")
-        if not all(map(math.isfinite, q.tolist())):
-            raise DomainError(f"rotation must be finite, got {q.tolist()}")
-        deviation = abs(sum(x * x for x in q.tolist()) - 1.0)  # an overflow is inf, not a warning
+        listed = q.tolist()
+        if not all(map(math.isfinite, listed)):
+            raise DomainError(f"rotation must be finite, got {listed}")
+        deviation = abs(sum(x * x for x in listed) - 1.0)  # an overflow is inf, not a warning
         if not deviation <= 1e-12:
             raise DomainError(f"quaternion norm deviates from 1 by {deviation:.2e}")
         q.setflags(write=False)
@@ -116,9 +117,9 @@ class GalileanElement:
         }
 
     @cached_property
-    def _su2(self) -> np.ndarray:
-        """D(R), built once per element for the action and the checks."""
-        return su2_from_rotation(self.rotation).matrix
+    def _su2(self) -> list[list[complex]]:
+        """D(R) as rows, built once per element for the action and the checks."""
+        return su2_from_rotation(self.rotation).matrix.tolist()
 
 
 def quaternion_product(q2: np.ndarray, q1: np.ndarray) -> np.ndarray:
@@ -146,31 +147,26 @@ def quaternion_from_axis_angle(axis, angle: float) -> np.ndarray:
 
 def rotation_matrix(q: np.ndarray) -> np.ndarray:
     """SO(3) matrix of a unit quaternion."""
+    return np.array(_rotation_rows(q))
+
+
+def _rotation_rows(q) -> list[list[float]]:
     w, x, y, z = q
-    return np.array(
-        [
-            [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
-            [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
-            [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
-        ]
-    )
+    return [
+        [1 - 2 * (y * y + z * z), 2 * (x * y - w * z), 2 * (x * z + w * y)],
+        [2 * (x * y + w * z), 1 - 2 * (x * x + z * z), 2 * (y * z - w * x)],
+        [2 * (x * z - w * y), 2 * (y * z + w * x), 1 - 2 * (x * x + y * y)],
+    ]
 
 
 def su2_from_rotation(q) -> SpinRotation:
     """SU(2) matrix cos(theta/2) I - i sin(theta/2) (axis . sigma) of a
     unit quaternion; the quaternion sign carries the double cover."""
-    q = np.array(q, dtype=float).reshape(-1)
-    if q.shape != (4,) or not abs(sum(x * x for x in q.tolist()) - 1.0) <= 1e-12:
+    q = np.array(q, dtype=float).reshape(-1).tolist()
+    if len(q) != 4 or not abs(sum(x * x for x in q) - 1.0) <= 1e-12:
         raise DomainError("expected a unit quaternion (w, x, y, z)")
-    w, x, y, z = q.tolist()
-    return SpinRotation(
-        np.array(
-            [
-                [w - 1j * z, -1j * x - y],
-                [-1j * x + y, w + 1j * z],
-            ]
-        )
-    )
+    w, x, y, z = q
+    return SpinRotation([[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]])
 
 
 def compose(second: GalileanElement, first: GalileanElement) -> GalileanElement:
@@ -224,23 +220,23 @@ def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list
     overflow to inf, not to a warning): each packet moved once, C' = D C
     diag(e^{i phi}) in term order, dropping exactly-zero D weights, and moved
     packets with one ``_packet_key`` merged."""
-    rot = rotation_matrix(g.rotation.tolist()).tolist()
+    rot = _rotation_rows(g.rotation.tolist())
     a, v, b = g.translation.tolist(), g.boost_velocity.tolist(), g.time_shift
     # the scalar phase exp(i(m a.v/2 - a.p + b p^2/(2m))) pushed through the
     # substitution p -> R^T(p - m v), collected per power of p
     vv = _dot(v, v)
-    phase_base = 0.5 * m * _dot(a, v) + m * _dot([_dot(r, a) for r in rot], v) + 0.5 * b * m * vv
+    phase_base = 0.5 * m * _dot(a, v) + m * _dot(_turn(rot, a), v) + 0.5 * b * m * vv
     index, merged, factors = {}, [], []  # packet key -> (entry, moved packet); per input packet
     for center, width, linear, quad in packets:
-        phase = phase_base + m * _dot([_dot(r, linear) for r in rot], v) + quad * m * m * vv
+        phase = phase_base + m * _dot(_turn(rot, linear), v) + quad * m * m * vv
         if not math.isfinite(phase):
             raise DomainError(
                 f"the phase of the frame change with time_shift {b!r}, translation "
                 f"{a} and boost_velocity {v} is not finite at mass {m!r}"
             )
-        center = [_dot(r, center) + m * y for r, y in zip(rot, v)]
-        shifted = [x + y for x, y in zip(linear, a)]
-        linear = [_dot(r, shifted) + (b + 2.0 * m * quad) * y for r, y in zip(rot, v)]
+        center = [x + m * y for x, y in zip(_turn(rot, center), v)]
+        shifted = _turn(rot, [x + y for x, y in zip(linear, a)])
+        linear = [x + (b + 2.0 * m * quad) * y for x, y in zip(shifted, v)]
         quad = quad + 0.5 * b / m
         if not all(map(math.isfinite, center + linear + [quad])):
             GaussianTerm(1.0, center, width, linear, quad)  # refuses the field in its own words
@@ -248,7 +244,7 @@ def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list
         merged.append(index.setdefault(_packet_key(record), (len(index), record))[0])
         factors.append(cmath.exp(1j * phase))
     out: list[dict[int, complex]] = [{}, {}]
-    for row, d_row in zip(out, g._su2.tolist()):
+    for row, d_row in zip(out, g._su2):
         for weight, c_row in zip(d_row, rows):
             for p, c in c_row.items() if weight != 0.0 else ():
                 q, amp = merged[p], c * factors[p] * weight
@@ -260,23 +256,33 @@ def _dot(x: list[float], y: list[float]) -> float:
     return x[0] * y[0] + x[1] * y[1] + x[2] * y[2]
 
 
+def _turn(rot: list[list[float]], x: list[float]) -> list[float]:
+    """R x, each entry summed as ``_dot`` sums it."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = rot
+    x0, x1, x2 = x
+    return [a0 * x0 + a1 * x1 + a2 * x2, b0 * x0 + b1 * x1 + b2 * x2, c0 * x0 + c1 * x1 + c2 * x2]
+
+
 def random_elements(samples: int, seed: int) -> list[GalileanElement]:
     """Deterministic sample of group elements: |a|, |v|, |b| <= 5 and
     Haar-uniform rotations."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
+    # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), np.linalg.norm(x) is sqrt(x.dot(x))
     rng = np.random.default_rng(seed)
     out = []
     for _ in range(samples):
-        b = rng.uniform(-5.0, 5.0)
+        b = -5.0 + 10.0 * rng.random()
         vecs = []
         for _ in range(2):
             direction = rng.normal(size=3)
-            direction /= np.linalg.norm(direction)
-            vecs.append(rng.uniform(0.0, 5.0) * direction)
+            length = math.sqrt(direction.dot(direction))
+            scale, (x, y, z) = 5.0 * rng.random(), direction.tolist()
+            vecs.append([scale * (x / length), scale * (y / length), scale * (z / length)])
         q = rng.normal(size=4)
-        q /= np.linalg.norm(q)
-        out.append(GalileanElement(b, vecs[0], vecs[1], q))
+        length = math.sqrt(q.dot(q))
+        w, x, y, z = q.tolist()
+        out.append(GalileanElement(b, vecs[0], vecs[1], [w / length, x / length, y / length, z / length]))
     return out
 
 
@@ -317,7 +323,7 @@ def invariance_report(
     for g in elements:
         rho2 = _moved_overlap_matrix(packets, rows, g, params.mass)
         dev_s = max(abs(x - y) for x, y in zip(spectrum(rho2).eigenvalues.tolist(), lam))
-        dmat = g._su2.tolist()  # D rho D^dagger in Python scalars
+        dmat = g._su2  # D rho D^dagger in Python scalars
         d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]
         dev_c = max(abs(x - (y0 * r0.conjugate() + y1 * r1.conjugate()))
                     for h_row, (y0, y1) in zip(rho2.matrix.tolist(), d_h0) for x, (r0, r1) in zip(h_row, dmat))

@@ -19,34 +19,37 @@ import numpy as np
 from .errors import DomainError
 
 
-def two_level_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues of a 2 x 2 Hermitian matrix.
+def two_level_eigenvalues(m) -> np.ndarray:
+    """Descending eigenvalues of a 2 x 2 Hermitian matrix (array or rows).
 
     trace/2 +- sqrt(((m00-m11)/2)^2 + |m01|^2): for a unit-trace matrix this
     is algebraically 1/2 +- sqrt(1/4 - det), but written as a sum of
     non-negative terms so nothing cancels; the naive form loses half the
     mantissa to sqrt amplification near the degenerate point."""
-    half_tr = 0.5 * (m[0, 0].real + m[1, 1].real)
-    root = np.hypot(0.5 * (m[0, 0].real - m[1, 1].real), abs(m[0, 1]))
+    (m00, m01), (_, m11) = m
+    half_tr = 0.5 * (m00.real + m11.real)
+    root = np.hypot(0.5 * (m00.real - m11.real), abs(m01))
     return np.array([half_tr + root, half_tr - root])
 
 
-def require_hermitian(m: np.ndarray) -> list[list[complex]]:
-    """``m.tolist()``, once ``m`` is square, non-empty, finite and Hermitian
-    entry by entry, |a_ij - conj(a_ji)| <= 1e-10 for i <= j; DomainError
-    otherwise.  On Python scalars, with hypot over real and imaginary parts:
+def require_hermitian(m) -> list[list[complex]]:
+    """``m`` (array or rows) as rows of Python complex once it is square,
+    non-empty, finite and Hermitian entry by entry, |a_ij - conj(a_ji)| <=
+    1e-10 for i <= j; DomainError otherwise.  On Python scalars, with hypot:
     nothing overflows to a warning or an error, and NaN fails."""
+    m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {m.shape}")
     if m.shape[0] == 0:
         raise DomainError("expected a non-empty matrix, got shape (0, 0)")
     a = m.tolist()
     n = len(a)
-    deviations = (a[i][j] - a[j][i].conjugate() for i in range(n) for j in range(i, n))
-    if not all(math.hypot(z.real, z.imag) <= 1e-10 for z in deviations):
-        if not all(map(cmath.isfinite, sum(a, []))):
-            raise DomainError("matrix has non-finite entries: entries must be finite")
-        raise DomainError("matrix is not Hermitian within 1e-10")
+    for i, row in enumerate(a):
+        for j in range(i, n):
+            if not math.hypot((z := row[j] - a[j][i].conjugate()).real, z.imag) <= 1e-10:
+                if not all(map(cmath.isfinite, sum(a, []))):
+                    raise DomainError("matrix has non-finite entries: entries must be finite")
+                raise DomainError("matrix is not Hermitian within 1e-10")
     return a
 
 

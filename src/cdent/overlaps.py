@@ -99,6 +99,7 @@ from .states import (
     _Dictionary,
     _hermite_table,
     _packet,
+    _trace_norm,
     require_unit_norm,
 )
 
@@ -140,9 +141,15 @@ def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
     # g1 g2/(g1 + g2) as lo (hi/(g1 + g2)): symmetric in the two packets,
     # no overflow, and exactly (g1 + g2)/4 for equal widths
     lo, hi = (g1, g2) if g1 <= g2 else (g2, g1)
+    a_log = a_coef
+    if not 2.0**-64 <= g_sum < 2.0**63:
+        # widths far from 1: the prefactor's two logarithms are taken of
+        # gamma1, gamma2 and A scaled by one power of two, so they stay small
+        s = math.ldexp(1.0, -math.frexp(g_sum)[1])
+        g1, g2, a_log = g1 * s, g2 * s, complex(g_sum * s, -dbeta * s)
     return (
         0.25 * d * math.log(4.0 * g1 * g2)
-        - 0.5 * d * cmath.log(a_coef)
+        - 0.5 * d * cmath.log(a_log)
         - cc / (4.0 * a_coef)
         + complex(-lo * (hi / g_sum) * dd, dbeta * ww - aw)
     )
@@ -173,16 +180,17 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
         raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in components]
-    return _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values()))
+    h = _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values()))
+    return np.array(h, dtype=complex).reshape(len(h), len(h))
 
 
-def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> np.ndarray:
-    """h = C G C^dagger for rows of C as {entry: coefficient}, the upper
-    triangle mirrored by conjugation.  The coefficient product comes first,
-    so swapping two single-packet components conjugates their entry exactly
-    (a numpy complex multiply may fuse into FMA and leave c conj(c) complex)."""
+def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> list[list[complex]]:
+    """h = C G C^dagger as rows of Python complex for rows of C as {entry:
+    coefficient}, the upper triangle mirrored by conjugation.  The product
+    c conj(c') comes first, so swapping two single-packet components
+    conjugates their entry exactly (numpy may fuse it into an FMA)."""
     n = len(rows)
-    h = np.empty((n, n), dtype=complex)
+    h = [[0j] * n for _ in range(n)]
     for i, row_i in enumerate(rows):
         for j in range(i, n):
             total = 0j
@@ -190,9 +198,9 @@ def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> np.n
                 g_row = gram[p]
                 for q, cq in rows[j].items():
                     total += cp * cq.conjugate() * g_row[q]
-            h[j, i] = total.conjugate()
+            h[j][i] = total.conjugate()
             # a self-overlap is real: drop its rounding-size imaginary part
-            h[i, j] = total if j > i else total.real
+            h[i][j] = total if j > i else complex(total.real)
     return h
 
 
@@ -293,8 +301,7 @@ class OverlapMatrix:
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        m = np.array(self.matrix, dtype=complex)
-        a = require_hermitian(m)
+        a = require_hermitian(self.matrix)
         # trace and Cauchy-Schwarz gates on the symmetrized entries in Python
         # scalars, which overflow to inf, not to a warning
         diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
@@ -307,13 +314,14 @@ class OverlapMatrix:
                 size = 0.5 * math.hypot((z := a[i][j] + a[j][i].conjugate()).real, z.imag)
                 if not size * size <= diag[i] * diag[j] + 1e-12:
                     raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
-        # the gates bound every entry by about 1: no overflow from here on
-        m = 0.5 * (m + m.conj().T)
+        # the gates bound every entry by about 1; 0.5 (m + m^H) as numpy forms it, zero signs included
+        rows = [[(x + y.conjugate()) * (0.5 + 0j) for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+        m = np.array(rows, dtype=complex)
         vectors = None
         if n == 1:
-            values = m.diagonal().real.copy()
+            values = np.array([rows[0][0].real])
         elif n == 2:
-            values = two_level_eigenvalues(m)
+            values = two_level_eigenvalues(rows)
         else:
             values, vectors = _eigensystem(m)
             vectors.setflags(write=False)
@@ -336,7 +344,7 @@ def overlap_matrix(state: HybridState) -> OverlapMatrix:
     return _normalized_overlap_matrix(dictionary_overlap_matrix(state.components))
 
 
-def _normalized_overlap_matrix(h: np.ndarray) -> OverlapMatrix:
+def _normalized_overlap_matrix(h) -> OverlapMatrix:
     """OverlapMatrix(h) once its trace, the squared norm, passes the norm gate."""
-    require_unit_norm(float(np.sqrt(np.trace(h).real)))
+    require_unit_norm(_trace_norm(h))
     return OverlapMatrix(h)

@@ -414,8 +414,9 @@ def norm(state: HybridState) -> float:
     return _trace_norm(overlaps.dictionary_overlap_matrix(state.components))
 
 
-def _trace_norm(h: np.ndarray) -> float:
-    return float(np.sqrt(sum(h.diagonal().real.tolist())))
+def _trace_norm(h) -> float:
+    """sqrt of the real trace of h, an array or rows, summed in row order."""
+    return float(np.sqrt(sum(row[i].real for i, row in enumerate(h))))
 
 
 def normalize(state: HybridState) -> HybridState:

@@ -342,6 +342,26 @@ class TestKernel:
                 if (u, v) != ("0", "0"):
                     assert (re, im) == ("0", "0")
 
+    @pytest.mark.parametrize("bad, first", [
+        ({(1, 0, "imag"): np.nan, (2, 1, "real"): np.inf}, "nan"),
+        ({(0, 2, "real"): -np.inf, (1, 1, "imag"): np.nan}, "-inf"),
+        ({(2, 2, "imag"): np.inf, (2, 2, "real"): 1e308}, "inf"),
+    ])
+    def test_non_finite_kernel_entry_is_numerical_error(self, beam_file, monkeypatch, bad, first):
+        # the error names the first non-finite number in row order, the real
+        # part of an entry before its imaginary part, and nothing is written
+        kernel_matrix = cli.kernel_matrix
+
+        def spoiled(state, points):
+            f = kernel_matrix(state, points)
+            for (i, j, part), value in bad.items():
+                getattr(f, part)[i, j] = value
+            return f
+
+        monkeypatch.setattr(cli, "kernel_matrix", spoiled)
+        code, out, err = run_cli(["kernel", beam_file, "--axis=2", "--grid=-1:1:3"])
+        assert (code, out, err) == (3, "", f"numerical error: cannot write the non-finite number {first}\n")
+
     @pytest.mark.parametrize("grid", ["0.4:0.4:1", "-1:1.5:2", "-2:2:9"])
     def test_matches_per_pair_reference_bytes(self, tmp_path, grid):
         states = kernel_states()

@@ -9,10 +9,11 @@ phases in [-0.5, 0.5].  Two relations need no oracle:
   lambda^2 beta) and a Hermite frame (scale, origin) to (scale/lambda,
   origin/lambda), every new parameter exact in binary, and leaves h
   unchanged.  Only the logarithms of the closed forms round differently: h
-  agrees within 1e-14 relative up to |k| = 120.  Up to |k| = 250, which
-  carries states drawn in the box over the whole width range [1e-76, 1e76],
-  the packet prefactor's two cancelling logarithms of size d |k| log 2 round
-  to a few d |k| eps, and the bound says so.
+  agrees within 1e-14 relative up to |k| = 250, which carries states drawn
+  in the box over the whole width range [1e-76, 1e76].  That far out, the
+  packet prefactor's two logarithms would each be of size d |k| log 2 and
+  cancel; the closed form takes them of gamma1, gamma2 and A scaled by one
+  power of two, which keeps them small.
 * Splitting a packet term into two adjacent terms of amplitude a/2, or a
   Hermite expansion into two halves, changes no dictionary entry and no
   coefficient sum (a/2 + a/2 is a exactly), so h is bit-identical.  This
@@ -25,7 +26,7 @@ import numpy as np
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from cdent.overlaps import dictionary_overlap_matrix
+from cdent.overlaps import dictionary_overlap_matrix, gaussian_term_overlap
 from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion
 
 LOG_RANGE = st.floats(math.log(0.3), math.log(3.0)).map(math.exp)
@@ -102,10 +103,25 @@ def test_dilation_by_a_power_of_two_leaves_h_unchanged(comps, k):
 @settings(max_examples=40, derandomize=True, database=None, deadline=None)
 @given(comps=components(), k=st.integers(121, 250), sign=SIGN)
 def test_dilation_over_the_whole_width_range(comps, k, sign):
-    # the packet closed form takes (d/4) log(4 gamma1 gamma2) - (d/2) log A,
-    # two logarithms of size about d |k| log 2 that cancel: each rounds to
-    # an ulp of its size, so h moves by up to a few d |k| eps, not 1e-14
-    assert dilation_change(comps, int(sign * k)) <= 4 * comps[0].dimension * k * np.finfo(float).eps
+    assert dilation_change(comps, int(sign * k)) <= 1e-14
+
+
+@settings(max_examples=60, derandomize=True, database=None, deadline=None)
+@given(d=st.integers(1, 3), k=st.integers(121, 250), sign=SIGN, data=st.data())
+def test_dilation_moves_a_packet_overlap_by_rounding_only(d, k, sign, data):
+    # far out, the prefactor (d/4) log(4 gamma1 gamma2) - (d/2) log A would
+    # subtract two logarithms of size about d |k| log 2 and keep their
+    # rounding, up to 1.4e-13 in log G; the closed form takes them of gamma1,
+    # gamma2 and A scaled by one power of two.  The h fuzz above seldom
+    # shows the difference, one packet pair does
+    def packet():
+        return GaussianTerm(1.0, data.draw(st.lists(signed(LOG_RANGE), min_size=d, max_size=d)), data.draw(LOG_RANGE),
+                            data.draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)),
+                            data.draw(st.floats(-0.5, 0.5)))
+
+    pair = (GaussianSum((packet(),)), GaussianSum((packet(),)))
+    moved = [dilated(c, math.ldexp(1.0, int(sign * k))).terms[0] for c in pair]
+    assert abs(gaussian_term_overlap(*moved) - gaussian_term_overlap(*(c.terms[0] for c in pair))) <= 1e-14
 
 
 def pieces(comp) -> list:

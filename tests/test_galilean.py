@@ -249,6 +249,34 @@ class TestApplyGalilean:
             apply_galilean(state, boost, PhysicalParams(1e308))
 
 
+def numpy_reference_elements(samples: int, seed: int) -> list[tuple]:
+    """(b, a, v, q) drawn with rng.uniform and np.linalg.norm, in the
+    Generator's stream order: the draws random_elements must reproduce."""
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(samples):
+        b = rng.uniform(-5.0, 5.0)
+        vecs = []
+        for _ in range(2):
+            direction = rng.normal(size=3)
+            direction /= np.linalg.norm(direction)
+            vecs.append(rng.uniform(0.0, 5.0) * direction)
+        q = rng.normal(size=4)
+        q /= np.linalg.norm(q)
+        out.append((b, vecs[0], vecs[1], q))
+    return out
+
+
+def test_draws_match_the_numpy_reference_bit_for_bit():
+    # compared per run, not against recorded bytes: the dot products
+    # behind the norms run in BLAS kernels that differ by CPU
+    for seed in range(200):
+        for g, (b, a, v, q) in zip(random_elements(5, seed), numpy_reference_elements(5, seed), strict=True):
+            assert g.time_shift.hex() == float(b).hex()
+            for got, want in ((g.translation, a), (g.boost_velocity, v), (g.rotation, q)):
+                assert [x.hex() for x in got.tolist()] == [x.hex() for x in want.tolist()]
+
+
 class TestInvarianceReport:
     def test_separable_state(self):
         state = beam_pair(EQUAL, EQUAL, ZHAT, ZHAT, 1.0, 1.0)
