@@ -92,12 +92,12 @@ def _cmd_analyze(args, stdout) -> int:
     rho = overlap_matrix(state)
     report = entanglement_report(rho)
     payload = {
-        "spectrum": [float(v) for v in report.spectrum.eigenvalues],
+        "spectrum": report.spectrum.eigenvalues.tolist(),
         "entropy_bits": report.entropy_bits,
         "purity": report.purity,
         "schmidt_rank": report.schmidt_rank,
         "classification": report.classification,
-        "h": [[[z.real, z.imag] for z in row] for row in rho.matrix],
+        "h": [[[z.real, z.imag] for z in row] for row in rho.matrix.tolist()],
     }
     stdout.write(render_json(payload) + "\n")
     return 0

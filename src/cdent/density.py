@@ -10,6 +10,7 @@ Schmidt construction below makes the shared modes explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -47,6 +48,22 @@ class Spectrum:
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
+
+    @cached_property
+    def entropy_bits(self) -> float:
+        """-sum lambda log2 lambda in bits, with 0 log 0 = 0; computed on
+        first use, once.  np.add.reduce is np.sum without its Python
+        wrapper: the same sum, in numpy's order."""
+        lam = self.eigenvalues
+        if not lam[-1] > 0.0:  # descending and clamped: drop the zeros
+            lam = lam[lam > 0.0]
+        return float(-np.add.reduce(lam * np.log2(lam))) + 0.0  # +0.0 normalizes -0.0
+
+    @cached_property
+    def purity(self) -> float:
+        """sum lambda^2 = Tr rho^2; computed on first use, once."""
+        lam = self.eigenvalues
+        return float(np.add.reduce(lam * lam))
 
 
 @dataclass(frozen=True)

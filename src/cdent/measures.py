@@ -24,21 +24,17 @@ def _as_spectrum(s) -> Spectrum:
 
 def von_neumann_entropy(s) -> float:
     """-sum lambda log2 lambda in bits, with 0 log 0 = 0."""
-    lam = _as_spectrum(s).eigenvalues
-    pos = lam[lam > 0.0]
-    return float(-np.sum(pos * np.log2(pos))) + 0.0  # +0.0 normalizes -0.0
+    return _as_spectrum(s).entropy_bits
 
 
 def purity(s) -> float:
     """sum lambda^2 = Tr rho^2."""
-    lam = _as_spectrum(s).eigenvalues
-    return float(np.sum(lam * lam))
+    return _as_spectrum(s).purity
 
 
 def schmidt_rank(s) -> int:
     """Number of eigenvalues above RANK_TOL."""
-    lam = _as_spectrum(s).eigenvalues
-    return int(np.sum(lam > RANK_TOL))
+    return sum(x > RANK_TOL for x in _as_spectrum(s).eigenvalues.tolist())
 
 
 def _unit_weights(c0: complex, c1: complex) -> tuple[float, float]:
@@ -71,13 +67,14 @@ def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[flo
     return 0.5 + root, 0.5 - root
 
 
-def _classify_spectrum(lam: np.ndarray, tol: float) -> str:
+def _classify_spectrum(lam, tol: float) -> str:
     """'separable' when rank one within tol, 'maximal' when within tol of
-    the maximally mixed spectrum, else 'entangled'."""
-    n = lam.shape[0]
+    the maximally mixed spectrum, else 'entangled'.  ``lam`` lists the
+    eigenvalues, descending."""
+    n = len(lam)
     if lam[0] > 1.0 - tol:
         return SEPARABLE
-    if np.max(np.abs(lam - 1.0 / n)) < tol:
+    if max(abs(x - 1.0 / n) for x in lam) < tol:
         return MAXIMAL
     return ENTANGLED
 
@@ -93,15 +90,15 @@ class EntanglementReport:
     classification: str
 
     def __post_init__(self):
-        lam = self.spectrum.eigenvalues
-        n = lam.shape[0]
-        if not -1e-10 <= self.entropy_bits <= float(np.log2(n)) + 1e-10:
-            raise DomainError(f"entropy {self.entropy_bits} outside [0, log2 {n}]")
-        if not abs(self.entropy_bits - von_neumann_entropy(self.spectrum)) <= 1e-10:
+        s = self.spectrum
+        if not -1e-10 <= self.entropy_bits <= float(np.log2(s.n)) + 1e-10:
+            raise DomainError(f"entropy {self.entropy_bits} outside [0, log2 {s.n}]")
+        # the measures read the spectrum's own entropy and purity, computed once
+        if not abs(self.entropy_bits - von_neumann_entropy(s)) <= 1e-10:
             raise DomainError("entropy inconsistent with spectrum")
-        if not abs(self.purity - float(np.sum(lam * lam))) <= 1e-12:
+        if not abs(self.purity - purity(s)) <= 1e-12:
             raise DomainError("purity inconsistent with spectrum")
-        if self.classification != _classify_spectrum(lam, CLASSIFY_TOL):
+        if self.classification != _classify_spectrum(s.eigenvalues.tolist(), CLASSIFY_TOL):
             raise DomainError("classification inconsistent with spectrum")
 
 
@@ -113,5 +110,5 @@ def entanglement_report(rho: OverlapMatrix) -> EntanglementReport:
         entropy_bits=von_neumann_entropy(s),
         purity=purity(s),
         schmidt_rank=schmidt_rank(s),
-        classification=_classify_spectrum(s.eigenvalues, CLASSIFY_TOL),
+        classification=_classify_spectrum(s.eigenvalues.tolist(), CLASSIFY_TOL),
     )

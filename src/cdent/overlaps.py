@@ -176,12 +176,17 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     is filled up front (``_gram``), and h on its upper triangle, mirrored by
     conjugation (``_sandwich``), so it is Hermitian by construction.
     """
+    h = _overlap_rows(components)
+    return np.array(h, dtype=complex).reshape(len(h), len(h))
+
+
+def _overlap_rows(components: Sequence[WaveComponent]) -> list[list[complex]]:
+    """``dictionary_overlap_matrix`` as rows of Python complex."""
     if len({comp.dimension for comp in components}) > 1:
         raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in components]
-    h = _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values()))
-    return np.array(h, dtype=complex).reshape(len(h), len(h))
+    return _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values()))
 
 
 def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> list[list[complex]]:
@@ -341,7 +346,7 @@ class OverlapMatrix:
 def overlap_matrix(state: HybridState) -> OverlapMatrix:
     """Assemble h_{chi,chi'} = integral phi_chi conj(phi_chi') for a
     normalized state in one pass over its dictionary."""
-    return _normalized_overlap_matrix(dictionary_overlap_matrix(state.components))
+    return _normalized_overlap_matrix(_overlap_rows(state.components))
 
 
 def _normalized_overlap_matrix(h) -> OverlapMatrix:

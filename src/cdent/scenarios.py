@@ -12,6 +12,7 @@ between the norm and h = C G C^dagger, which still passes the
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,15 +51,13 @@ class SweepRow:
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Sweep rows as CSV text: a header naming the varied parameter, then
     one line per row in 17-significant-digit form."""
-    lines = [f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity"]
-    for r in rows:
-        lines.append(
-            ",".join(
-                fmt_float(v)
-                for v in (r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity)
-            )
-        )
-    return "\n".join(lines) + "\n"
+    header = f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity\n"
+    fields = [(r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity) for r in rows]
+    if not all(math.isfinite(v) for row in fields for v in row):
+        for row in fields:  # fmt_float refuses the first non-finite value in row order
+            list(map(fmt_float, row))
+    # '%.17g' % x is fmt_float(x) on a finite float: one template per row
+    return header + "".join("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in fields)
 
 
 def beam_pair(c0, c1, k0, k1, s0: float, s1: float) -> HybridState:

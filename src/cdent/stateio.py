@@ -63,31 +63,43 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+_quote = json.encoder.encode_basestring_ascii  # what json.dumps does for a str
+
+
 def render_json(obj: Any, indent: int = 0) -> str:
     """Deterministic JSON text: insertion-ordered keys, fmt_float numbers."""
+    if isinstance(obj, float):  # np.float64 too
+        return fmt_float(obj)
     pad = "  " * indent
-    inner = "  " * (indent + 1)
+    inner = pad + "  "
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {render_json(v, indent + 1)}' for k, v in obj.items()]
+        items = [f"{inner}{_quote(str(k))}: {render_json(v, indent + 1)}" for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + "\n" + pad + "}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        rendered = [render_json(v, indent + 1) for v in seq]
-        if all(not isinstance(v, (dict, list, tuple)) for v in seq) and sum(map(len, rendered)) < 72:
+        if all(isinstance(v, float) for v in obj):
+            # one pass: '%.17g' % x is fmt_float(x) once every x is finite
+            if not all(map(math.isfinite, obj)):
+                list(map(fmt_float, obj))  # raises at the first non-finite value
+            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
+            if len(text) - 2 * (len(obj) - 1) < 72:
+                return "[" + text + "]"
+            return "[\n" + inner + text.replace(", ", ",\n" + inner) + "\n" + pad + "]"
+        rendered = [render_json(v, indent + 1) for v in obj]
+        if all(not isinstance(v, (dict, list, tuple)) for v in obj) and sum(map(len, rendered)) < 72:
             return "[" + ", ".join(rendered) + "]"
         return "[\n" + ",\n".join(inner + r for r in rendered) + "\n" + pad + "]"
     if isinstance(obj, bool):
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
+    if isinstance(obj, np.floating):
         return fmt_float(obj)
     if isinstance(obj, str):
-        return json.dumps(obj)
+        return _quote(obj)
     if obj is None:
         return "null"
     raise TypeError(f"cannot render {type(obj).__name__}")
@@ -98,55 +110,55 @@ def _complex_pair(z: complex) -> list[float]:
     return [z.real, z.imag]
 
 
-def _require(cond: bool, path: str, message: str) -> None:
-    if not cond:
-        raise StateFileError(f"{path}: {message}")
+class _Invalid(Exception):
+    """A failed check, as (field path below the object being read, message).
+    Each enclosing reader prefixes its own field, so a path is formatted
+    only when a check fails."""
 
 
 def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
-def _finite(value, path: str) -> float:
-    """A JSON number as a finite float (json reads NaN, Infinity and
+def _finite(values, field: str) -> list[float]:
+    """JSON numbers as finite floats (json reads NaN, Infinity and
     arbitrarily large integers)."""
     try:
-        x = float(value)
+        xs = [float(v) for v in values]
     except OverflowError:
-        x = math.inf
-    _require(math.isfinite(x), path, "numbers must be finite")
-    return x
+        xs = [math.inf]
+    if not all(map(math.isfinite, xs)):
+        raise _Invalid(field, "numbers must be finite")
+    return xs
 
 
-def _parse_complex(value, path: str) -> complex:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == 2,
-        path,
-        "complex values are two-element [re, im] arrays",
-    )
-    _require(all(_is_number(v) for v in value), path, "re and im must be numbers")
-    return complex(_finite(value[0], path), _finite(value[1], path))
+def _parse_complex(value, field: str) -> complex:
+    if not (isinstance(value, (list, tuple)) and len(value) == 2):
+        raise _Invalid(field, "complex values are two-element [re, im] arrays")
+    if not (_is_number(value[0]) and _is_number(value[1])):
+        raise _Invalid(field, "re and im must be numbers")
+    re, im = _finite(value, field)
+    return complex(re, im)
 
 
-def _parse_vector(value, d: int, path: str) -> np.ndarray:
-    _require(
-        isinstance(value, (list, tuple)) and len(value) == d,
-        path,
-        f"expected a list of {d} numbers",
-    )
-    _require(all(_is_number(v) for v in value), path, "entries must be numbers")
-    return np.array([_finite(v, path) for v in value])
+def _parse_vector(value, d: int, field: str) -> list[float]:
+    if not (isinstance(value, (list, tuple)) and len(value) == d):
+        raise _Invalid(field, f"expected a list of {d} numbers")
+    if not all(map(_is_number, value)):
+        raise _Invalid(field, "entries must be numbers")
+    return _finite(value, field)
 
 
-def _parse_number(value, path: str) -> float:
-    _require(_is_number(value), path, "expected a number")
-    return _finite(value, path)
+def _parse_number(value, field: str) -> float:
+    if not _is_number(value):
+        raise _Invalid(field, "expected a number")
+    return _finite((value,), field)[0]
 
 
-def _parse_width(value, path: str) -> float:
-    x = _parse_number(value, path)
-    _require(x > 0.0, path, "must be > 0")
-    _require(WIDTH_MIN <= x <= WIDTH_MAX, path, f"must be in [{WIDTH_MIN:g}, {WIDTH_MAX:g}]")
+def _parse_width(value, field: str) -> float:
+    x = _parse_number(value, field)
+    if not WIDTH_MIN <= x <= WIDTH_MAX:
+        raise _Invalid(field, "must be > 0" if x <= 0.0 else f"must be in [{WIDTH_MIN:g}, {WIDTH_MAX:g}]")
     return x
 
 
@@ -187,68 +199,96 @@ def state_to_dict(state: HybridState) -> dict:
     }
 
 
-def _component_from_dict(entry, d: int, path: str) -> WaveComponent:
-    _require(isinstance(entry, dict), path, "expected an object")
+_TERM_FIELDS = frozenset({"amplitude", "center", "width", "linear_phase", "quad_phase"})
+
+
+def _parse_term(raw, d: int) -> GaussianTerm:
+    if not isinstance(raw, dict):
+        raise _Invalid("", "expected an object")
+    if not raw.keys() <= _TERM_FIELDS:
+        raise _Invalid("", f"unknown fields {sorted(set(raw) - _TERM_FIELDS)}")
+    linear = raw.get("linear_phase")
+    return GaussianTerm._checked(
+        _parse_complex(raw.get("amplitude"), ".amplitude"),
+        _parse_vector(raw.get("center"), d, ".center"),
+        _parse_width(raw.get("width"), ".width"),
+        None if linear is None else _parse_vector(linear, d, ".linear_phase"),
+        _parse_number(raw.get("quad_phase", 0.0), ".quad_phase"),
+    )
+
+
+def _component_from_dict(entry, d: int) -> WaveComponent:
+    """A checked component; every field is checked once, here, and the
+    component built from it without a second check."""
+    if not isinstance(entry, dict):
+        raise _Invalid("", "expected an object")
     kind = entry.get("type")
     if kind == "gaussian_sum":
         terms = entry.get("terms")
-        _require(isinstance(terms, list) and terms, f"{path}.terms", "expected a non-empty list")
+        if not (isinstance(terms, list) and terms):
+            raise _Invalid(".terms", "expected a non-empty list")
         parsed = []
-        for i, raw in enumerate(terms):
-            tpath = f"{path}.terms[{i}]"
-            _require(isinstance(raw, dict), tpath, "expected an object")
-            unknown = set(raw) - {"amplitude", "center", "width", "linear_phase", "quad_phase"}
-            _require(not unknown, tpath, f"unknown fields {sorted(unknown)}")
-            amp = _parse_complex(raw.get("amplitude"), f"{tpath}.amplitude")
-            center = _parse_vector(raw.get("center"), d, f"{tpath}.center")
-            width = _parse_width(raw.get("width"), f"{tpath}.width")
-            lp = raw.get("linear_phase")
-            linear = _parse_vector(lp, d, f"{tpath}.linear_phase") if lp is not None else None
-            quad = _parse_number(raw.get("quad_phase", 0.0), f"{tpath}.quad_phase")
-            parsed.append(GaussianTerm(amp, center, width, linear, quad))
+        try:
+            for i, raw in enumerate(terms):
+                parsed.append(_parse_term(raw, d))
+        except _Invalid as exc:
+            field, message = exc.args
+            raise _Invalid(f".terms[{i}]{field}", message) from None
         return GaussianSum(tuple(parsed))
     if kind == "hermite":
-        scale = _parse_width(entry.get("scale"), f"{path}.scale")
-        origin = _parse_vector(entry.get("origin"), d, f"{path}.origin")
+        scale = _parse_width(entry.get("scale"), ".scale")
+        origin = _parse_vector(entry.get("origin"), d, ".origin")
         coeffs_raw = entry.get("coefficients")
-        _require(
-            isinstance(coeffs_raw, list) and coeffs_raw,
-            f"{path}.coefficients",
-            "expected a non-empty list",
-        )
+        if not (isinstance(coeffs_raw, list) and coeffs_raw):
+            raise _Invalid(".coefficients", "expected a non-empty list")
         coeffs: dict[tuple[int, ...], complex] = {}
-        for i, raw in enumerate(coeffs_raw):
-            cpath = f"{path}.coefficients[{i}]"
-            _require(isinstance(raw, dict), cpath, "expected an object")
-            idx = raw.get("index")
-            _require(
-                isinstance(idx, list) and len(idx) == d and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in idx),
-                f"{cpath}.index",
-                f"expected {d} non-negative integers",
-            )
-            _require(max(idx) <= HERMITE_INDEX_MAX, f"{cpath}.index", f"entries must be <= {HERMITE_INDEX_MAX}")
-            key = tuple(idx)
-            _require(key not in coeffs, f"{cpath}.index", f"duplicate multi-index {key}")
-            coeffs[key] = _parse_complex(raw.get("value"), f"{cpath}.value")
-        return HermiteExpansion(scale, origin, coeffs)
-    raise StateFileError(f'{path}.type: expected "gaussian_sum" or "hermite", got {kind!r}')
+        try:
+            for i, raw in enumerate(coeffs_raw):
+                if not isinstance(raw, dict):
+                    raise _Invalid("", "expected an object")
+                idx = raw.get("index")
+                if not (isinstance(idx, list) and len(idx) == d
+                        and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in idx)):
+                    raise _Invalid(".index", f"expected {d} non-negative integers")
+                if max(idx) > HERMITE_INDEX_MAX:
+                    raise _Invalid(".index", f"entries must be <= {HERMITE_INDEX_MAX}")
+                key = tuple(idx)
+                if key in coeffs:
+                    raise _Invalid(".index", f"duplicate multi-index {key}")
+                coeffs[key] = _parse_complex(raw.get("value"), ".value")
+        except _Invalid as exc:
+            field, message = exc.args
+            raise _Invalid(f".coefficients[{i}]{field}", message) from None
+        return HermiteExpansion._checked(scale, origin, coeffs)
+    raise _Invalid(".type", f'expected "gaussian_sum" or "hermite", got {kind!r}')
 
 
 def state_from_dict(data) -> HybridState:
-    _require(isinstance(data, dict), "$", "state file must be a JSON object")
+    if not isinstance(data, dict):
+        raise StateFileError("$: state file must be a JSON object")
     version = data.get("schema_version")
-    _require(version == SCHEMA_VERSION, "$.schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+    if version != SCHEMA_VERSION:
+        raise StateFileError(f"$.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
     n = data.get("n")
     d = data.get("d")
-    _require(isinstance(n, int) and not isinstance(n, bool) and n >= 1, "$.n", "expected a positive integer")
-    _require(isinstance(d, int) and not isinstance(d, bool) and d >= 1, "$.d", "expected a positive integer")
-    comps = data.get("components")
-    _require(isinstance(comps, list), "$.components", "expected a list")
-    _require(len(comps) == n, "$.components", f"expected {n} components, got {len(comps)}")
+    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+        raise StateFileError("$.n: expected a positive integer")
+    if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1):
+        raise StateFileError("$.d: expected a positive integer")
+    entries = data.get("components")
+    if not isinstance(entries, list):
+        raise StateFileError("$.components: expected a list")
+    if len(entries) != n:
+        raise StateFileError(f"$.components: expected {n} components, got {len(entries)}")
     # every component is parsed at the file's one d, so they cannot clash
-    return HybridState(tuple(
-        _component_from_dict(entry, d, f"$.components[{i}]") for i, entry in enumerate(comps)
-    ))
+    comps = []
+    try:
+        for i, entry in enumerate(entries):
+            comps.append(_component_from_dict(entry, d))
+    except _Invalid as exc:
+        field, message = exc.args
+        raise StateFileError(f"$.components[{i}]{field}: {message}") from None
+    return HybridState(tuple(comps))
 
 
 def save_state(state: HybridState, path: str) -> None:

@@ -68,6 +68,13 @@ def _frozen_vector(x, d: int | None = None, name: str = "vector") -> np.ndarray:
     return v
 
 
+def _frozen(values: list[float]) -> np.ndarray:
+    """A read-only vector of checked floats."""
+    v = np.array(values, dtype=float)
+    v.setflags(write=False)
+    return v
+
+
 def _finite_amplitude(amplitude: complex) -> complex:
     amplitude = complex(amplitude)
     if not cmath.isfinite(amplitude):
@@ -122,6 +129,18 @@ class GaussianTerm:
     def scaled(self, factor: complex) -> "GaussianTerm":
         """The same packet with amplitude * factor."""
         return self._with_amplitude(self.amplitude * factor)
+
+    @classmethod
+    def _checked(cls, amplitude: complex, center: list[float], width: float,
+                 linear_phase: list[float] | None, quad_phase: float) -> "GaussianTerm":
+        """A term of fields checked as ``__post_init__`` checks them (Python
+        numbers, vectors as lists of d floats), built without a second
+        check, as ``_with_amplitude`` builds its term."""
+        term = object.__new__(cls)
+        linear = [0.0] * len(center) if linear_phase is None else linear_phase
+        term.__dict__.update(amplitude=amplitude, center=_frozen(center), width=width,
+                             linear_phase=_frozen(linear), quad_phase=quad_phase)
+        return term
 
     def _with_amplitude(self, amplitude: complex) -> "GaussianTerm":
         """The same packet with a new amplitude, checked, since a product or
@@ -248,6 +267,17 @@ class HermiteExpansion:
         if not coeffs:
             raise StructureError("HermiteExpansion needs at least one coefficient")
         object.__setattr__(self, "coefficients", coeffs)
+
+    @classmethod
+    def _checked(cls, scale: float, origin: list[float],
+                 coefficients: dict[tuple[int, ...], complex]) -> "HermiteExpansion":
+        """An expansion of fields checked as ``__post_init__`` checks them,
+        with distinct multi-indices, built without a second check.  Each
+        value is summed into 0.0 as there, so zero signs come out the same."""
+        expansion = object.__new__(cls)
+        expansion.__dict__.update(scale=scale, origin=_frozen(origin),
+                                  coefficients={idx: 0.0 + c for idx, c in coefficients.items()})
+        return expansion
 
     @property
     def dimension(self) -> int:
@@ -411,7 +441,7 @@ def norm(state: HybridState) -> float:
     ``overlaps.dictionary_overlap_matrix``, summed in component order."""
     from . import overlaps  # deferred: overlaps imports the types above
 
-    return _trace_norm(overlaps.dictionary_overlap_matrix(state.components))
+    return _trace_norm(overlaps._overlap_rows(state.components))
 
 
 def _trace_norm(h) -> float:

@@ -205,3 +205,64 @@ class TestReport:
     def test_schmidt_rank_counts_significant_eigenvalues(self):
         assert schmidt_rank([1.0, 0.0]) == 1
         assert schmidt_rank([0.5, 0.5]) == 2
+
+
+def parity_spectra() -> list[list[float]]:
+    """Derandomized unit-sum spectra, n = 1..16: random weights, exact
+    zeros, exact 1.0, subnormal entries, degenerate pairs, tiny negative
+    rounding residues (clamped by Spectrum) and the maximally mixed one."""
+    rng = np.random.default_rng(20240519)
+    spectra = []
+    for n in range(1, 17):
+        uniform = [1.0 / n] * n
+        pure = [1.0] + [0.0] * (n - 1)
+        spectra += [uniform, pure, list(reversed(pure))]
+        for _ in range(6):
+            w = rng.exponential(size=n) ** rng.uniform(0.5, 4.0)
+            spectra.append((w / w.sum()).tolist())
+        if n >= 2:
+            w = rng.exponential(size=n)
+            w[rng.integers(n)] = 0.0
+            w[0] = w[-1]  # a degenerate pair
+            lam = (w / w.sum()).tolist()
+            spectra.append(lam)
+            spectra.append([5e-324 if x == 0.0 else x for x in lam])  # a subnormal eigenvalue
+            spectra.append([1.0 - 1e-12] + [1e-12 / (n - 1)] * (n - 1))
+            spectra.append([0.5, 0.5 - 1e-11] + [1e-11 / (n - 2)] * (n - 2) if n > 2 else [0.5, 0.5])
+            spectra.append([1.0] + [-1e-11] + [0.0] * (n - 2))
+    return spectra
+
+
+class TestMeasureParity:
+    """The measures equal numpy forms of their definitions bit for bit, on
+    the Spectrum's (clamped, descending) eigenvalues."""
+
+    @staticmethod
+    def reference(lam: np.ndarray) -> tuple:
+        pos = lam[lam > 0.0]
+        entropy = float(-np.sum(pos * np.log2(pos))) + 0.0
+        purity_ = float(np.sum(lam * lam))
+        rank = int(np.sum(lam > 1e-10))
+        n = lam.shape[0]
+        if lam[0] > 1.0 - 1e-9:
+            label = SEPARABLE
+        elif np.max(np.abs(lam - 1.0 / n)) < 1e-9:
+            label = MAXIMAL
+        else:
+            label = ENTANGLED
+        return entropy.hex(), purity_.hex(), rank, label
+
+    def test_measures_match_numpy_forms_bit_for_bit(self):
+        spectra = parity_spectra()
+        assert len(spectra) == 16 * 9 + 15 * 5
+        for values in spectra:
+            s = Spectrum(values)
+            expected = self.reference(s.eigenvalues)
+            got = (von_neumann_entropy(s).hex(), purity(s).hex(), schmidt_rank(s),
+                   measures._classify_spectrum(s.eigenvalues.tolist(), measures.CLASSIFY_TOL))
+            assert got == expected, values
+            # a list is wrapped in a Spectrum first: the same values
+            assert (von_neumann_entropy(values).hex(), purity(values).hex(), schmidt_rank(values)) == expected[:3]
+            report = EntanglementReport(s, von_neumann_entropy(s), purity(s), schmidt_rank(s), expected[3])
+            assert (report.entropy_bits.hex(), report.purity.hex(), report.schmidt_rank,
+                    report.classification) == expected

@@ -9,7 +9,8 @@ from cdent.errors import DegenerateStateError, DomainError, PreconditionError
 from cdent.galilean import quaternion_from_axis_angle, rotation_matrix
 from cdent.measures import gaussian_pair_eigenvalues, purity, von_neumann_entropy
 from cdent.overlaps import gaussian_term_overlap, overlap_matrix
-from cdent.scenarios import SweepRow, beam_pair, shape_pair, sweep_q, sweep_width_ratio
+from cdent.scenarios import SweepRow, beam_pair, shape_pair, sweep_csv, sweep_q, sweep_width_ratio
+from cdent.stateio import fmt_float
 from cdent.states import GaussianSum, GaussianTerm, norm
 from conftest import EQUAL, ZHAT, random_weights
 from quadrature_oracle import QuadratureSpec, quadrature_overlap
@@ -252,3 +253,53 @@ class TestSweepRowInvariants:
     def test_order_gate(self):
         with pytest.raises(DomainError, match="lambda_plus must be the larger"):
             SweepRow("q", 0.0, 0.5, 0.25, 0.75, 0.8, 0.6)
+
+
+class TestSweepCsv:
+    """One finiteness check, then one template per row: the bytes of one
+    fmt_float call per value, and fmt_float's error at the first
+    non-finite value in row order."""
+
+    @staticmethod
+    def reference(rows) -> str:
+        lines = [f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity"]
+        for r in rows:
+            values = (r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity)
+            lines.append(",".join(fmt_float(v) for v in values))
+        return "\n".join(lines) + "\n"
+
+    def test_bytes_match_one_fmt_float_call_per_value(self, rng):
+        for _ in range(20):
+            c0, c1 = random_weights(rng)
+            rows = sweep_q(c0, c1, rng.uniform(0.3, 3.0), np.linspace(0.0, rng.uniform(1.0, 9.0), 31))
+            assert sweep_csv(rows) == self.reference(rows)
+            rows = sweep_width_ratio(c0, c1, rng.uniform(0.3, 3.0), np.geomspace(0.01, 100.0, 17))
+            assert sweep_csv(rows) == self.reference(rows)
+        edge = [SweepRow("q", -0.0, 5e-324, 1.0, 0.0, 0.0, 1.0),
+                SweepRow("q", 1.7976931348623157e308, np.float64(0.1), 0.5, 0.5, 1.0, 0.5),
+                SweepRow("q", 3, 0, 1, 0, 0, 1)]
+        assert sweep_csv(edge) == self.reference(edge)
+        assert sweep_csv(edge).splitlines()[1:] == [
+            "-0,4.9406564584124654e-324,1,0,0,1",
+            "1.7976931348623157e+308,0.10000000000000001,0.5,0.5,1,0.5",
+            "3,0,1,0,0,1",
+        ]
+
+    @pytest.mark.parametrize("bad, shown", [
+        ((1, "abs_x", np.nan), "nan"),
+        ((1, "abs_x", np.inf), "inf"),
+        ((0, "purity", -np.inf), "-inf"),
+        ((2, "value", np.nan), "nan"),
+    ])
+    def test_first_non_finite_value_in_row_order_is_refused(self, bad, shown):
+        # SweepRow gates its eigenvalues but not abs_x, so a built row can carry
+        # any value there; a later row's non-finite value is not the one named
+        fields = [dict(parameter="q", value=float(i), abs_x=0.5, lambda_plus=0.75, lambda_minus=0.25,
+                       entropy_bits=0.8, purity=0.6) for i in range(3)]
+        row, field, value = bad
+        fields[row][field] = value
+        fields[2]["abs_x"] = np.inf if shown == "nan" else np.nan
+        rows = [SweepRow(**f) for f in fields]
+        for render in (sweep_csv, self.reference):
+            with pytest.raises(DomainError, match=f"^cannot write the non-finite number {shown}$"):
+                render(rows)
