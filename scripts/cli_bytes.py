@@ -1,0 +1,190 @@
+#!/usr/bin/env python3
+"""Fingerprint the CLI's output bytes on a fixed, seeded set of calls.
+
+    python3 scripts/cli_bytes.py --src src > head.txt
+    python3 scripts/cli_bytes.py --src /path/to/other/checkout/src > base.txt
+    diff base.txt head.txt
+
+The state files are written with numpy alone, not with cdent, so two
+checkouts read the same bytes: beam pairs, chirped multi-packet states,
+Hermite states and mixed Gaussian and Hermite states, each normalized by the
+exact Gaussian integral, plus a few files the loader or the norm gate must
+refuse.  Every command runs on them in this process through
+``cdent.cli.run``, from a temporary directory, with relative file names.
+One line per call: the command line, the exit code, and the sha256 of
+stdout and of stderr.
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import io
+import json
+import math
+import os
+import sys
+import tempfile
+
+import numpy as np
+
+
+def _pair(z: complex) -> list[float]:
+    return [float(z.real), float(z.imag)]
+
+
+def _packet_gram(packets: list[tuple]) -> np.ndarray:
+    """G[i, j] = integral u_i conj(u_j) of unit-amplitude packets (center,
+    width, linear phase, quad phase), as the Gaussian integral
+    (pi/A)^(d/2) exp(B.B/(4A) + C) times both prefactors."""
+    size = len(packets)
+    gram = np.zeros((size, size), dtype=complex)
+    for i, (k1, s1, a1, b1) in enumerate(packets):
+        for j, (k2, s2, a2, b2) in enumerate(packets):
+            g1, g2 = 2.0 / s1**2, 2.0 / s2**2
+            d = k1.shape[0]
+            big_a = g1 + g2 - 1j * (b1 - b2)
+            big_b = 2.0 * g1 * k1 + 2.0 * g2 * k2 - 1j * (a1 - a2)
+            big_c = -g1 * k1.dot(k1) - g2 * k2.dot(k2)
+            pref = (2.0 * g1 / np.pi) ** (0.25 * d) * (2.0 * g2 / np.pi) ** (0.25 * d)
+            gram[i, j] = pref * (np.pi / big_a) ** (0.5 * d) * np.exp(big_b.dot(big_b) / (4.0 * big_a) + big_c)
+    return gram
+
+
+def _gaussian(rng, d: int, terms: int, chirp: float) -> tuple[dict, float]:
+    """A gaussian_sum component and its squared norm."""
+    packets, amps = [], []
+    for _ in range(terms):
+        packets.append((rng.uniform(-2.0, 2.0, d), float(rng.uniform(0.5, 2.0)),
+                        rng.uniform(-chirp, chirp, d), float(rng.uniform(-chirp, chirp) * 0.3)))
+        amps.append(complex(rng.normal(), rng.normal()))
+    c = np.array(amps)
+    norm_sq = float(np.real(c @ _packet_gram(packets) @ c.conj()))
+    comp = {"type": "gaussian_sum", "terms": [
+        {"amplitude": _pair(a), "center": k.tolist(), "width": s, "linear_phase": lin.tolist(), "quad_phase": quad}
+        for a, (k, s, lin, quad) in zip(amps, packets)]}
+    return comp, norm_sq
+
+
+def _hermite(rng, d: int, modes: int) -> tuple[dict, float]:
+    """A hermite component and its squared norm (the modes are orthonormal)."""
+    coeffs = {}
+    while len(coeffs) < modes:
+        coeffs[tuple(int(m) for m in rng.integers(0, 4, d))] = complex(rng.normal(), rng.normal())
+    comp = {"type": "hermite", "scale": float(rng.uniform(0.5, 2.5)), "origin": rng.uniform(-1.0, 1.0, d).tolist(),
+            "coefficients": [{"index": list(idx), "value": _pair(c)} for idx, c in coeffs.items()]}
+    return comp, sum(abs(c) ** 2 for c in coeffs.values())
+
+
+def _normalized(d: int, parts: list[tuple[dict, float]]) -> dict:
+    """The state of these components, every amplitude scaled by 1/norm."""
+    factor = 1.0 / math.sqrt(sum(norm_sq for _, norm_sq in parts))
+    comps = []
+    for comp, _ in parts:
+        key, field = ("terms", "amplitude") if comp["type"] == "gaussian_sum" else ("coefficients", "value")
+        for entry in comp[key]:
+            entry[field] = [factor * x for x in entry[field]]
+        comps.append(comp)
+    return {"schema_version": 1, "n": len(comps), "d": d, "components": comps}
+
+
+def _beam(rng) -> dict:
+    theta, phase = rng.uniform(0.1, 1.4), rng.uniform(-np.pi, np.pi)
+    c0, c1 = math.cos(theta), math.sin(theta) * complex(math.cos(phase), math.sin(phase))
+    sigma0 = float(10.0 ** rng.uniform(-1.0, 1.0))
+    sigma1 = sigma0 if rng.random() < 0.5 else float(sigma0 * rng.uniform(0.3, 3.0))
+    direction = rng.normal(size=3)
+    center = (rng.uniform(0.0, 3.0) * sigma0 / np.linalg.norm(direction)) * direction
+    if rng.random() < 0.15:  # one packet, twice
+        sigma1, center = sigma0, np.zeros(3)
+    comps = [{"type": "gaussian_sum", "terms": [{"amplitude": _pair(c), "center": k, "width": s}]}
+             for c, k, s in ((c0, [0.0, 0.0, 0.0], sigma0), (c1, center.tolist(), sigma1))]
+    return {"schema_version": 1, "n": 2, "d": 3, "components": comps}
+
+
+def state_files(seed: int) -> dict[str, dict]:
+    """Seeded state files by name: beam pairs, chirped packet states,
+    Hermite states, mixed states and files the CLI refuses."""
+    rng = np.random.default_rng(seed)
+    files = {}
+    for i in range(40):
+        files[f"beam{i}.json"] = _beam(rng)
+    for i in range(20):
+        files[f"chirped{i}.json"] = _normalized(3, [_gaussian(rng, 3, int(rng.integers(1, 4)), 1.0) for _ in range(2)])
+    for i in range(12):
+        d = int(rng.integers(1, 4))
+        files[f"hermite{i}.json"] = _normalized(d, [_hermite(rng, d, int(rng.integers(1, 4)))
+                                                    for _ in range(int(rng.integers(2, 5)))])
+    for i in range(12):
+        d = int(rng.integers(1, 4))
+        files[f"mixed{i}.json"] = _normalized(d, [
+            _gaussian(rng, d, int(rng.integers(1, 3)), 0.5) if k % 2 == 0 else _hermite(rng, d, 2)
+            for k in range(int(rng.integers(2, 4)))])
+    unnormalized = _beam(rng)
+    unnormalized["components"][0]["terms"][0]["amplitude"] = [2.0, 0.0]
+    files["unnormalized.json"] = unnormalized
+    bad_width = _beam(rng)
+    bad_width["components"][1]["terms"][0]["width"] = -1.0
+    files["bad_width.json"] = bad_width
+    wrong_n = _beam(rng)
+    wrong_n["n"] = 3
+    files["wrong_n.json"] = wrong_n
+    return files
+
+
+def calls(seed: int, files: dict[str, dict]) -> list[list[str]]:
+    """Every command on every file, then seeded sweeps and a few usage errors."""
+    rng = np.random.default_rng(seed + 1)
+    out = []
+    for name, state in files.items():
+        d = state["d"]
+        out.append(["analyze", name])
+        out.append(["kernel", name, f"--axis={int(rng.integers(0, d))}", "--grid=-2.5:2.5:7"])
+        out.append(["galilean-check", name, "--samples=6", f"--seed={int(rng.integers(0, 100))}",
+                    f"--mass={rng.uniform(0.5, 3.0)!r}"])
+    for i in range(40):
+        theta, phase = rng.uniform(0.0, 1.5707963267948966), rng.uniform(-np.pi, np.pi)
+        c0 = repr(math.cos(theta))
+        c1 = repr(math.sin(theta) * complex(math.cos(phase), math.sin(phase))).strip("()")
+        if i % 6 == 0:
+            c0, c1 = "1", "0"
+        sigma = repr(float(10.0 ** rng.uniform(-2.0, 2.0)))
+        steps = str(int(rng.integers(1, 25)))
+        out.append(["sweep-q", f"--c0={c0}", f"--c1={c1}", f"--sigma={sigma}", "--q-start=0",
+                    f"--q-stop={float(sigma) * rng.uniform(0.5, 5.0)!r}", f"--q-steps={steps}"])
+        out.append(["sweep-width", f"--c0={c0}", f"--c1={c1}", f"--sigma0={sigma}",
+                    f"--r-start={rng.uniform(0.1, 1.0)!r}", f"--r-stop={rng.uniform(1.0, 10.0)!r}", f"--r-steps={steps}"])
+    out += [["--version"], ["sweep-q", "--c0=1", "--c1=0", "--sigma=-1", "--q-start=0", "--q-stop=1", "--q-steps=3"],
+            ["sweep-width", "--c0=0.6", "--c1=0.6", "--sigma0=1", "--r-start=1", "--r-stop=2", "--r-steps=3"],
+            ["galilean-check", "beam0.json", "--samples=0", "--seed=1"], ["kernel", "beam0.json", "--axis=5", "--grid=0:1:3"]]
+    return out
+
+
+def main() -> int:
+    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    ap.add_argument("--src", required=True, help="the src directory of the checkout to run")
+    ap.add_argument("--seed", type=int, default=1)
+    args = ap.parse_args()
+    sys.path.insert(0, os.path.abspath(args.src))
+    from cdent import cli
+
+    files = state_files(args.seed)
+    home = os.getcwd()
+    with tempfile.TemporaryDirectory() as work:
+        os.chdir(work)
+        try:
+            for name, state in files.items():
+                with open(name, "w", encoding="utf-8") as fh:
+                    json.dump(state, fh)
+            for argv in calls(args.seed, files):
+                out, err = io.StringIO(), io.StringIO()
+                code = cli.run(argv, out, err)
+                digests = (hashlib.sha256(s.getvalue().encode()).hexdigest() for s in (out, err))
+                print(" ".join(argv), code, *digests)
+        finally:
+            os.chdir(home)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

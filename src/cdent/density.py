@@ -10,7 +10,6 @@ Schmidt construction below makes the shared modes explicit.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
@@ -20,6 +19,7 @@ from .overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_matrix
 from .states import HybridState, WaveComponent, combine_components
 
 RANK_TOL = 1e-10
+_FLOAT64 = np.dtype(np.float64)
 
 
 @dataclass(frozen=True)
@@ -27,43 +27,60 @@ class Spectrum:
     """Eigenvalues of a reduced density matrix, sorted descending.
 
     Validated to lie in [-1e-10, 1+1e-10] with unit sum (within 1e-10),
-    then clamped to [0, 1]; NaN fails both gates."""
+    then clamped to [0, 1]; NaN fails both gates.  A frozen 1-D float64
+    array, as ``OverlapMatrix`` keeps its eigenvalues, is kept as it is."""
 
     eigenvalues: np.ndarray
 
     def __post_init__(self):
-        vals = np.array(self.eigenvalues, dtype=float).reshape(-1)
-        if vals.size == 0:
-            raise DomainError("empty spectrum")
+        vals = self.eigenvalues
+        if not (type(vals) is np.ndarray and vals.dtype is _FLOAT64 and vals.ndim == 1
+                and not vals.flags.writeable):
+            vals = np.array(vals, dtype=float).reshape(-1)
         listed = vals.tolist()  # scalar gates: cheaper than numpy reductions on a few values
-        if not all(-1e-10 <= x <= 1.0 + 1e-10 for x in listed):
-            raise DomainError(f"eigenvalues outside [0,1]: {vals}")
+        if not listed:
+            raise DomainError("empty spectrum")
+        kept, top = True, 1.0  # in (0, 1] and descending: clip and sort would leave vals as it is
+        for x in listed:
+            if not -1e-10 <= x <= 1.0 + 1e-10:
+                raise DomainError(f"eigenvalues outside [0,1]: {vals}")
+            kept = kept and 0.0 < x <= top
+            top = x
         if not abs(sum(listed) - 1.0) <= 1e-10:
             raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
-        if not (all(0.0 < x <= 1.0 for x in listed) and listed == sorted(listed, reverse=True)):
-            vals = np.sort(vals.clip(0.0, 1.0))[::-1].copy()  # else clip and sort leave vals as it is
+        if not kept:
+            vals = np.sort(vals.clip(0.0, 1.0))[::-1].copy()
         vals.setflags(write=False)
-        object.__setattr__(self, "eigenvalues", vals)
+        self.__dict__["eigenvalues"] = vals  # frozen: past __setattr__
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
 
-    @cached_property
-    def entropy_bits(self) -> float:
-        """-sum lambda log2 lambda in bits, with 0 log 0 = 0; computed on
-        first use, once.  np.add.reduce is np.sum without its Python
-        wrapper: the same sum, in numpy's order."""
-        lam = self.eigenvalues
-        if not lam[-1] > 0.0:  # descending and clamped: drop the zeros
-            lam = lam[lam > 0.0]
-        return float(-np.add.reduce(lam * np.log2(lam))) + 0.0  # +0.0 normalizes -0.0
+    # entropy and purity are computed on first use, once, and kept in the
+    # instance dict (functools.cached_property would take a lock on 3.11)
 
-    @cached_property
+    @property
+    def entropy_bits(self) -> float:
+        """-sum lambda log2 lambda in bits, with 0 log 0 = 0.  np.add.reduce
+        is np.sum without its Python wrapper: the same sum, in numpy's order."""
+        value = self.__dict__.get("_entropy_bits")
+        if value is None:
+            lam = self.eigenvalues
+            if not lam[-1] > 0.0:  # descending and clamped: drop the zeros
+                lam = lam[lam > 0.0]
+            # +0.0 normalizes -0.0
+            value = self.__dict__["_entropy_bits"] = float(-np.add.reduce(lam * np.log2(lam))) + 0.0
+        return value
+
+    @property
     def purity(self) -> float:
-        """sum lambda^2 = Tr rho^2; computed on first use, once."""
-        lam = self.eigenvalues
-        return float(np.add.reduce(lam * lam))
+        """sum lambda^2 = Tr rho^2."""
+        value = self.__dict__.get("_purity")
+        if value is None:
+            lam = self.eigenvalues
+            value = self.__dict__["_purity"] = float(np.add.reduce(lam * lam))
+        return value
 
 
 @dataclass(frozen=True)

@@ -36,7 +36,7 @@ import numpy as np
 
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .overlaps import OverlapMatrix, _gram, _normalized_overlap_matrix, _sandwich, overlap_matrix
+from .overlaps import OverlapMatrix, _gram, _normalized_overlap_matrix, _overlap_rows, _sandwich
 from .states import GaussianSum, GaussianTerm, HybridState, _Dictionary, _packet_key
 
 
@@ -286,11 +286,14 @@ def random_elements(samples: int, seed: int) -> list[GalileanElement]:
     return out
 
 
-def _moved_overlap_matrix(packets: list, rows: list, g: GalileanElement, m: float) -> OverlapMatrix:
+def _moved_overlap_matrix(packets: list, rows: list, g: GalileanElement, m: float,
+                          selfs: dict | None = None) -> OverlapMatrix:
     """overlap_matrix of g at mass m on ``_keyed`` packets and rows, with no
-    state built and G of the moved packets recomputed by ``_gram``."""
+    state built and G of the moved packets recomputed by ``_gram``.  A frame
+    change keeps every width, so the diagonal may come from ``selfs``, the
+    state's own G_pp per width (``_gram``)."""
     moved, moved_rows = _move(packets, rows, g, m)
-    return _normalized_overlap_matrix(_sandwich(moved_rows, _gram(list(enumerate(moved)))))
+    return _normalized_overlap_matrix(_sandwich(moved_rows, _gram(list(enumerate(moved)), (), selfs)))
 
 
 @dataclass(frozen=True)
@@ -314,14 +317,15 @@ def invariance_report(
     """Apply ``samples`` seeded random frame changes and report the largest
     spectrum deviation and the largest deviation of the transformed reduced
     matrix from D rho D^dagger."""
-    rho = overlap_matrix(state)
+    selfs = {}  # G_pp per width, for the state and every moved copy of it
+    rho = _normalized_overlap_matrix(_overlap_rows(state.components, selfs))  # overlap_matrix(state)
     lam = spectrum(rho).eigenvalues.tolist()
     h0 = rho.matrix.tolist()
     elements = random_elements(samples, seed)
     packets, rows = _keyed(state)
     deviations = []  # (spectrum, conjugation, element) per sample
     for g in elements:
-        rho2 = _moved_overlap_matrix(packets, rows, g, params.mass)
+        rho2 = _moved_overlap_matrix(packets, rows, g, params.mass, selfs)
         dev_s = max(abs(x - y) for x, y in zip(spectrum(rho2).eigenvalues.tolist(), lam))
         dmat = g._su2  # D rho D^dagger in Python scalars
         d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]

@@ -28,21 +28,26 @@ def two_level_eigenvalues(m) -> np.ndarray:
     mantissa to sqrt amplification near the degenerate point."""
     (m00, m01), (_, m11) = m
     half_tr = 0.5 * (m00.real + m11.real)
-    root = np.hypot(0.5 * (m00.real - m11.real), abs(m01))
+    # numpy's hypot (math.hypot may round differently), then Python floats
+    root = float(np.hypot(0.5 * (m00.real - m11.real), abs(m01)))
     return np.array([half_tr + root, half_tr - root])
 
 
 def require_hermitian(m) -> list[list[complex]]:
     """``m`` (array or rows) as rows of Python complex once it is square,
     non-empty, finite and Hermitian entry by entry, |a_ij - conj(a_ji)| <=
-    1e-10 for i <= j; DomainError otherwise.  On Python scalars, with hypot:
-    nothing overflows to a warning or an error, and NaN fails."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise DomainError(f"expected a square matrix, got shape {m.shape}")
-    if m.shape[0] == 0:
-        raise DomainError("expected a non-empty matrix, got shape (0, 0)")
-    a = m.tolist()
+    1e-10 for i <= j; DomainError otherwise.  Square rows of Python complex
+    are taken as they are, anything else through one array.  On Python
+    scalars, with hypot: nothing overflows to a warning or an error, and
+    NaN fails."""
+    a = m
+    if not _complex_rows(a):
+        m = np.asarray(m, dtype=complex)
+        if m.ndim != 2 or m.shape[0] != m.shape[1]:
+            raise DomainError(f"expected a square matrix, got shape {m.shape}")
+        if m.shape[0] == 0:
+            raise DomainError("expected a non-empty matrix, got shape (0, 0)")
+        a = m.tolist()
     n = len(a)
     for i, row in enumerate(a):
         for j in range(i, n):
@@ -51,6 +56,21 @@ def require_hermitian(m) -> list[list[complex]]:
                     raise DomainError("matrix has non-finite entries: entries must be finite")
                 raise DomainError("matrix is not Hermitian within 1e-10")
     return a
+
+
+def _complex_rows(m) -> bool:
+    """Whether ``m`` is a non-empty square list of lists of Python complex
+    (plain loops: on a 2 x 2 they cost a third of generator expressions)."""
+    if type(m) is not list or not m:
+        return False
+    n = len(m)
+    for row in m:
+        if type(row) is not list or len(row) != n:
+            return False
+        for z in row:
+            if type(z) is not complex:
+                return False
+    return True
 
 
 def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

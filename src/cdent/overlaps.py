@@ -16,6 +16,8 @@ row of C through their weights),
 and ``_gram``, the one builder of G (also of frame changes and sweep rows),
 fills it once per unordered pair of entries, mirrored by conjugation:
 
+* a packet with itself: the closed form of a packet of its width at the
+  origin (``_self_overlap``), once per width within one library call;
 * two packets: the closed form below;
 * two modes on one frame: orthonormal, G = delta;
 * every other pair: a product of per-axis Hermite tables, each computed
@@ -104,6 +106,7 @@ from .states import (
 )
 
 _PI_QUARTER = np.pi ** (-0.25)
+_INF = math.inf
 
 
 def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
@@ -124,6 +127,8 @@ def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
     for x1, x2, y1, y2 in zip(k1, k2, a1, a2):
         delta = x1 - x2
         w = 0.5 * (x1 + x2)
+        if abs(w) == _INF:  # far out the sum overflows: halve first
+            w = 0.5 * x1 + 0.5 * x2
         if shift:  # equal widths: w is the midpoint
             w += shift * delta
         da = y1 - y2
@@ -155,6 +160,18 @@ def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
     )
 
 
+def _self_overlap(width: float, d: int) -> complex:
+    """G_pp of a packet of ``width`` in d dimensions, as ``_gram`` stores it.
+
+    Paired with itself a packet has Delta = 0 and no phase differences, so
+    c = 0 and log G = (d/4) log 4 gamma^2 - (d/2) log 2 gamma: center and
+    phases drop out bit for bit, and a phase-free packet at the origin
+    gives the value.  The stored entry is the conjugate of the exp, which
+    the mirror assignment writes last."""
+    u = ([0.0] * d, width, [0.0] * d, 0.0)
+    return cmath.exp(_log_unit_overlap(u, u)).conjugate()
+
+
 def gaussian_term_overlap(t1: GaussianTerm, t2: GaussianTerm) -> complex:
     """integral t1(p) conj(t2(p)) d^d p, exactly.
 
@@ -180,13 +197,14 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     return np.array(h, dtype=complex).reshape(len(h), len(h))
 
 
-def _overlap_rows(components: Sequence[WaveComponent]) -> list[list[complex]]:
-    """``dictionary_overlap_matrix`` as rows of Python complex."""
+def _overlap_rows(components: Sequence[WaveComponent], selfs: dict | None = None) -> list[list[complex]]:
+    """``dictionary_overlap_matrix`` as rows of Python complex; ``selfs`` as
+    in ``_gram``."""
     if len({comp.dimension for comp in components}) > 1:
         raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
     rows = [dictionary.row(((None, comp),)) for comp in components]
-    return _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values()))
+    return _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values(), selfs))
 
 
 def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> list[list[complex]]:
@@ -209,18 +227,28 @@ def _sandwich(rows: list[dict[int, complex]], gram: list[list[complex]]) -> list
     return h
 
 
-def _gram(packets: list, frames=()) -> list[list[complex]]:
+def _gram(packets: list, frames=(), selfs: dict | None = None) -> list[list[complex]]:
     """G as a list of rows indexed by entry number, for packets given as
     (entry, ``states._packet`` record) and Hermite frames as (first
     expansion, [(entry, multi-index)]), each unordered pair filled once and
     mirrored by conjugation: the closed form for packet pairs, delta on each
     frame, and per-axis tables for the rest, one set per pair of (phased
-    frame, Hermite frame), a packet entering as mode 0 of its phased frame."""
+    frame, Hermite frame), a packet entering as mode 0 of its phased frame.
+
+    The packet diagonal takes one ``_self_overlap`` per distinct width from
+    ``selfs`` ({width: G_pp} at one d), filled as needed; a caller passes
+    one dict to every G of one library call, and no further."""
     size = len(packets) + sum(len(modes) for _, modes in frames) if frames else len(packets)
     gram = [[0j] * size for _ in range(size)]
+    if selfs is None:
+        selfs = {}
     for i, (p, u) in enumerate(packets):
         g_row = gram[p]
-        for q, v in packets[i:]:
+        val = selfs.get(width := u[1])
+        if val is None:
+            val = selfs[width] = _self_overlap(width, len(u[0]))
+        g_row[p] = val
+        for q, v in packets[i + 1:]:
             try:
                 val = cmath.exp(_log_unit_overlap(u, v))
             except ValueError:  # cmath refuses an infinite phase: |center| ~ 1e154 and unequal chirps
@@ -307,20 +335,25 @@ class OverlapMatrix:
 
     def __post_init__(self):
         a = require_hermitian(self.matrix)
+        n = len(a)
         # trace and Cauchy-Schwarz gates on the symmetrized entries in Python
-        # scalars, which overflow to inf, not to a warning
+        # scalars, which overflow to inf, not to a warning; they bound every
+        # entry by about 1.  rows is 0.5 (m + m^H) as numpy forms it, zero
+        # signs included, its off-diagonal pairs filled as the gates pass
+        rows = [[(x + x.conjugate()) * (0.5 + 0j) if i == j else 0j for j, x in enumerate(row)]
+                for i, row in enumerate(a)]
         diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
         trace = sum(diag)
         if not abs(trace - 1.0) <= 1e-10:
             raise DomainError(f"trace must be 1, got {trace!r}")
-        n = len(a)
         for i in range(n):
             for j in range(i + 1, n):
-                size = 0.5 * math.hypot((z := a[i][j] + a[j][i].conjugate()).real, z.imag)
+                z = a[i][j] + a[j][i].conjugate()
+                size = 0.5 * math.hypot(z.real, z.imag)
                 if not size * size <= diag[i] * diag[j] + 1e-12:
                     raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
-        # the gates bound every entry by about 1; 0.5 (m + m^H) as numpy forms it, zero signs included
-        rows = [[(x + y.conjugate()) * (0.5 + 0j) for x, y in zip(row, col)] for row, col in zip(a, zip(*a))]
+                rows[i][j] = z * (0.5 + 0j)
+                rows[j][i] = (a[j][i] + a[i][j].conjugate()) * (0.5 + 0j)
         m = np.array(rows, dtype=complex)
         vectors = None
         if n == 1:
@@ -334,9 +367,7 @@ class OverlapMatrix:
             raise DomainError("overlap matrix is not positive semidefinite")
         m.setflags(write=False)
         values.setflags(write=False)
-        object.__setattr__(self, "matrix", m)
-        object.__setattr__(self, "eigenvalues", values)
-        object.__setattr__(self, "eigenvectors", vectors)
+        self.__dict__.update(matrix=m, eigenvalues=values, eigenvectors=vectors)  # frozen: past __setattr__
 
     @property
     def n(self) -> int:

@@ -5,7 +5,8 @@ disjoint momentum support); ``shape_pair`` builds the orthogonal-mode
 family (zero overlap from cancellation on shared support).  Sweep rows are
 beam pairs built as no state: each row keys its two packet records with
 ``states._packet_key`` and shares one packet Gram G from ``overlaps._gram``
-between the norm and h = C G C^dagger, which still passes the
+between the norm (from G's diagonal, whose entries the sweep computes once
+per width) and h = C G C^dagger, which still passes the
 ``OverlapMatrix`` gates and the 2x2 eigensolve, so the closed form
 ``measures.gaussian_pair_eigenvalues`` stays a checker, never the producer.
 """
@@ -20,12 +21,10 @@ import numpy as np
 from .density import spectrum
 from .errors import DegenerateStateError, DomainError
 from .measures import _unit_weights
-from .measures import purity as _purity
-from .measures import von_neumann_entropy
 from .overlaps import _gram, _normalized_overlap_matrix, _sandwich
 from .stateio import fmt_float
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
-from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key, _trace_norm
+from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key
 
 
 @dataclass(frozen=True)
@@ -121,6 +120,7 @@ def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
     ``beam_pair``: the two packet records keyed by ``_packet_key``, and one
     G giving both the norm and h = C G C^dagger, as on a ``beam_pair`` state."""
     rows = []
+    selfs = {}  # G_pp per width, for this sweep's G
     for value, center, width in points:
         if not rows:  # row-independent checks and products, after the first value's check
             _unit_weights(c0, c1)
@@ -130,20 +130,25 @@ def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
             c0, c1 = complex(c0), complex(c1)
             c0c1 = c0 * np.conj(c1)
             weighted = abs(c0c1) > 1e-15
+            w0, w1 = c0 * c0.conjugate(), c1 * c1.conjugate()
         width = float(width)
         _check_width(width, "width")
         packets = [(0, record0)]
-        if _packet_key(record1 := (center, width, _ORIGIN, 0.0)) != key0:
+        record1 = (center, width, _ORIGIN, 0.0)
+        if width != sigma0 or _packet_key(record1) != key0:  # a key starts with the width
             packets.append((1, record1))
         p1 = len(packets) - 1
-        gram = _gram(packets)
-        factor = _inverse_norm(_trace_norm(_sandwich([{0: c0}, {p1: c1}], gram)))
+        gram = _gram(packets, (), selfs)
+        # the norm from G's diagonal: the trace of C G C^dagger summed as
+        # ``_trace_norm`` sums it; math.sqrt rounds as np.sqrt does, and the
+        # sum is >= 0 or nan
+        factor = _inverse_norm(math.sqrt((w0 * gram[0][0]).real + (w1 * gram[p1][p1]).real))
         scaled = [{0: _finite_amplitude(c0 * factor)}, {p1: _finite_amplitude(c1 * factor)}]
         h = _normalized_overlap_matrix(_sandwich(scaled, gram))
         s = spectrum(h)
         # degenerate weights: the unit-amplitude packet overlap, G_01 (G_00 if merged)
         abs_x = float(abs(h.matrix[0, 1] / c0c1)) if weighted else abs(gram[0][p1])
-        rows.append(SweepRow(parameter, value, abs_x, *s.eigenvalues.tolist(), von_neumann_entropy(s), _purity(s)))
+        rows.append(SweepRow(parameter, value, abs_x, *s.eigenvalues.tolist(), s.entropy_bits, s.purity))
     return rows
 
 
@@ -157,7 +162,7 @@ def sweep_q(c0, c1, sigma: float, q_values) -> list[SweepRow]:
     def points():
         for q in q_values:
             q = float(q)
-            if not np.isfinite(q) or q < 0.0:
+            if not math.isfinite(q) or q < 0.0:
                 raise DomainError(f"q values must be finite and >= 0, got {q}")
             yield q, [0.0, 0.0, q], sigma
 
@@ -173,7 +178,7 @@ def sweep_width_ratio(c0, c1, sigma0: float, ratios) -> list[SweepRow]:
     def points():
         for r in ratios:
             r = float(r)
-            if not np.isfinite(r) or r <= 0.0:
+            if not math.isfinite(r) or r <= 0.0:
                 raise DomainError(f"ratios must be finite and > 0, got {r}")
             yield r, _ORIGIN, r * sigma0
 

@@ -22,7 +22,9 @@ Schema (version 1)::
 
 Widths and scales lie in [1e-76, 1e76] (``states.WIDTH_MIN`` and
 ``WIDTH_MAX``), multi-index entries in [0, 256] (``HERMITE_INDEX_MAX``).
-Complex numbers are two-element [re, im] arrays.  Floats are rendered with
+Complex numbers are two-element [re, im] arrays.  ``schema_version`` is the
+integer 1, and every object may hold only the fields shown: an unknown
+field is refused with its path.  Floats are rendered with
 17 significant digits so every value round-trips exactly; all output is
 byte-deterministic.
 """
@@ -199,14 +201,22 @@ def state_to_dict(state: HybridState) -> dict:
     }
 
 
+_TOP_FIELDS = frozenset({"schema_version", "n", "d", "components"})
+_GAUSSIAN_FIELDS = frozenset({"type", "terms"})
 _TERM_FIELDS = frozenset({"amplitude", "center", "width", "linear_phase", "quad_phase"})
+_HERMITE_FIELDS = frozenset({"type", "scale", "origin", "coefficients"})
+_COEFFICIENT_FIELDS = frozenset({"index", "value"})
+
+
+def _known_fields(raw: dict, fields: frozenset) -> None:
+    if not raw.keys() <= fields:
+        raise _Invalid("", f"unknown fields {sorted(set(raw) - fields)}")
 
 
 def _parse_term(raw, d: int) -> GaussianTerm:
     if not isinstance(raw, dict):
         raise _Invalid("", "expected an object")
-    if not raw.keys() <= _TERM_FIELDS:
-        raise _Invalid("", f"unknown fields {sorted(set(raw) - _TERM_FIELDS)}")
+    _known_fields(raw, _TERM_FIELDS)
     linear = raw.get("linear_phase")
     return GaussianTerm._checked(
         _parse_complex(raw.get("amplitude"), ".amplitude"),
@@ -224,6 +234,7 @@ def _component_from_dict(entry, d: int) -> WaveComponent:
         raise _Invalid("", "expected an object")
     kind = entry.get("type")
     if kind == "gaussian_sum":
+        _known_fields(entry, _GAUSSIAN_FIELDS)
         terms = entry.get("terms")
         if not (isinstance(terms, list) and terms):
             raise _Invalid(".terms", "expected a non-empty list")
@@ -236,6 +247,7 @@ def _component_from_dict(entry, d: int) -> WaveComponent:
             raise _Invalid(f".terms[{i}]{field}", message) from None
         return GaussianSum(tuple(parsed))
     if kind == "hermite":
+        _known_fields(entry, _HERMITE_FIELDS)
         scale = _parse_width(entry.get("scale"), ".scale")
         origin = _parse_vector(entry.get("origin"), d, ".origin")
         coeffs_raw = entry.get("coefficients")
@@ -246,6 +258,7 @@ def _component_from_dict(entry, d: int) -> WaveComponent:
             for i, raw in enumerate(coeffs_raw):
                 if not isinstance(raw, dict):
                     raise _Invalid("", "expected an object")
+                _known_fields(raw, _COEFFICIENT_FIELDS)
                 idx = raw.get("index")
                 if not (isinstance(idx, list) and len(idx) == d
                         and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in idx)):
@@ -267,8 +280,10 @@ def state_from_dict(data) -> HybridState:
     if not isinstance(data, dict):
         raise StateFileError("$: state file must be a JSON object")
     version = data.get("schema_version")
-    if version != SCHEMA_VERSION:
+    if not (type(version) is int and version == SCHEMA_VERSION):  # not True, not 1.0
         raise StateFileError(f"$.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
+    if not data.keys() <= _TOP_FIELDS:
+        raise StateFileError(f"$: unknown fields {sorted(set(data) - _TOP_FIELDS)}")
     n = data.get("n")
     d = data.get("d")
     if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):

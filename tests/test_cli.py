@@ -173,6 +173,18 @@ class TestAnalyze:
         assert outs[1:] == outs[:1] * 3
         assert json.loads(outs[0])["h"][0][1][0] == pytest.approx(0.5 * np.exp(-1.0), abs=1e-16)
 
+    @pytest.mark.parametrize("d, centers", [(3, ([1e308, 0.0, 0.0], [0.0, 0.0, 0.0])), (1, ([1.5e308], [1.4e308]))])
+    def test_packets_at_the_float_limit(self, tmp_path, d, centers):
+        # x1 + x2 overflowed in the envelope center, and 0 * inf made G nan:
+        # a packet's self-overlap there, or the pair's overlap
+        path = write_state(tmp_path / "far.json", d, [
+            packet_entry(0.6, centers[0], 1.0),
+            packet_entry(0.8, centers[1], 1.0),
+        ])
+        code, out, err = run_cli(["analyze", path])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["h"] == [[[0.6 * 0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.8 * 0.8, 0.0]]]
+
 
 class TestSweeps:
     def test_single_row_q_zero(self):

@@ -20,7 +20,7 @@ from cdent.galilean import (
 )
 from cdent.overlaps import dictionary_overlap_matrix, overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair
-from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, spin_expectation
+from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, normalize, spin_expectation
 from conftest import EQUAL, ZHAT, random_gaussian_component
 from quadrature_oracle import QuadratureSpec, quadrature_overlap
 
@@ -334,6 +334,30 @@ class TestInvarianceReport:
         monkeypatch.setattr(_Dictionary, "__init__", lambda self: calls.append(1) or init(self))
         invariance_report(state, samples=20, seed=1)
         assert len(calls) <= 2
+
+    def test_closed_forms_per_sample(self, monkeypatch, rng):
+        # a frame change keeps every width, so a sample with P moved packets
+        # costs their P(P-1)/2 pairs: the diagonal is the state's own
+        from cdent import overlaps
+
+        calls = []
+        log_overlap = overlaps._log_unit_overlap
+        monkeypatch.setattr(overlaps, "_log_unit_overlap", lambda u, v: calls.append(1) or log_overlap(u, v))
+        for widths in ([1.0, 1.0], [0.8, 1.0, 1.0], [0.7, 0.9, 1.1, 1.3]):
+            packets = [(rng.uniform(-1.0, 1.0, 3), w, rng.uniform(-1.0, 1.0, 3), rng.uniform(-0.2, 0.2))
+                       for w in widths]
+            # one component holds every packet, the other the first
+            state = normalize(HybridState((
+                GaussianSum(tuple(GaussianTerm(rng.normal() + 1j, *p) for p in packets)),
+                GaussianSum((GaussianTerm(rng.normal(), *packets[0]),)),
+            )))
+            counts = []
+            for samples in (1, 6):
+                calls.clear()
+                invariance_report(state, samples=samples, seed=3)
+                counts.append(len(calls))
+            pairs = len(widths) * (len(widths) - 1) // 2
+            assert counts == [2 * pairs + len(set(widths)), 2 * pairs + len(set(widths)) + 5 * pairs]
 
     def test_deterministic_for_fixed_seed(self):
         state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)

@@ -1,5 +1,7 @@
 """Closed-form overlaps, the quadrature oracle, and the overlap matrix."""
 
+import cmath
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -306,6 +308,20 @@ def term_pair_reference(components) -> np.ndarray:
 
 
 class TestPacketDictionary:
+    @settings(max_examples=400, derandomize=True, database=None, deadline=None)
+    @given(st.data())
+    def test_self_overlap_depends_on_width_and_dimension_alone(self, data):
+        # Delta = 0 and no phase difference: center and phases drop out of
+        # G_pp bit for bit, wherever the packet sits
+        d = data.draw(st.integers(1, 5))
+        width = min(max(10.0 ** data.draw(st.floats(-76.0, 76.0)), 1e-76), 1e76)
+        finite = st.floats(-1e308, 1e308)
+        vectors = st.lists(finite, min_size=d, max_size=d)
+        u = (data.draw(vectors), width, data.draw(vectors), data.draw(finite))
+        expected = cmath.exp(overlaps._log_unit_overlap(u, u)).conjugate()
+        got = overlaps._self_overlap(width, d)
+        assert cmath.isfinite(got) and repr(got) == repr(expected)
+
     def test_matches_term_pair_loop_with_repeated_packets(self, rng):
         for _ in range(60):
             d = int(rng.integers(1, 4))

@@ -174,17 +174,22 @@ class TestSweepRowInvariants:
         assert len(built) == len(rows) == 10
 
     def test_one_packet_gram_per_row(self, monkeypatch):
-        # the norm and h share one G: at most 3 closed-form packet overlaps
-        # per row (1 when the two packets are one), and no state is built
+        # the norm and h share one G, whose diagonal is computed once per
+        # width per sweep: sweep-q costs one closed form per row with two
+        # packets, plus one; sweep-width at most two per row, plus one; and
+        # no state is built
         calls, built = [], []
         log_overlap = overlaps._log_unit_overlap
         post_init = states.HybridState.__post_init__
         monkeypatch.setattr(overlaps, "_log_unit_overlap", lambda u, v: calls.append(1) or log_overlap(u, v))
         monkeypatch.setattr(states.HybridState, "__post_init__", lambda self: built.append(1) or post_init(self))
         rows = sweep_q(0.6, 0.8j, 1.0, np.linspace(0.0, 3.0, 7))
-        rows += sweep_width_ratio(EQUAL, EQUAL, 1.0, [0.5, 1.0, 2.0])
-        assert len(rows) == 10
-        assert len(calls) <= 3 * len(rows)
+        assert len(rows) == 7
+        assert len(calls) == 6 + 1  # at q = 0 the two packets are one
+        calls.clear()
+        rows = sweep_width_ratio(EQUAL, EQUAL, 1.0, [0.5, 1.0, 2.0, 0.5])
+        assert len(rows) == 4
+        assert len(calls) == 1 + 2 + 0 + 2 + 1 <= 2 * len(rows) + 1  # ratio 0.5 again: its G_pp is known
         assert built == []
 
     def test_rows_match_the_state_pipeline_bit_for_bit(self):

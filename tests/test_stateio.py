@@ -58,7 +58,8 @@ def with_fault(target: str, field, value) -> dict:
 
 
 # (object, field, value, message): every field of a packet term and of a
-# Hermite component, with each fault
+# Hermite component, with each fault; new rows go at the end, since the
+# test ids carry the row number
 FAULTS = [
     ('term', 'amplitude', DROP, '$.components[0].terms[1].amplitude: complex values are two-element [re, im] arrays'),
     ('term', 'amplitude', 'x', '$.components[0].terms[1].amplitude: complex values are two-element [re, im] arrays'),
@@ -209,6 +210,14 @@ FAULTS = [
     ('top', 'components', 'x', '$.components: expected a list'),
     ('top', 'components', [], '$.components: expected 2 components, got 0'),
     ('top', 'components', {}, '$.components: expected a list'),
+    # every object refuses fields it does not define; the version is an int
+    ('component0', 'scale', 1.0, "$.components[0]: unknown fields ['scale']"),
+    ('hermite', 'scael', 5, "$.components[1]: unknown fields ['scael']"),
+    ('hermite', 'terms', [], "$.components[1]: unknown fields ['terms']"),
+    ('coefficient', 'vlaue', [0.5, 0.0], "$.components[1].coefficients[1]: unknown fields ['vlaue']"),
+    ('top', 'schema_version', True, '$.schema_version: expected 1, got True'),
+    ('top', 'schema_version', 1.0, '$.schema_version: expected 1, got 1.0'),
+    ('top', 'comment', 'x', "$: unknown fields ['comment']"),
 ]
 
 
