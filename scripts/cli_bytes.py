@@ -9,8 +9,11 @@ The state files are written with numpy alone, not with cdent, so two
 checkouts read the same bytes: beam pairs, chirped multi-packet states,
 Hermite states and mixed Gaussian and Hermite states, each normalized by the
 exact Gaussian integral, plus a few files the loader or the norm gate must
-refuse.  Every command runs on them in this process through
-``cdent.cli.run``, from a temporary directory, with relative file names.
+refuse.  ``galilean-check`` also runs on the edges of its gates (the norm
+before ``--samples``, ``--samples`` before d, n and the component types) and
+on beam and chirped states at masses from 1e-8 to 1e200.  Every command runs
+on them in this process through ``cdent.cli.run``, from a temporary
+directory, with relative file names.
 One line per call: the command line, the exit code, and the sha256 of
 stdout and of stderr.
 """
@@ -129,6 +132,13 @@ def state_files(seed: int) -> dict[str, dict]:
     wrong_n = _beam(rng)
     wrong_n["n"] = 3
     files["wrong_n.json"] = wrong_n
+    # galilean-check's gates in order: the norm, then --samples, then d, n
+    # and component types
+    unnormalized_hermite = _normalized(2, [_hermite(rng, 2, 2) for _ in range(2)])
+    unnormalized_hermite["components"][0]["coefficients"][0]["value"][0] += 1.0
+    files["unnormalized_hermite.json"] = unnormalized_hermite
+    files["d1.json"] = _normalized(1, [_gaussian(rng, 1, 2, 1.0) for _ in range(2)])
+    files["n3.json"] = _normalized(3, [_gaussian(rng, 3, 1, 1.0) for _ in range(3)])
     return files
 
 
@@ -157,6 +167,11 @@ def calls(seed: int, files: dict[str, dict]) -> list[list[str]]:
     out += [["--version"], ["sweep-q", "--c0=1", "--c1=0", "--sigma=-1", "--q-start=0", "--q-stop=1", "--q-steps=3"],
             ["sweep-width", "--c0=0.6", "--c1=0.6", "--sigma0=1", "--r-start=1", "--r-stop=2", "--r-steps=3"],
             ["galilean-check", "beam0.json", "--samples=0", "--seed=1"], ["kernel", "beam0.json", "--axis=5", "--grid=0:1:3"]]
+    out += [["galilean-check", name, "--samples=0", "--seed=1"]
+            for name in ("unnormalized_hermite.json", "hermite0.json", "d1.json", "n3.json")]
+    out += [["galilean-check", name, "--samples=6", f"--seed={int(rng.integers(0, 100))}", f"--mass={mass}"]
+            for name in ("beam1.json", "beam2.json", "chirped0.json", "chirped1.json")
+            for mass in ("1e-8", "100", "1e4", "1e8", "1e200")]
     return out
 
 

@@ -16,10 +16,12 @@ the scalar phase of each packet, and merges records of one ``_packet_key``,
 so no component holds more terms than the state has distinct packets.  The
 scalar phase does not depend on the discrete index, so every h_{chi,chi'}
 transforms by conjugation with D(R) alone, which is what makes the reduced
-spectrum frame-independent.  ``invariance_report`` checks this per sample on
-the moved packets and C' without building a state: ``overlaps._gram``
-recomputes their G from the closed form, the check's independent leg, and
-h = C' G C'^dagger passes every gate of ``overlap_matrix``.
+spectrum frame-independent.  ``invariance_report`` keys the state once, for
+its h and the packets every sample moves, and runs a sample on Python floats
+from the draw through D(R) and the move, without building a state:
+``overlaps._gram`` recomputes G of the moved packets from the closed form,
+the check's independent leg, and h = C' G C'^dagger passes every gate of
+``overlap_matrix``.
 
 Rotations are unit quaternions (w, x, y, z); the sign picks the SU(2)
 lift of the double cover.
@@ -30,14 +32,13 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
-from functools import cached_property
 
 import numpy as np
 
 from .density import spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .overlaps import OverlapMatrix, _gram, _normalized_overlap_matrix, _overlap_rows, _sandwich
-from .states import GaussianSum, GaussianTerm, HybridState, _Dictionary, _packet_key
+from .overlaps import OverlapMatrix, _gram, _keyed, _normalized_overlap_matrix, _overlap_rows, _sandwich
+from .states import GaussianSum, GaussianTerm, HybridState, _frozen, _packet_key
 
 
 @dataclass(frozen=True)
@@ -62,15 +63,22 @@ class SpinRotation:
         m = np.array(self.matrix, dtype=complex)
         if m.shape != (2, 2):
             raise DomainError(f"expected a 2x2 matrix, got {m.shape}")
-        (a, b), (c, d) = m.tolist()  # M M^dagger - I and det M in Python scalars: an overflow is inf, not a warning
-        upper = (a * a.conjugate() + b * b.conjugate() - 1.0, a * c.conjugate() + b * d.conjugate(),
-                 c * c.conjugate() + d * d.conjugate() - 1.0)
-        if not all(math.hypot(x.real, x.imag) <= 1e-12 for x in upper):
-            raise DomainError("matrix is not unitary within 1e-12")
-        if not abs(a * d - b * c - 1.0) <= 1e-12:
-            raise DomainError("matrix determinant must be 1 (SU(2))")
+        _require_su2(m.tolist())
         m.setflags(write=False)
         object.__setattr__(self, "matrix", m)
+
+
+def _require_su2(rows: list[list[complex]]) -> list[list[complex]]:
+    """2x2 rows of Python complex once unitary with unit determinant within
+    1e-12, else DomainError (Python scalars: an overflow is inf, not a warning)."""
+    (a, b), (c, d) = rows
+    upper = (a * a.conjugate() + b * b.conjugate() - 1.0, a * c.conjugate() + b * d.conjugate(),
+             c * c.conjugate() + d * d.conjugate() - 1.0)
+    if not all(math.hypot(x.real, x.imag) <= 1e-12 for x in upper):
+        raise DomainError("matrix is not unitary within 1e-12")
+    if not abs(a * d - b * c - 1.0) <= 1e-12:
+        raise DomainError("matrix determinant must be 1 (SU(2))")
+    return rows
 
 
 @dataclass(frozen=True)
@@ -83,30 +91,13 @@ class GalileanElement:
     rotation: np.ndarray | None = None  # unit quaternion (w, x, y, z)
 
     def __post_init__(self):
-        object.__setattr__(self, "time_shift", float(self.time_shift))
-        if not math.isfinite(self.time_shift):
-            raise DomainError(f"time_shift must be finite, got {self.time_shift}")
-        for name, val in (("translation", self.translation), ("boost_velocity", self.boost_velocity)):
-            v = np.zeros(3) if val is None else np.array(val, dtype=float).reshape(-1)
-            if v.shape != (3,):
-                raise DomainError(f"{name} must be a 3-vector")
-            if not all(map(math.isfinite, v.tolist())):
-                raise DomainError(f"{name} must be finite, got {v.tolist()}")
-            v.setflags(write=False)
-            object.__setattr__(self, name, v)
-        q = np.array([1.0, 0.0, 0.0, 0.0]) if self.rotation is None else np.array(
-            self.rotation, dtype=float
-        ).reshape(-1)
-        if q.shape != (4,):
-            raise DomainError("rotation must be a quaternion (w, x, y, z)")
-        listed = q.tolist()
-        if not all(map(math.isfinite, listed)):
-            raise DomainError(f"rotation must be finite, got {listed}")
-        deviation = abs(sum(x * x for x in listed) - 1.0)  # an overflow is inf, not a warning
-        if not deviation <= 1e-12:
-            raise DomainError(f"quaternion norm deviates from 1 by {deviation:.2e}")
-        q.setflags(write=False)
-        object.__setattr__(self, "rotation", q)
+        b = float(self.time_shift)
+        a, v, q = (default if val is None else np.array(val, dtype=float).reshape(-1).tolist()
+                   for val, default in ((self.translation, [0.0] * 3), (self.boost_velocity, [0.0] * 3),
+                                        (self.rotation, [1.0, 0.0, 0.0, 0.0])))
+        _require_element(b, a, v, q)
+        self.__dict__.update(time_shift=b, translation=_frozen(a), boost_velocity=_frozen(v),
+                             rotation=_frozen(q))  # frozen: past __setattr__
 
     def params_dict(self) -> dict:
         return {
@@ -116,10 +107,21 @@ class GalileanElement:
             "rotation": list(self.rotation),
         }
 
-    @cached_property
-    def _su2(self) -> list[list[complex]]:
-        """D(R) as rows, built once per element for the action and the checks."""
-        return su2_from_rotation(self.rotation).matrix.tolist()
+
+def _require_element(b: float, a: list[float], v: list[float], q: list[float]) -> None:
+    """DomainError unless (b, a, v, q) in Python floats is a frame change: finite
+    b, a, v and q, q of norm 1 within 1e-12 (an overflowing |q|^2 is inf)."""
+    if not math.isfinite(b):
+        raise DomainError(f"time_shift must be finite, got {b}")
+    for name, x, size in (("translation", a, 3), ("boost_velocity", v, 3), ("rotation", q, 4)):
+        if len(x) != size:
+            raise DomainError(f"{name} must be a 3-vector" if size == 3
+                              else "rotation must be a quaternion (w, x, y, z)")
+        if not all(map(math.isfinite, x)):
+            raise DomainError(f"{name} must be finite, got {x}")
+    deviation = abs(sum(x * x for x in q) - 1.0)
+    if not deviation <= 1e-12:
+        raise DomainError(f"quaternion norm deviates from 1 by {deviation:.2e}")
 
 
 def quaternion_product(q2: np.ndarray, q1: np.ndarray) -> np.ndarray:
@@ -165,8 +167,13 @@ def su2_from_rotation(q) -> SpinRotation:
     q = np.array(q, dtype=float).reshape(-1).tolist()
     if len(q) != 4 or not abs(sum(x * x for x in q) - 1.0) <= 1e-12:
         raise DomainError("expected a unit quaternion (w, x, y, z)")
+    return SpinRotation(_su2_rows(q))
+
+
+def _su2_rows(q: list[float]) -> list[list[complex]]:
+    """``su2_from_rotation`` of a unit quaternion's floats, as rows, ungated."""
     w, x, y, z = q
-    return SpinRotation([[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]])
+    return [[w - 1j * z, -1j * x - y], [-1j * x + y, w + 1j * z]]
 
 
 def compose(second: GalileanElement, first: GalileanElement) -> GalileanElement:
@@ -193,16 +200,18 @@ def apply_galilean(
     under the action; any other state raises UnsupportedError, and so does
     ``invariance_report``, which moves the same packets.
     """
-    moved, rows = _move(*_keyed(state), g, params.mass)
+    _require_movable(state)
+    dictionary, rows = _keyed(state.components)
+    frame = g.time_shift, g.translation.tolist(), g.boost_velocity.tolist(), g.rotation.tolist()
+    moved, rows = _move(dictionary.packets, rows, frame, _require_su2(_su2_rows(frame[3])), params.mass)
     return HybridState(tuple(
         GaussianSum(tuple(GaussianTerm(amplitude, *moved[q]) for q, amplitude in row.items()))
         for row in rows
     ))
 
 
-def _keyed(state: HybridState) -> tuple[list, list]:
-    """The distinct packets of a state the action moves, as ``_packet``
-    records, and its rows of C, keyed once by ``_Dictionary``."""
+def _require_movable(state: HybridState) -> None:
+    """UnsupportedError unless the action keeps ``state`` in its family."""
     if state.d != 3:
         raise UnsupportedError(f"the Galilean action needs d = 3, got d = {state.d}")
     if state.n != 2:
@@ -210,24 +219,22 @@ def _keyed(state: HybridState) -> tuple[list, list]:
     for comp in state.components:
         if not isinstance(comp, GaussianSum):
             raise UnsupportedError(f"only GaussianSum components transform exactly; got {type(comp).__name__}")
-    dictionary = _Dictionary()
-    rows = [dictionary.row(((None, comp),)) for comp in state.components]
-    return [record for _, record in dictionary.packets], rows
 
 
-def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list, list]:
-    """g at mass m on ``_keyed`` packets and rows, in Python scalars (which
+def _move(packets: list, rows: list, frame: tuple, dmat: list, m: float) -> tuple[list, list]:
+    """The frame change (b, a, v, q) with D(R) rows ``dmat`` at mass m on the
+    packets and rows of C of a ``_keyed`` state, in Python scalars (which
     overflow to inf, not to a warning): each packet moved once, C' = D C
     diag(e^{i phi}) in term order, dropping exactly-zero D weights, and moved
     packets with one ``_packet_key`` merged."""
-    rot = _rotation_rows(g.rotation.tolist())
-    a, v, b = g.translation.tolist(), g.boost_velocity.tolist(), g.time_shift
+    b, a, v, q = frame
+    rot = _rotation_rows(q)
     # the scalar phase exp(i(m a.v/2 - a.p + b p^2/(2m))) pushed through the
     # substitution p -> R^T(p - m v), collected per power of p
     vv = _dot(v, v)
     phase_base = 0.5 * m * _dot(a, v) + m * _dot(_turn(rot, a), v) + 0.5 * b * m * vv
     index, merged, factors = {}, [], []  # packet key -> (entry, moved packet); per input packet
-    for center, width, linear, quad in packets:
+    for _, (center, width, linear, quad) in packets:
         phase = phase_base + m * _dot(_turn(rot, linear), v) + quad * m * m * vv
         if not math.isfinite(phase):
             raise DomainError(
@@ -244,7 +251,7 @@ def _move(packets: list, rows: list, g: GalileanElement, m: float) -> tuple[list
         merged.append(index.setdefault(_packet_key(record), (len(index), record))[0])
         factors.append(cmath.exp(1j * phase))
     out: list[dict[int, complex]] = [{}, {}]
-    for row, d_row in zip(out, g._su2):
+    for row, d_row in zip(out, dmat):
         for weight, c_row in zip(d_row, rows):
             for p, c in c_row.items() if weight != 0.0 else ():
                 q, amp = merged[p], c * factors[p] * weight
@@ -266,6 +273,11 @@ def _turn(rot: list[list[float]], x: list[float]) -> list[float]:
 def random_elements(samples: int, seed: int) -> list[GalileanElement]:
     """Deterministic sample of group elements: |a|, |v|, |b| <= 5 and
     Haar-uniform rotations."""
+    return [GalileanElement(*frame) for frame in _draws(samples, seed)]
+
+
+def _draws(samples: int, seed: int) -> list[tuple]:
+    """``random_elements``' draws, ungated: (b, a, v, q) as a float and lists."""
     if samples < 1:
         raise PreconditionError("samples must be >= 1")
     # rng.uniform(lo, hi) is lo + (hi - lo) * rng.random(), np.linalg.norm(x) is sqrt(x.dot(x))
@@ -281,18 +293,16 @@ def random_elements(samples: int, seed: int) -> list[GalileanElement]:
             vecs.append([scale * (x / length), scale * (y / length), scale * (z / length)])
         q = rng.normal(size=4)
         length = math.sqrt(q.dot(q))
-        w, x, y, z = q.tolist()
-        out.append(GalileanElement(b, vecs[0], vecs[1], [w / length, x / length, y / length, z / length]))
+        out.append((b, vecs[0], vecs[1], [x / length for x in q.tolist()]))
     return out
 
 
-def _moved_overlap_matrix(packets: list, rows: list, g: GalileanElement, m: float,
+def _moved_overlap_matrix(packets: list, rows: list, frame: tuple, dmat: list, m: float,
                           selfs: dict | None = None) -> OverlapMatrix:
-    """overlap_matrix of g at mass m on ``_keyed`` packets and rows, with no
-    state built and G of the moved packets recomputed by ``_gram``.  A frame
-    change keeps every width, so the diagonal may come from ``selfs``, the
-    state's own G_pp per width (``_gram``)."""
-    moved, moved_rows = _move(packets, rows, g, m)
+    """overlap_matrix of a ``_move``, with no state built and G of the moved
+    packets recomputed by ``_gram``.  A frame change keeps every width, so
+    the diagonal may come from ``selfs``, the state's own G_pp per width."""
+    moved, moved_rows = _move(packets, rows, frame, dmat, m)
     return _normalized_overlap_matrix(_sandwich(moved_rows, _gram(list(enumerate(moved)), (), selfs)))
 
 
@@ -318,20 +328,24 @@ def invariance_report(
     spectrum deviation and the largest deviation of the transformed reduced
     matrix from D rho D^dagger."""
     selfs = {}  # G_pp per width, for the state and every moved copy of it
-    rho = _normalized_overlap_matrix(_overlap_rows(state.components, selfs))  # overlap_matrix(state)
+    keyed = _keyed(state.components)  # the one keying: the base h, then the packets every sample moves
+    rho = _normalized_overlap_matrix(_overlap_rows(keyed, selfs))  # overlap_matrix(state)
     lam = spectrum(rho).eigenvalues.tolist()
     h0 = rho.matrix.tolist()
-    elements = random_elements(samples, seed)
-    packets, rows = _keyed(state)
-    deviations = []  # (spectrum, conjugation, element) per sample
-    for g in elements:
-        rho2 = _moved_overlap_matrix(packets, rows, g, params.mass, selfs)
+    draws = _draws(samples, seed)
+    _require_movable(state)
+    dictionary, rows = keyed
+    deviations = []  # (spectrum, conjugation, draw) per sample
+    for frame in draws:  # Python floats from the draw to the move
+        _require_element(*frame)
+        dmat = _require_su2(_su2_rows(frame[3]))  # D rho D^dagger below in Python scalars
+        rho2 = _moved_overlap_matrix(dictionary.packets, rows, frame, dmat, params.mass, selfs)
         dev_s = max(abs(x - y) for x, y in zip(spectrum(rho2).eigenvalues.tolist(), lam))
-        dmat = g._su2  # D rho D^dagger in Python scalars
         d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]
         dev_c = max(abs(x - (y0 * r0.conjugate() + y1 * r1.conjugate()))
                     for h_row, (y0, y1) in zip(rho2.matrix.tolist(), d_h0) for x, (r0, r1) in zip(h_row, dmat))
-        deviations.append((dev_s, dev_c, g))
+        deviations.append((dev_s, dev_c, frame))
     worst_s = max(deviations, key=lambda d: d[0])  # max keeps the first of equal maxima
     worst_c = max(deviations, key=lambda d: d[1])
-    return InvarianceReport(samples, seed, worst_s[0], worst_c[1], worst_s[2].params_dict(), worst_c[2].params_dict())
+    return InvarianceReport(samples, seed, worst_s[0], worst_c[1],
+                            GalileanElement(*worst_s[2]).params_dict(), GalileanElement(*worst_c[2]).params_dict())

@@ -152,12 +152,15 @@ def _log_unit_overlap(p1: tuple, p2: tuple) -> complex:
         # gamma1, gamma2 and A scaled by one power of two, so they stay small
         s = math.ldexp(1.0, -math.frexp(g_sum)[1])
         g1, g2, a_log = g1 * s, g2 * s, complex(g_sum * s, -dbeta * s)
-    return (
+    log_g = (
         0.25 * d * math.log(4.0 * g1 * g2)
         - 0.5 * d * cmath.log(a_log)
         - cc / (4.0 * a_coef)
         + complex(-lo * (hi / g_sum) * dd, dbeta * ww - aw)
     )
+    if dd == _INF and log_g != log_g:  # |Delta|^2 overflows, G is 0, and 0 * inf made it nan
+        return complex(-_INF, 0.0)
+    return log_g
 
 
 def _self_overlap(width: float, d: int) -> complex:
@@ -193,17 +196,23 @@ def dictionary_overlap_matrix(components: Sequence[WaveComponent]) -> np.ndarray
     is filled up front (``_gram``), and h on its upper triangle, mirrored by
     conjugation (``_sandwich``), so it is Hermitian by construction.
     """
-    h = _overlap_rows(components)
+    h = _overlap_rows(_keyed(components))
     return np.array(h, dtype=complex).reshape(len(h), len(h))
 
 
-def _overlap_rows(components: Sequence[WaveComponent], selfs: dict | None = None) -> list[list[complex]]:
-    """``dictionary_overlap_matrix`` as rows of Python complex; ``selfs`` as
-    in ``_gram``."""
+def _keyed(components: Sequence[WaveComponent]) -> tuple[_Dictionary, list[dict[int, complex]]]:
+    """Components of one dimension keyed once: their ``_Dictionary`` and
+    their rows of C over it."""
     if len({comp.dimension for comp in components}) > 1:
         raise StructureError("components disagree on dimension")
     dictionary = _Dictionary()
-    rows = [dictionary.row(((None, comp),)) for comp in components]
+    return dictionary, [dictionary.row(((None, comp),)) for comp in components]
+
+
+def _overlap_rows(keyed: tuple, selfs: dict | None = None) -> list[list[complex]]:
+    """``dictionary_overlap_matrix`` of ``_keyed`` components as rows of
+    Python complex; ``selfs`` as in ``_gram``."""
+    dictionary, rows = keyed
     return _sandwich(rows, _gram(dictionary.packets, dictionary.frames.values(), selfs))
 
 
@@ -377,7 +386,7 @@ class OverlapMatrix:
 def overlap_matrix(state: HybridState) -> OverlapMatrix:
     """Assemble h_{chi,chi'} = integral phi_chi conj(phi_chi') for a
     normalized state in one pass over its dictionary."""
-    return _normalized_overlap_matrix(_overlap_rows(state.components))
+    return _normalized_overlap_matrix(_overlap_rows(_keyed(state.components)))
 
 
 def _normalized_overlap_matrix(h) -> OverlapMatrix:

@@ -441,7 +441,7 @@ def norm(state: HybridState) -> float:
     ``overlaps.dictionary_overlap_matrix``, summed in component order."""
     from . import overlaps  # deferred: overlaps imports the types above
 
-    return _trace_norm(overlaps._overlap_rows(state.components))
+    return _trace_norm(overlaps._overlap_rows(overlaps._keyed(state.components)))
 
 
 def _trace_norm(h) -> float:

