@@ -9,7 +9,8 @@ The state files are written with numpy alone, not with cdent, so two
 checkouts read the same bytes: beam pairs, chirped multi-packet states,
 Hermite states and mixed Gaussian and Hermite states, each normalized by the
 exact Gaussian integral, plus a few files the loader or the norm gate must
-refuse.  ``galilean-check`` also runs on the edges of its gates (the norm
+refuse (deep field paths among them), a squared norm that rounds below zero
+and a kernel value that overflows.  ``galilean-check`` also runs on the edges of its gates (the norm
 before ``--samples``, ``--samples`` before d, n and the component types) and
 on beam and chirped states at masses from 1e-8 to 1e200.  Every command runs
 on them in this process through ``cdent.cli.run``, from a temporary
@@ -139,6 +140,27 @@ def state_files(seed: int) -> dict[str, dict]:
     files["unnormalized_hermite.json"] = unnormalized_hermite
     files["d1.json"] = _normalized(1, [_gaussian(rng, 1, 2, 1.0) for _ in range(2)])
     files["n3.json"] = _normalized(3, [_gaussian(rng, 3, 1, 1.0) for _ in range(3)])
+    # a kernel value that overflows to nan, and a squared norm that rounds below 0
+    files["narrow_d9.json"] = {"schema_version": 1, "n": 1, "d": 9, "components": [{"type": "gaussian_sum", "terms": [
+        {"amplitude": [1.0, 0.0], "center": [0.0] * 9, "width": 1e-76}]}]}
+    files["negative_norm.json"] = {"schema_version": 1, "n": 1, "d": 1, "components": [{"type": "gaussian_sum", "terms": [
+        {"amplitude": a, "center": [k], "width": 1.0}
+        for a, k in (([-0.36, -0.8], 8e-10), ([-1.9, 1.08], -8.5e-9), ([2.26, -0.28], -5.1e-9))]}]}
+    # loader faults deep in a file: a coefficient value, a term width, a
+    # repeated multi-index and an unknown coefficient field
+    bad_value = _normalized(2, [_hermite(rng, 2, 2) for _ in range(2)])
+    bad_value["components"][1]["coefficients"][1]["value"] = [1.0]
+    files["bad_value.json"] = bad_value
+    bad_term = _normalized(3, [_gaussian(rng, 3, 3, 1.0) for _ in range(2)])
+    bad_term["components"][1]["terms"][2]["width"] = 0.0
+    files["bad_term.json"] = bad_term
+    duplicate = _normalized(2, [_hermite(rng, 2, 2) for _ in range(2)])
+    coeffs = duplicate["components"][0]["coefficients"]
+    coeffs[1]["index"] = list(coeffs[0]["index"])
+    files["duplicate_index.json"] = duplicate
+    unknown = _normalized(1, [_hermite(rng, 1, 2) for _ in range(2)])
+    unknown["components"][1]["coefficients"][0]["vlaue"] = [0.0, 0.0]
+    files["unknown_coefficient_field.json"] = unknown
     return files
 
 
@@ -165,6 +187,9 @@ def calls(seed: int, files: dict[str, dict]) -> list[list[str]]:
         out.append(["sweep-width", f"--c0={c0}", f"--c1={c1}", f"--sigma0={sigma}",
                     f"--r-start={rng.uniform(0.1, 1.0)!r}", f"--r-stop={rng.uniform(1.0, 10.0)!r}", f"--r-steps={steps}"])
     out += [["--version"], ["sweep-q", "--c0=1", "--c1=0", "--sigma=-1", "--q-start=0", "--q-stop=1", "--q-steps=3"],
+            ["sweep-q", "--c0=1", "--c1=0", "--sigma=1", "--q-start=0", "--q-stop=1", "--q-steps=0"],
+            ["sweep-width", "--c0=1", "--c1=0", "--sigma0=1", "--r-start=1", "--r-stop=2", "--r-steps=0"],
+            ["kernel", "narrow_d9.json", "--axis=0", "--grid=-1e-76:1e-76:3"],
             ["sweep-width", "--c0=0.6", "--c1=0.6", "--sigma0=1", "--r-start=1", "--r-stop=2", "--r-steps=3"],
             ["galilean-check", "beam0.json", "--samples=0", "--seed=1"], ["kernel", "beam0.json", "--axis=5", "--grid=0:1:3"]]
     out += [["galilean-check", name, "--samples=0", "--seed=1"]

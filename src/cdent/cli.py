@@ -3,7 +3,9 @@
 Subcommands: analyze, sweep-q, sweep-width, galilean-check, kernel.
 Exit codes: 0 success, 1 usage error, 2 state-file validation failure,
 3 numerical precondition failure.  All output is byte-deterministic for
-identical inputs.
+identical inputs.  Every float written goes through ``stateio``'s one
+float rule (``render_json`` for JSON, ``fill_floats`` for CSV), and every
+state-file message carries the field path that ``stateio`` built for it.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from .galilean import PhysicalParams, invariance_report
 from .measures import entanglement_report
 from .overlaps import overlap_matrix
 from .scenarios import sweep_csv, sweep_q, sweep_width_ratio
-from .stateio import StateFileError, fmt_float, load_state, render_json
+from .stateio import StateFileError, fill_floats, fmt_float, load_state, render_json
 
 USAGE_ERROR = 1
 STATE_ERROR = 2
@@ -103,20 +105,13 @@ def _cmd_analyze(args, stdout) -> int:
     return 0
 
 
-def _cmd_sweep_q(args, stdout) -> int:
-    if args.q_steps < 1:
-        raise _UsageError("--q-steps needs at least one step")
-    qs = np.linspace(args.q_start, args.q_stop, args.q_steps)
-    rows = sweep_q(_parse_complex(args.c0), _parse_complex(args.c1), args.sigma, qs)
-    _emit(sweep_csv(rows), args.out, stdout)
-    return 0
-
-
-def _cmd_sweep_width(args, stdout) -> int:
-    if args.r_steps < 1:
-        raise _UsageError("--r-steps needs at least one step")
-    ratios = np.linspace(args.r_start, args.r_stop, args.r_steps)
-    rows = sweep_width_ratio(_parse_complex(args.c0), _parse_complex(args.c1), args.sigma0, ratios)
+def _cmd_sweep(args, stdout) -> int:
+    """sweep-q and sweep-width; ``args.sweep`` is (row function, width flag, swept flags' prefix)."""
+    rows_of, width, axis = args.sweep
+    start, stop, steps = (getattr(args, f"{axis}_{part}") for part in ("start", "stop", "steps"))
+    if steps < 1:
+        raise _UsageError(f"--{axis}-steps needs at least one step")
+    rows = rows_of(_parse_complex(args.c0), _parse_complex(args.c1), getattr(args, width), np.linspace(start, stop, steps))
     _emit(sweep_csv(rows), args.out, stdout)
     return 0
 
@@ -146,11 +141,9 @@ def _cmd_kernel(args, stdout) -> int:
     points[:, args.axis] = grid
     f = kernel_matrix(state, points)
     labels = [fmt_float(x) for x in grid.tolist()]
-    parts = f.view(float)  # each row's re, im interleaved
-    if not np.isfinite(parts).all():  # fmt_float refuses the first non-finite value in row order
-        list(map(fmt_float, parts.ravel().tolist()))
-    # '%.17g' % x is fmt_float(x) on a finite float: one template per grid row
-    rows = ("".join(f"{u},{v},%.17g,%.17g\n" for v in labels) % tuple(row) for u, row in zip(labels, parts.tolist()))
+    # one template per grid row; each row's re, im interleaved
+    rows = (fill_floats("".join(f"{u},{v},%.17g,%.17g\n" for v in labels), row)
+            for u, row in zip(labels, f.view(float).tolist()))
     _emit("p,p_prime,re_f,im_f\n" + "".join(rows), args.out, stdout)
     return 0
 
@@ -172,7 +165,7 @@ def build_parser() -> _Parser:
     p.add_argument("--q-stop", required=True, type=float)
     p.add_argument("--q-steps", required=True, type=int)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_sweep_q)
+    p.set_defaults(func=_cmd_sweep, sweep=(sweep_q, "sigma", "q"))
 
     p = sub.add_parser("sweep-width", help="sweep the width ratio of a beam pair")
     p.add_argument("--c0", required=True)
@@ -182,7 +175,7 @@ def build_parser() -> _Parser:
     p.add_argument("--r-stop", required=True, type=float)
     p.add_argument("--r-steps", required=True, type=int)
     p.add_argument("--out", help="write CSV here instead of stdout")
-    p.set_defaults(func=_cmd_sweep_width)
+    p.set_defaults(func=_cmd_sweep, sweep=(sweep_width_ratio, "sigma0", "r"))
 
     p = sub.add_parser("galilean-check", help="frame-change invariance report")
     p.add_argument("state", help="state JSON file")

@@ -3,6 +3,7 @@ predictions for a pair of Gaussian packets."""
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,7 +64,7 @@ def gaussian_pair_eigenvalues(c0: complex, c1: complex, x: complex) -> tuple[flo
     # identical under w0 + w1 = 1 but free of the cancellation that would
     # amplify a last-ulp weight residue through the square root
     disc = (0.5 * (w0 - w1)) ** 2 + w0 * w1 * ax * ax
-    root = float(np.sqrt(disc))
+    root = math.sqrt(disc)
     return 0.5 + root, 0.5 - root
 
 

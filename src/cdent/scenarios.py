@@ -9,6 +9,8 @@ between the norm (from G's diagonal, whose entries the sweep computes once
 per width) and h = C G C^dagger, which still passes the
 ``OverlapMatrix`` gates and the 2x2 eigensolve, so the closed form
 ``measures.gaussian_pair_eigenvalues`` stays a checker, never the producer.
+``sweep_csv`` writes the rows through ``stateio.fill_floats``, the one
+float rule of every CLI output.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .density import spectrum
 from .errors import DegenerateStateError, DomainError
 from .measures import _unit_weights
 from .overlaps import _gram, _normalized_overlap_matrix, _sandwich
-from .stateio import fmt_float
+from .stateio import fill_floats
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
 from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key
 
@@ -49,14 +51,10 @@ class SweepRow:
 
 def sweep_csv(rows: list[SweepRow]) -> str:
     """Sweep rows as CSV text: a header naming the varied parameter, then
-    one line per row in 17-significant-digit form."""
+    one line per row, written by ``stateio.fill_floats``."""
     header = f"{rows[0].parameter},abs_x,lambda_plus,lambda_minus,entropy_bits,purity\n"
-    fields = [(r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity) for r in rows]
-    if not all(math.isfinite(v) for row in fields for v in row):
-        for row in fields:  # fmt_float refuses the first non-finite value in row order
-            list(map(fmt_float, row))
-    # '%.17g' % x is fmt_float(x) on a finite float: one template per row
-    return header + "".join("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" % row for row in fields)
+    fields = [v for r in rows for v in (r.value, r.abs_x, r.lambda_plus, r.lambda_minus, r.entropy_bits, r.purity)]
+    return header + fill_floats("%.17g,%.17g,%.17g,%.17g,%.17g,%.17g\n" * len(rows), fields)
 
 
 def beam_pair(c0, c1, k0, k1, s0: float, s1: float) -> HybridState:

@@ -24,9 +24,11 @@ Widths and scales lie in [1e-76, 1e76] (``states.WIDTH_MIN`` and
 ``WIDTH_MAX``), multi-index entries in [0, 256] (``HERMITE_INDEX_MAX``).
 Complex numbers are two-element [re, im] arrays.  ``schema_version`` is the
 integer 1, and every object may hold only the fields shown: an unknown
-field is refused with its path.  Floats are rendered with
-17 significant digits so every value round-trips exactly; all output is
-byte-deterministic.
+field is refused with its path (``_each`` alone puts list indices into a
+path, and ``state_from_dict`` alone raises the ``StateFileError``).  Every
+float of JSON and CSV output is written by ``fmt_float``'s rule, with 17
+significant digits, so it round-trips exactly (``fill_floats`` writes many
+at once); output is byte-deterministic.
 """
 
 from __future__ import annotations
@@ -65,12 +67,20 @@ def fmt_float(x: float) -> str:
     return format(x, ".17g")
 
 
+def fill_floats(template: str, values) -> str:
+    """A template of '%.17g' fields filled from ``values``: fmt_float(x) per field
+    once every x is finite, else fmt_float's error at the first non-finite x."""
+    if not math.isfinite(sum(values)):  # a nan or inf makes the sum one; a mere overflow costs this pass
+        list(map(fmt_float, values))  # raises at the first non-finite value
+    return template % tuple(values)
+
+
 _quote = json.encoder.encode_basestring_ascii  # what json.dumps does for a str
 
 
 def render_json(obj: Any, indent: int = 0) -> str:
     """Deterministic JSON text: insertion-ordered keys, fmt_float numbers."""
-    if isinstance(obj, float):  # np.float64 too
+    if isinstance(obj, (float, np.floating)):
         return fmt_float(obj)
     pad = "  " * indent
     inner = pad + "  "
@@ -83,10 +93,7 @@ def render_json(obj: Any, indent: int = 0) -> str:
         if not obj:
             return "[]"
         if all(isinstance(v, float) for v in obj):
-            # one pass: '%.17g' % x is fmt_float(x) once every x is finite
-            if not all(map(math.isfinite, obj)):
-                list(map(fmt_float, obj))  # raises at the first non-finite value
-            text = ", ".join(["%.17g"] * len(obj)) % tuple(obj)
+            text = fill_floats(", ".join(["%.17g"] * len(obj)), obj)
             if len(text) - 2 * (len(obj) - 1) < 72:
                 return "[" + text + "]"
             return "[\n" + inner + text.replace(", ", ",\n" + inner) + "\n" + pad + "]"
@@ -98,8 +105,6 @@ def render_json(obj: Any, indent: int = 0) -> str:
         return "true" if obj else "false"
     if isinstance(obj, (int, np.integer)):
         return str(int(obj))
-    if isinstance(obj, np.floating):
-        return fmt_float(obj)
     if isinstance(obj, str):
         return _quote(obj)
     if obj is None:
@@ -114,8 +119,8 @@ def _complex_pair(z: complex) -> list[float]:
 
 class _Invalid(Exception):
     """A failed check, as (field path below the object being read, message).
-    Each enclosing reader prefixes its own field, so a path is formatted
-    only when a check fails."""
+    ``_each`` prefixes the list field and index of each enclosing entry, so
+    a path is formatted only when a check fails."""
 
 
 def _is_number(value) -> bool:
@@ -139,8 +144,7 @@ def _parse_complex(value, field: str) -> complex:
         raise _Invalid(field, "complex values are two-element [re, im] arrays")
     if not (_is_number(value[0]) and _is_number(value[1])):
         raise _Invalid(field, "re and im must be numbers")
-    re, im = _finite(value, field)
-    return complex(re, im)
+    return complex(*_finite(value, field))
 
 
 def _parse_vector(value, d: int, field: str) -> list[float]:
@@ -213,6 +217,18 @@ def _known_fields(raw: dict, fields: frozenset) -> None:
         raise _Invalid("", f"unknown fields {sorted(set(raw) - fields)}")
 
 
+def _each(parse, items, field: str, *args) -> list:
+    """``parse(item, *args)`` for each item of a list; a failed check's path
+    gets ``field[i]`` in front, the one place an entry index enters a path."""
+    out = []
+    for i, item in enumerate(items):
+        try:
+            out.append(parse(item, *args))
+        except _Invalid as exc:
+            raise _Invalid(f"{field}[{i}]{exc.args[0]}", exc.args[1]) from None
+    return out
+
+
 def _parse_term(raw, d: int) -> GaussianTerm:
     if not isinstance(raw, dict):
         raise _Invalid("", "expected an object")
@@ -227,6 +243,23 @@ def _parse_term(raw, d: int) -> GaussianTerm:
     )
 
 
+def _parse_coefficient(raw, d: int, coeffs: dict) -> None:
+    """Check one coefficient and enter it into ``coeffs``."""
+    if not isinstance(raw, dict):
+        raise _Invalid("", "expected an object")
+    _known_fields(raw, _COEFFICIENT_FIELDS)
+    idx = raw.get("index")
+    if not (isinstance(idx, list) and len(idx) == d
+            and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in idx)):
+        raise _Invalid(".index", f"expected {d} non-negative integers")
+    if max(idx) > HERMITE_INDEX_MAX:
+        raise _Invalid(".index", f"entries must be <= {HERMITE_INDEX_MAX}")
+    key = tuple(idx)
+    if key in coeffs:
+        raise _Invalid(".index", f"duplicate multi-index {key}")
+    coeffs[key] = _parse_complex(raw.get("value"), ".value")
+
+
 def _component_from_dict(entry, d: int) -> WaveComponent:
     """A checked component; every field is checked once, here, and the
     component built from it without a second check."""
@@ -238,14 +271,7 @@ def _component_from_dict(entry, d: int) -> WaveComponent:
         terms = entry.get("terms")
         if not (isinstance(terms, list) and terms):
             raise _Invalid(".terms", "expected a non-empty list")
-        parsed = []
-        try:
-            for i, raw in enumerate(terms):
-                parsed.append(_parse_term(raw, d))
-        except _Invalid as exc:
-            field, message = exc.args
-            raise _Invalid(f".terms[{i}]{field}", message) from None
-        return GaussianSum(tuple(parsed))
+        return GaussianSum(tuple(_each(_parse_term, terms, ".terms", d)))
     if kind == "hermite":
         _known_fields(entry, _HERMITE_FIELDS)
         scale = _parse_width(entry.get("scale"), ".scale")
@@ -254,56 +280,33 @@ def _component_from_dict(entry, d: int) -> WaveComponent:
         if not (isinstance(coeffs_raw, list) and coeffs_raw):
             raise _Invalid(".coefficients", "expected a non-empty list")
         coeffs: dict[tuple[int, ...], complex] = {}
-        try:
-            for i, raw in enumerate(coeffs_raw):
-                if not isinstance(raw, dict):
-                    raise _Invalid("", "expected an object")
-                _known_fields(raw, _COEFFICIENT_FIELDS)
-                idx = raw.get("index")
-                if not (isinstance(idx, list) and len(idx) == d
-                        and all(isinstance(m, int) and not isinstance(m, bool) and m >= 0 for m in idx)):
-                    raise _Invalid(".index", f"expected {d} non-negative integers")
-                if max(idx) > HERMITE_INDEX_MAX:
-                    raise _Invalid(".index", f"entries must be <= {HERMITE_INDEX_MAX}")
-                key = tuple(idx)
-                if key in coeffs:
-                    raise _Invalid(".index", f"duplicate multi-index {key}")
-                coeffs[key] = _parse_complex(raw.get("value"), ".value")
-        except _Invalid as exc:
-            field, message = exc.args
-            raise _Invalid(f".coefficients[{i}]{field}", message) from None
+        _each(_parse_coefficient, coeffs_raw, ".coefficients", d, coeffs)
         return HermiteExpansion._checked(scale, origin, coeffs)
     raise _Invalid(".type", f'expected "gaussian_sum" or "hermite", got {kind!r}')
 
 
 def state_from_dict(data) -> HybridState:
-    if not isinstance(data, dict):
-        raise StateFileError("$: state file must be a JSON object")
-    version = data.get("schema_version")
-    if not (type(version) is int and version == SCHEMA_VERSION):  # not True, not 1.0
-        raise StateFileError(f"$.schema_version: expected {SCHEMA_VERSION}, got {version!r}")
-    if not data.keys() <= _TOP_FIELDS:
-        raise StateFileError(f"$: unknown fields {sorted(set(data) - _TOP_FIELDS)}")
-    n = data.get("n")
-    d = data.get("d")
-    if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
-        raise StateFileError("$.n: expected a positive integer")
-    if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1):
-        raise StateFileError("$.d: expected a positive integer")
-    entries = data.get("components")
-    if not isinstance(entries, list):
-        raise StateFileError("$.components: expected a list")
-    if len(entries) != n:
-        raise StateFileError(f"$.components: expected {n} components, got {len(entries)}")
-    # every component is parsed at the file's one d, so they cannot clash
-    comps = []
     try:
-        for i, entry in enumerate(entries):
-            comps.append(_component_from_dict(entry, d))
-    except _Invalid as exc:
-        field, message = exc.args
-        raise StateFileError(f"$.components[{i}]{field}: {message}") from None
-    return HybridState(tuple(comps))
+        if not isinstance(data, dict):
+            raise _Invalid("", "state file must be a JSON object")
+        version = data.get("schema_version")
+        if not (type(version) is int and version == SCHEMA_VERSION):  # not True, not 1.0
+            raise _Invalid(".schema_version", f"expected {SCHEMA_VERSION}, got {version!r}")
+        _known_fields(data, _TOP_FIELDS)
+        n, d = data.get("n"), data.get("d")
+        if not (isinstance(n, int) and not isinstance(n, bool) and n >= 1):
+            raise _Invalid(".n", "expected a positive integer")
+        if not (isinstance(d, int) and not isinstance(d, bool) and d >= 1):
+            raise _Invalid(".d", "expected a positive integer")
+        entries = data.get("components")
+        if not isinstance(entries, list):
+            raise _Invalid(".components", "expected a list")
+        if len(entries) != n:
+            raise _Invalid(".components", f"expected {n} components, got {len(entries)}")
+        # every component is parsed at the file's one d, so they cannot clash
+        return HybridState(tuple(_each(_component_from_dict, entries, ".components", d)))
+    except _Invalid as exc:  # the one place a failed check becomes a StateFileError
+        raise StateFileError(f"${exc.args[0]}: {exc.args[1]}") from None
 
 
 def save_state(state: HybridState, path: str) -> None:

@@ -445,8 +445,9 @@ def norm(state: HybridState) -> float:
 
 
 def _trace_norm(h) -> float:
-    """sqrt of the real trace of h, an array or rows, summed in row order."""
-    return float(np.sqrt(sum(row[i].real for i, row in enumerate(h))))
+    """sqrt of the real trace of h (array or rows, summed in row order); nan below 0."""
+    trace = sum(row[i].real for i, row in enumerate(h))
+    return math.sqrt(trace) if trace >= 0.0 else math.nan
 
 
 def normalize(state: HybridState) -> HybridState:
@@ -457,7 +458,7 @@ def normalize(state: HybridState) -> HybridState:
 
 
 def _inverse_norm(n: float) -> float:
-    if n < 1e-300:
+    if not n >= 1e-300:  # nan too
         raise DegenerateStateError("cannot normalize a zero-norm state")
     return 1.0 / n
 

@@ -379,6 +379,23 @@ class TestInvarianceReport:
             pairs = len(widths) * (len(widths) - 1) // 2
             assert counts == [2 * pairs + len(set(widths)), 2 * pairs + len(set(widths)) + 5 * pairs]
 
+    def test_peak_memory_flat_in_the_sample_count(self):
+        # samples are drawn lazily and only the running maxima are kept, so
+        # ten times the samples must not raise the peak allocation
+        import tracemalloc
+
+        state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
+        invariance_report(state, samples=2, seed=5)  # first-call allocations
+        peaks = []
+        for samples in (50, 500):
+            tracemalloc.start()
+            try:
+                invariance_report(state, samples=samples, seed=5)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 2 * peaks[0], peaks
+
     def test_deterministic_for_fixed_seed(self):
         state = beam_pair(EQUAL, EQUAL, np.zeros(3), ZHAT, 1.0, 1.0)
         r1 = invariance_report(state, samples=8, seed=123)

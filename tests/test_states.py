@@ -97,6 +97,20 @@ class TestNormalize:
         with pytest.raises(DegenerateStateError):
             normalize(HybridState((packet(0.0, 0.0, 1.0),)))
 
+    def test_squared_norm_rounding_below_zero(self):
+        # three nearly coincident packets whose amplitudes sum to zero: the
+        # trace of h rounds to about -8.9e-16, so the norm is nan, silently,
+        # and normalize refuses it as a zero-norm state
+        terms = tuple(GaussianTerm(a, [k], 1.0) for a, k in
+                      ((-0.36 - 0.8j, 8e-10), (-1.9 + 1.08j, -8.5e-9), (2.26 - 0.28j, -5.1e-9)))
+        state = HybridState((GaussianSum(terms),))
+        assert dictionary_overlap_matrix(state.components)[0, 0].real < 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert np.isnan(norm(state))
+            with pytest.raises(DegenerateStateError, match="zero-norm"):
+                normalize(state)
+
     def test_random_states_normalize_to_unit(self, rng):
         for _ in range(20):
             state = random_state(rng)
