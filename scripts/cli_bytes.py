@@ -8,7 +8,9 @@
 The state files are written with numpy alone, not with cdent, so two
 checkouts read the same bytes: beam pairs, chirped multi-packet states,
 Hermite states and mixed Gaussian and Hermite states, each normalized by the
-exact Gaussian integral, plus a few files the loader or the norm gate must
+exact Gaussian integral; files whose components repeat packets, share them
+or share Hermite frames (the kernel evaluates each packet and each frame
+once per call); plus a few files the loader or the norm gate must
 refuse (deep field paths among them), a squared norm that rounds below zero
 and a kernel value that overflows.  ``galilean-check`` also runs on the edges of its gates (the norm
 before ``--samples``, ``--samples`` before d, n and the component types) and
@@ -56,12 +58,22 @@ def _packet_gram(packets: list[tuple]) -> np.ndarray:
 
 
 def _gaussian(rng, d: int, terms: int, chirp: float) -> tuple[dict, float]:
-    """A gaussian_sum component and its squared norm."""
+    """A gaussian_sum component of fresh packets and its squared norm."""
     packets, amps = [], []
     for _ in range(terms):
-        packets.append((rng.uniform(-2.0, 2.0, d), float(rng.uniform(0.5, 2.0)),
-                        rng.uniform(-chirp, chirp, d), float(rng.uniform(-chirp, chirp) * 0.3)))
+        packets.append(_chirped_packet(rng, d, chirp))
         amps.append(complex(rng.normal(), rng.normal()))
+    return _gaussian_over(packets, amps)
+
+
+def _chirped_packet(rng, d: int, chirp: float) -> tuple:
+    return (rng.uniform(-2.0, 2.0, d), float(rng.uniform(0.5, 2.0)),
+            rng.uniform(-chirp, chirp, d), float(rng.uniform(-chirp, chirp) * 0.3))
+
+
+def _gaussian_over(packets: list[tuple], amps: list[complex]) -> tuple[dict, float]:
+    """The gaussian_sum component with these amplitudes on these packets (a
+    packet may be listed more than once) and its squared norm."""
     c = np.array(amps)
     norm_sq = float(np.real(c @ _packet_gram(packets) @ c.conj()))
     comp = {"type": "gaussian_sum", "terms": [
@@ -70,12 +82,14 @@ def _gaussian(rng, d: int, terms: int, chirp: float) -> tuple[dict, float]:
     return comp, norm_sq
 
 
-def _hermite(rng, d: int, modes: int) -> tuple[dict, float]:
-    """A hermite component and its squared norm (the modes are orthonormal)."""
+def _hermite(rng, d: int, modes: int, frame: tuple | None = None, top: int = 3) -> tuple[dict, float]:
+    """A hermite component and its squared norm (the modes are orthonormal):
+    multi-index entries up to ``top``, on ``frame`` (scale, origin) if given."""
     coeffs = {}
     while len(coeffs) < modes:
-        coeffs[tuple(int(m) for m in rng.integers(0, 4, d))] = complex(rng.normal(), rng.normal())
-    comp = {"type": "hermite", "scale": float(rng.uniform(0.5, 2.5)), "origin": rng.uniform(-1.0, 1.0, d).tolist(),
+        coeffs[tuple(int(m) for m in rng.integers(0, top + 1, d))] = complex(rng.normal(), rng.normal())
+    scale, origin = frame or (float(rng.uniform(0.5, 2.5)), rng.uniform(-1.0, 1.0, d).tolist())
+    comp = {"type": "hermite", "scale": scale, "origin": origin,
             "coefficients": [{"index": list(idx), "value": _pair(c)} for idx, c in coeffs.items()]}
     return comp, sum(abs(c) ** 2 for c in coeffs.values())
 
@@ -161,6 +175,25 @@ def state_files(seed: int) -> dict[str, dict]:
     unknown = _normalized(1, [_hermite(rng, 1, 2) for _ in range(2)])
     unknown["components"][1]["coefficients"][0]["vlaue"] = [0.0, 0.0]
     files["unknown_coefficient_field.json"] = unknown
+    # the kernel's shared evaluations: components of 3 to 5 chirped terms,
+    # both components over the same packets (as a frame change writes them),
+    # a packet repeated inside a component and across components, and two
+    # Hermite expansions on one frame with different top modes beside one on
+    # a second frame
+    for i in range(3):
+        files[f"chirped_long{i}.json"] = _normalized(3, [_gaussian(rng, 3, int(rng.integers(3, 6)), 1.0)
+                                                         for _ in range(2)])
+    for i in range(2):
+        packets = [_chirped_packet(rng, 3, 1.0) for _ in range(2)]
+        files[f"shared_packets{i}.json"] = _normalized(3, [
+            _gaussian_over(packets, [complex(rng.normal(), rng.normal()) for _ in packets]) for _ in range(2)])
+    packets = [_chirped_packet(rng, 2, 1.0) for _ in range(3)]
+    files["repeated_packets.json"] = _normalized(2, [
+        _gaussian_over([packets[p] for p in picks], [complex(rng.normal(), rng.normal()) for _ in picks])
+        for picks in ((0, 1, 0, 2, 0), (1, 1), (2,))])
+    frame = (float(rng.uniform(0.5, 2.5)), rng.uniform(-1.0, 1.0, 2).tolist())
+    files["shared_frames.json"] = _normalized(2, [_hermite(rng, 2, 2, frame, top=1), _hermite(rng, 2, 3, frame, top=4),
+                                                  _hermite(rng, 2, 2)])
     return files
 
 

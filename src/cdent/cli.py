@@ -190,6 +190,7 @@ def build_parser() -> _Parser:
     p.add_argument("--grid", required=True, help="lo:hi:steps")
     p.add_argument("--out", help="write CSV here instead of stdout")
     p.set_defaults(func=_cmd_kernel)
+    parser.commands = sub.choices  # name -> the command's own parser, for run()
     return parser
 
 
@@ -203,7 +204,9 @@ def run(argv, stdout=None, stderr=None) -> int:
         _parser = build_parser()
     token = _stdout.set(stdout)
     try:
-        args = _parser.parse_args(argv)
+        # one parser pass: a command's own parser words errors as the top level would
+        command = _parser.commands.get(argv[0]) if argv else None
+        args = _parser.parse_args(argv) if command is None else command.parse_args(argv[1:])
         if getattr(args, "func", None) is None:
             raise _UsageError("a command is required (analyze, sweep-q, sweep-width, galilean-check, kernel)")
         return args.func(args, stdout)

@@ -16,7 +16,7 @@ import numpy as np
 from .errors import DomainError, StructureError, UnsupportedError
 from .linalg import _eigensystem
 from .overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_matrix
-from .states import HybridState, WaveComponent, combine_components
+from .states import HybridState, WaveComponent, _component_values, combine_components
 
 RANK_TOL = 1e-10
 _FLOAT64 = np.dtype(np.float64)
@@ -114,23 +114,26 @@ def kernel_matrix(state: HybridState, points) -> np.ndarray:
     reduced continuous density operator, sampled on an (N, d) array of
     momenta: F[i, j] = f(points[i], points[j]).
 
-    Each component is evaluated once on all N points.  Real and imaginary
-    parts accumulate separately, in component order, as a*c - b*d and
-    a*d + b*c for phi(p) = a + ib and conj(phi(p')) = c + id: a complex
-    array product may fuse these into FMAs, which leaves the diagonal an
-    imaginary part of order 1e-19 instead of exactly 0.
+    One ``_component_values`` call evaluates each distinct packet and each
+    Hermite frame once.  Real and imaginary parts are formed and summed
+    apart, in component order, as a a' + b b' and b a' - a b' for phi(p) =
+    a + ib and phi(p') = a' + ib' (a*c - b*d and a*d + b*c for conj(phi(p'))
+    = c + id): a complex array product may fuse these into FMAs, which
+    leaves the diagonal an imaginary part of order 1e-19, not exactly 0.
     """
     pts = np.array(points, dtype=float)
     if pts.ndim != 2 or pts.shape[1] != state.d:
         raise StructureError(f"points must be an (N, {state.d}) array, got shape {pts.shape}")
-    out = np.zeros((pts.shape[0], pts.shape[0]), dtype=complex)
-    for comp in state.components:
-        vals = comp.eval_many(pts)
-        a, b = vals.real, vals.imag
-        d = -b
-        out.real += np.multiply.outer(a, a) - np.multiply.outer(b, d)
-        out.imag += np.multiply.outer(a, d) + np.multiply.outer(b, a)
-    return out
+    ab = np.array(_component_values(state.components, pts)).view(float).reshape(state.n, len(pts), 1, 2)  # (a, b) at p
+    ab2 = ab.swapaxes(1, 2)  # (a', b') at p'
+    same, cross = ab * ab2, ab[..., ::-1] * ab2  # (a a', b b') and (b a', a b')
+    terms = np.empty(same.shape)  # (re, im) of each component's term
+    np.add(same[..., 0], same[..., 1], out=terms[..., 0])
+    np.subtract(cross[..., 0], cross[..., 1], out=terms[..., 1])
+    out = np.zeros(terms.shape[1:])
+    for term in terms:
+        out += term
+    return out.view(complex)[..., 0]  # the (N, N, 2) floats as (N, N) complex
 
 
 def schmidt_decomposition(state: HybridState) -> SchmidtData:

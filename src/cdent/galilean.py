@@ -100,12 +100,11 @@ class GalileanElement:
                              rotation=_frozen(q))  # frozen: past __setattr__
 
     def params_dict(self) -> dict:
-        return {
-            "time_shift": self.time_shift,
-            "translation": list(self.translation),
-            "boost_velocity": list(self.boost_velocity),
-            "rotation": list(self.rotation),
-        }
+        vectors = list(self.translation), list(self.boost_velocity), list(self.rotation)
+        return dict(zip(_FIELDS, (self.time_shift, *vectors)))
+
+
+_FIELDS = ("time_shift", "translation", "boost_velocity", "rotation")
 
 
 def _require_element(b: float, a: list[float], v: list[float], q: list[float]) -> None:
@@ -351,5 +350,5 @@ def invariance_report(
             worst_s = dev_s, frame
         if worst_c is None or dev_c > worst_c[0]:
             worst_c = dev_c, frame
-    return InvarianceReport(samples, seed, worst_s[0], worst_c[0],
-                            GalileanElement(*worst_s[1]).params_dict(), GalileanElement(*worst_c[1]).params_dict())
+    # the worst draws' floats passed _require_element: the report takes them as they are
+    return InvarianceReport(samples, seed, worst_s[0], worst_c[0], *(dict(zip(_FIELDS, w)) for _, w in (worst_s, worst_c)))

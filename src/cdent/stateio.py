@@ -170,29 +170,12 @@ def _parse_width(value, field: str) -> float:
 
 def component_to_dict(comp: WaveComponent) -> dict:
     if isinstance(comp, GaussianSum):
-        return {
-            "type": "gaussian_sum",
-            "terms": [
-                {
-                    "amplitude": _complex_pair(t.amplitude),
-                    "center": [float(v) for v in t.center],
-                    "width": float(t.width),
-                    "linear_phase": [float(v) for v in t.linear_phase],
-                    "quad_phase": float(t.quad_phase),
-                }
-                for t in comp.terms
-            ],
-        }
+        return {"type": "gaussian_sum", "terms": [
+            {"amplitude": _complex_pair(t.amplitude), "center": t.center.tolist(), "width": t.width,
+             "linear_phase": t.linear_phase.tolist(), "quad_phase": t.quad_phase} for t in comp.terms]}
     if isinstance(comp, HermiteExpansion):
-        coeffs = sorted(comp.coefficients.items())
-        return {
-            "type": "hermite",
-            "scale": float(comp.scale),
-            "origin": [float(v) for v in comp.origin],
-            "coefficients": [
-                {"index": list(idx), "value": _complex_pair(val)} for idx, val in coeffs
-            ],
-        }
+        return {"type": "hermite", "scale": comp.scale, "origin": comp.origin.tolist(), "coefficients": [
+            {"index": list(idx), "value": _complex_pair(val)} for idx, val in sorted(comp.coefficients.items())]}
     raise StateFileError(f"component type {type(comp).__name__} is not serializable")
 
 

@@ -11,9 +11,10 @@ families with exact overlap integrals:
   internally, e.g. by Schmidt modes of mixed-representation states).
 
 A packet is a ``_packet`` record, and ``_packet_key`` alone decides when two
-are one: the builder ``_Dictionary`` keys with it, as do frame changes and
-sweep rows.  ``_Dictionary`` writes components as amplitudes over packets
-and Hermite modes: ``overlaps`` reads its rows as C in h = C G C^dagger, and
+are one (``_frame_key`` for Hermite frames): the builder ``_Dictionary``, frame
+changes, sweep rows and the evaluator ``_component_values`` key with it.
+``_Dictionary`` writes components as amplitudes over packets and Hermite
+modes: ``overlaps`` reads its rows as C in h = C G C^dagger, and
 ``combine_components`` holds each packet or mode once, whatever the mix.
 
 Width convention: a packet of ``width`` sigma centered at k has amplitude
@@ -103,24 +104,14 @@ class GaussianTerm:
     def __post_init__(self):
         center = _frozen_vector(self.center, name="center")
         object.__setattr__(self, "center", center)
-        object.__setattr__(self, "amplitude", complex(self.amplitude))
+        object.__setattr__(self, "amplitude", _finite_amplitude(self.amplitude))
         object.__setattr__(self, "width", float(self.width))
         object.__setattr__(self, "quad_phase", float(self.quad_phase))
-        if not cmath.isfinite(self.amplitude):
-            raise DomainError(f"amplitude must be finite, got {self.amplitude}")
         _check_width(self.width, "width")
         if not math.isfinite(self.quad_phase):
             raise DomainError(f"quad_phase must be finite, got {self.quad_phase}")
-        if self.linear_phase is None:
-            lp = np.zeros(center.shape[0])
-            lp.setflags(write=False)
-            object.__setattr__(self, "linear_phase", lp)
-        else:
-            object.__setattr__(
-                self,
-                "linear_phase",
-                _frozen_vector(self.linear_phase, center.shape[0], "linear_phase"),
-            )
+        linear = [0.0] * center.shape[0] if self.linear_phase is None else self.linear_phase
+        object.__setattr__(self, "linear_phase", _frozen_vector(linear, center.shape[0], "linear_phase"))
 
     @property
     def dimension(self) -> int:
@@ -150,24 +141,8 @@ class GaussianTerm:
         return term
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Values at an (N, d) array of points (complex points allowed;
-        the expression is the analytic continuation).  Exactly 0 where the
-        envelope exp(-2|p-center|^2/sigma^2) underflows."""
-        gamma = 2.0 / self.width**2
-        # far out |p|^2 overflows and the phases turn 0*inf into nan; a
-        # narrow packet in high dimension peaks above the float range, and
-        # its prefactor is inf (numpy's power, where Python's would raise)
-        with np.errstate(over="ignore", invalid="ignore"):
-            pref = np.float64(2.0 * gamma / np.pi) ** (0.25 * self.dimension)
-            dp = pts - self.center
-            envelope = -gamma * np.sum(dp * dp, axis=-1)
-            expo = (
-                envelope
-                - 1j * (pts @ self.linear_phase)
-                + 1j * self.quad_phase * np.sum(pts * pts, axis=-1)
-            )
-            vals = self.amplitude * pref * np.exp(expo)
-        return np.where(np.exp(envelope.real) == 0.0, 0.0, vals)
+        """Values at an (N, d) array of points, as ``_component_values`` gives them."""
+        return _component_values((GaussianSum((self,)),), pts)[0]
 
 
 def _packet(t: GaussianTerm) -> tuple[list[float], float, list[float], float]:
@@ -184,9 +159,14 @@ def _packet_key(record: tuple) -> tuple:
     return width, quad, array("d", center + linear).tobytes()
 
 
+def _frame_key(expansion: HermiteExpansion) -> tuple:
+    """Equal keys, one frame: equal scale, origin bits equal up to the sign of zero."""
+    return expansion.scale, (expansion.origin + 0.0).tobytes()
+
+
 @dataclass(frozen=True)
 class GaussianSum:
-    """A wave-function component: finite sum of phased Gaussian packets."""
+    """A wave-function component: finite sum of phased Gaussian packets, each evaluated once."""
 
     terms: tuple[GaussianTerm, ...]
 
@@ -208,10 +188,8 @@ class GaussianSum:
         return GaussianSum(tuple(t.scaled(factor) for t in self.terms))
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        out = self.terms[0].eval_many(pts)
-        for t in self.terms[1:]:
-            out = out + t.eval_many(pts)
-        return out
+        """Values at an (N, d) array of points, as ``_component_values`` gives them."""
+        return _component_values((self,), pts)[0]
 
 
 def _hermite_table(mmax: int, u: np.ndarray, ground) -> np.ndarray:
@@ -293,24 +271,8 @@ class HermiteExpansion:
         )
 
     def eval_many(self, pts: np.ndarray) -> np.ndarray:
-        """Values at an (N, d) array of real points.  Exactly 0 where the
-        envelope exp(-u^2/2) underflows on some axis."""
-        s = self.gaussian_std
-        mmax = max(max(idx) for idx in self.coefficients)
-        # far out u^2 overflows and the recurrence turns 0*inf into nan
-        with np.errstate(over="ignore", invalid="ignore"):
-            u = (pts - self.origin) / s
-            envelope = np.exp(-0.5 * u * u)
-            table = _hermite_table(mmax, u, np.pi ** (-0.25) * envelope)  # (mmax+1, N, d)
-        out = np.zeros(pts.shape[0], dtype=complex)
-        for idx, c in self.coefficients.items():
-            factor = table[idx[0], :, 0].copy()
-            for axis in range(1, len(idx)):
-                factor *= table[idx[axis], :, axis]
-            out += c * factor
-        with np.errstate(over="ignore", invalid="ignore"):
-            out = out * np.float64(s) ** (-0.5 * self.dimension)
-        return np.where(np.any(envelope == 0.0, axis=-1), 0.0, out)
+        """Values at an (N, d) array of real points, as ``_component_values`` gives them."""
+        return _component_values((self,), pts)[0]
 
 
 @dataclass(frozen=True)
@@ -353,11 +315,83 @@ class ComponentSum:
 WaveComponent = Union[GaussianSum, HermiteExpansion, ComponentSum]
 
 
+def _component_values(components, pts: np.ndarray) -> list[np.ndarray]:
+    """Each component's values at an (N, d) array of points (complex points
+    allowed for packets: the expression is the analytic continuation).
+
+    Each distinct packet (``_packet_key``) is evaluated once, in one
+    ``_packet_pass``; a term is (amplitude * prefactor) * E_p, exactly 0 where
+    its envelope underflows, and a component sums its terms in order.  Each
+    Hermite frame (``_frame_key``) builds one table up to its largest mode, as
+    row m does not depend on the top; an expansion is exactly 0 where
+    exp(-u^2/2) underflows on some axis.  A ComponentSum evaluates itself.
+    """
+    packets: dict[tuple, tuple] = {}  # packet key -> (row of the packet pass, record)
+    terms, rows = [], []  # every GaussianSum term and its packet's row
+    frames, plan = {}, []  # frame key -> [top mode, first expansion, table, zeros]; per component
+    for comp in components:
+        if isinstance(comp, GaussianSum):
+            plan.append(slice(len(terms), len(terms) + len(comp.terms)))
+            rows += [packets.setdefault(_packet_key(r), (len(packets), r))[0] for r in map(_packet, comp.terms)]
+            terms += comp.terms
+        elif isinstance(comp, HermiteExpansion):
+            plan.append(frame := frames.setdefault(_frame_key(comp), [0, comp]))
+            frame[0] = max(frame[0], max(max(idx) for idx in comp.coefficients))
+        else:
+            plan.append(None)
+    values = []
+    # far out |p|^2 and u^2 overflow and 0*inf is nan; a narrow packet in high d
+    # peaks above the float range: its prefactor is inf (numpy's power; Python's raises)
+    with np.errstate(over="ignore", invalid="ignore"):
+        if packets:
+            exps, under, prefs = _packet_pass([record for _, record in packets.values()], pts)
+            term_values = np.array([t.amplitude * prefs[p] for t, p in zip(terms, rows)])[:, None] * exps[rows]
+            if under.any():
+                term_values[under[rows]] = 0.0
+        for frame in frames.values():
+            u = (pts - frame[1].origin) / frame[1].gaussian_std
+            envelope = np.exp(-0.5 * u * u)
+            frame += [_hermite_table(frame[0], u, np.pi ** (-0.25) * envelope), np.any(envelope == 0.0, axis=-1)]
+        for comp, entry in zip(components, plan):
+            if isinstance(comp, GaussianSum):
+                first, *rest = term_values[entry]
+                out = sum(rest, first)  # left to right, in term order
+            elif isinstance(comp, HermiteExpansion):
+                _, _, table, zeros = entry  # table: (top + 1, N, d)
+                out = np.zeros(pts.shape[0], dtype=complex)
+                for idx, c in comp.coefficients.items():
+                    factor = table[idx[0], :, 0].copy()
+                    for axis in range(1, len(idx)):
+                        factor *= table[idx[axis], :, axis]
+                    out += c * factor
+                out = np.where(zeros, 0.0, out * np.float64(comp.gaussian_std) ** (-0.5 * comp.dimension))
+            else:
+                out = comp.eval_many(pts)
+            values.append(out)
+    return values
+
+
+def _packet_pass(records: list[tuple], pts: np.ndarray) -> tuple[np.ndarray, np.ndarray, list]:
+    """E_p = exp(-gamma |p-center|^2 - i linear_phase . p + i quad_phase |p|^2),
+    gamma = 2/sigma^2, of P packet records at N points as a (P, N) array, the
+    mask where the envelope underflows, and each prefactor (2 gamma/pi)^(d/4)
+    as a numpy float64.  Scalars are formed per packet and broadcast; all else is
+    elementwise, so no value depends on the batch (a matmul's dot products may)."""
+    centers, widths, linears, quads = zip(*records)
+    gammas = [2.0 / width**2 for width in widths]
+    dp = pts - np.array(centers)[:, None, :]
+    envelope = np.array([-gamma for gamma in gammas])[:, None] * np.add.reduce(dp * dp, axis=-1)
+    expo = (envelope - 1j * np.add.reduce(pts * np.array(linears)[:, None, :], axis=-1)
+            + np.array([1j * quad for quad in quads])[:, None] * np.add.reduce(pts * pts, axis=-1))
+    prefs = [np.float64(2.0 * gamma / np.pi) ** (0.25 * len(centers[0])) for gamma in gammas]
+    return np.exp(expo), np.exp(envelope.real) == 0.0, prefs
+
+
 class _Dictionary:
     """The packets and Hermite modes a set of components is written over,
     numbered in order of first appearance.  Terms with one ``_packet_key``
-    are one packet; modes are one when their multi-index and frame are, and
-    frames are one when scale and origin bits are (origins -0.0 and 0.0 too)."""
+    are one packet; modes are one when their multi-index and ``_frame_key``
+    are."""
 
     def __init__(self):
         self.index: dict[tuple, int] = {}  # packet key or (frame key, multi-index) -> entry
@@ -377,7 +411,7 @@ class _Dictionary:
                     entries = ((_packet_key(r), t.amplitude, r) for t, r in zip(part.terms, map(_packet, part.terms)))
                     found = self.packets
                 else:
-                    frame = (part.scale, (part.origin + 0.0).tobytes())  # + 0.0: -0.0 is 0.0
+                    frame = _frame_key(part)
                     entries = (((frame, idx), c, idx) for idx, c in part.coefficients.items())
                     found = self.frames.setdefault(frame, (part, []))[1]
                 for key, amp, item in entries:

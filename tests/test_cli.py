@@ -11,9 +11,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cdent import __version__, cli, overlaps
+from cdent import __version__, cli, overlaps, states
 from cdent.cli import run
-from cdent.density import schmidt_decomposition, trace_function_check
+from cdent.density import kernel_matrix, schmidt_decomposition, trace_function_check
 from cdent.errors import DomainError
 from cdent.galilean import GalileanElement, apply_galilean
 from cdent.measures import entanglement_report
@@ -336,8 +336,6 @@ class TestKernel:
         assert lines[0] == "p,p_prime,re_f,im_f"
         assert len(lines) == 5  # 2x2 grid
         state = load_state(beam_file)
-        from cdent.density import kernel_matrix
-
         first = lines[1].split(",")
         expected = kernel_matrix(state, [[0, 0, 0.0], [0, 0, 0.0]])[0, 1]
         assert float(first[2]) == pytest.approx(expected.real, abs=1e-14)
@@ -400,26 +398,58 @@ class TestKernel:
                 assert code == 0, err
                 assert out == kernel_reference_csv(state, axis, points), (name, axis)
 
-    def test_one_evaluation_per_component(self, tmp_path, monkeypatch):
-        points = []
-        for cls in (GaussianSum, HermiteExpansion):
-            def counted(self, pts, original=cls.eval_many):
-                points.append(pts.shape[0])
-                return original(self, pts)
+    def test_off_axis_points_match_pointwise_values_bit_for_bit(self):
+        # every step of the evaluator is elementwise or a sum over the last
+        # axis, so a point's values do not depend on the batch: off the axes
+        # too, F is the per-pair sum of pointwise values, zero signs included
+        rng = np.random.default_rng(3)
+        for name, state in kernel_states().items():
+            points = rng.uniform(-2.0, 2.0, (6, state.d))
+            f = [[(z.real.hex(), z.imag.hex()) for z in row] for row in kernel_matrix(state, points).tolist()]
+            assert f == [[(re.hex(), im.hex()) for re, im in row] for row in kernel_reference(state, points)], name
 
-            monkeypatch.setattr(cls, "eval_many", counted)
-        state = kernel_states()["mixed"]
-        path = tmp_path / "mixed.json"
-        save_state(state, str(path))
-        code, _, err = run_cli(["kernel", str(path), "--axis", "1", "--grid=-1:1:7"])
-        assert code == 0, err
-        assert points == [7] * state.n
+    def test_one_evaluation_per_packet_and_frame(self, tmp_path, monkeypatch):
+        # per call, one (P, N) pass over the state's P distinct packets and one
+        # Hermite table per frame, up to the frame's top mode; no component
+        # evaluates itself
+        passes, tops = [], []
+        packet_pass, hermite_table = states._packet_pass, states._hermite_table
+
+        def counted_pass(records, pts):
+            passes.append((len(records), pts.shape[0]))
+            return packet_pass(records, pts)
+
+        def counted_table(top, u, ground):
+            tops.append(top)
+            return hermite_table(top, u, ground)
+
+        def refused(self, pts):
+            raise AssertionError("a component evaluated itself")
+
+        monkeypatch.setattr(states, "_packet_pass", counted_pass)
+        monkeypatch.setattr(states, "_hermite_table", counted_table)
+        for cls in (GaussianSum, HermiteExpansion):
+            monkeypatch.setattr(cls, "eval_many", refused)
+        cases = {"mixed": ([(3, 7)], [2]), "frames4": ([(2, 7)], []), "chirped": ([(7, 7)], []),
+                 "repeated": ([(3, 7)], []), "frames": ([], [4, 2])}
+        kernels = kernel_states()
+        for name, expected in cases.items():
+            passes.clear()
+            tops.clear()
+            path = tmp_path / f"{name}.json"
+            save_state(kernels[name], str(path))
+            code, _, err = run_cli(["kernel", str(path), "--axis", "1", "--grid=-1:1:7"])
+            assert code == 0, err
+            assert (passes, tops) == expected, name
 
 
 def kernel_states() -> dict:
-    """A beam pair, a 4-times frame-changed beam pair (16 terms per
-    component), a d = 3 same-frame Hermite state and a Gaussian x Hermite
-    state."""
+    """A beam pair, a 4-times frame-changed beam pair (both components over
+    the same 2 packets), a d = 3 same-frame Hermite state, a Gaussian x
+    Hermite state, components of 4 and 3 chirped terms, a packet repeated
+    inside a component and across components, and two Hermite expansions on
+    one frame (origins 0.0 and -0.0) with top modes 1 and 4 beside one on a
+    second frame."""
     beam = beam_pair(0.6, 0.8j, [0.1, -0.2, 0.0], [0.3, 0.1, 0.9], 1.1, 0.8)
     moved = beam
     for k in range(4):
@@ -436,27 +466,92 @@ def kernel_states() -> dict:
         HermiteExpansion(1.1, [0.1, 0.3], {(1, 0): 0.4, (0, 2): 0.5j}),
         GaussianSum((GaussianTerm(0.5 - 0.2j, [0.0, 0.6], 1.2, None, -0.1),)),
     )))
-    return {"beam": beam, "frames4": moved, "hermite3": herm, "mixed": mixed}
+    chirped = normalize(HybridState(tuple(
+        GaussianSum(tuple(GaussianTerm(complex(0.3 + 0.1 * k, 0.2 - 0.15 * k), [0.3 * k - 0.5, 0.2 - 0.1 * k],
+                                       0.8 + 0.2 * k, [0.4 - 0.3 * k, 0.2 * k], 0.15 * k - 0.2)
+                          for k in range(first, first + terms)))
+        for first, terms in ((0, 4), (4, 3)))))
+    a, b, c = ([0.1, -0.3], 0.9, [0.5, -0.2], 0.3), ([-0.4, 0.2], 1.3, [-0.1, 0.4], -0.2), ([0.6, 0.5], 0.7, None, 0.1)
+    repeated = normalize(HybridState((
+        GaussianSum(tuple(GaussianTerm(amp, *packet) for amp, packet in
+                          ((0.5, a), (0.2j, b), (-0.3 + 0.1j, a), (0.4, c), (0.1 - 0.2j, a)))),
+        GaussianSum((GaussianTerm(0.3j, *b), GaussianTerm(0.6, *a))),
+    )))
+    frames = normalize(HybridState((
+        HermiteExpansion(1.2, [0.0, 0.3], {(1, 0): 0.4, (0, 1): 0.2 - 0.1j}),
+        HermiteExpansion(1.2, [-0.0, 0.3], {(4, 1): 0.3j, (2, 3): 0.5, (0, 0): -0.2}),
+        HermiteExpansion(0.9, [-0.2, 0.1], {(2, 0): 0.6, (1, 1): 0.1j}),
+    )))
+    return {"beam": beam, "frames4": moved, "hermite3": herm, "mixed": mixed,
+            "chirped": chirped, "repeated": repeated, "frames": frames}
 
 
-def kernel_reference_csv(state, axis, points) -> str:
-    """Kernel CSV from pointwise values, one (p, p') pair at a time, with
-    the complex product written out as re = ac - bd, im = ad + bc."""
-    def values(u):
-        p = np.zeros(state.d)
-        p[axis] = u
-        return [evaluate(state, chi, p) for chi in range(state.n)]
+def pointwise_values(state, p) -> list[complex]:
+    """phi_chi(p) for each chi by ``evaluate``, except that a GaussianSum's
+    terms are evaluated one at a time and summed here, in term order: the
+    kernel and ``evaluate`` share one evaluator, and a wrong summation order
+    in it would show in both."""
+    values = []
+    for chi, comp in enumerate(state.components):
+        if isinstance(comp, GaussianSum):
+            terms = [complex(t.eval_many(np.array([p], dtype=float))[0]) for t in comp.terms]
+            values.append(sum(terms[1:], terms[0]))
+        else:
+            values.append(evaluate(state, chi, p))
+    return values
 
-    lines = ["p,p_prime,re_f,im_f"]
-    for u in points:
-        for v in points:
+
+def kernel_reference(state, points) -> list[list[tuple[float, float]]]:
+    """(re, im) of f(p, p') from ``pointwise_values``, one (p, p') pair at a
+    time, with the complex product written out as re = ac - bd, im = ad + bc."""
+    values = [pointwise_values(state, p) for p in points]
+    rows = []
+    for u in values:
+        rows.append([])
+        for v in values:
             re = im = 0.0
-            for x, y in zip(values(u), values(v)):
+            for x, y in zip(u, v):
                 y = y.conjugate()
                 re += x.real * y.real - x.imag * y.imag
                 im += x.real * y.imag + x.imag * y.real
-            lines.append(",".join(fmt_float(t) for t in (u, v, re, im)))
+            rows[-1].append((re, im))
+    return rows
+
+
+def kernel_reference_csv(state, axis, points) -> str:
+    """Kernel CSV of ``kernel_reference`` on a grid along one axis."""
+    pts = np.zeros((len(points), state.d))
+    pts[:, axis] = points
+    lines = ["p,p_prime,re_f,im_f"]
+    for u, row in zip(points, kernel_reference(state, pts)):
+        lines += [",".join(fmt_float(t) for t in (u, v, re, im)) for v, (re, im) in zip(points, row)]
     return "\n".join(lines) + "\n"
+
+
+class TestCommandParser:
+    @pytest.mark.parametrize("argv", [
+        ["kernel", "-h"],
+        ["sweep-width", "--help"],
+        ["kernel", "{beam}", "--axis"],  # a missing value
+        ["analyze", "{beam}", "--bogus"],  # an unknown option
+        ["kernel", "{beam}", "--axis=0", "--grid", "-1:1:3"],  # a value argparse takes for an option
+        ["galilean-check", "{beam}", "--samp=3", "--seed=1"],  # an abbreviation
+        ["galilean-check", "{beam}", "--samples=2", "--seed=1", "--mass=0.5", "--version"],
+        ["analyze", "--", "{beam}"],
+        ["kernel", "--axis=2", "--grid=-1:1:3", "--", "{beam}"],
+        ["sweep-q", "--c0=0.6", "--c1=0.8", "--sigma=1", "--q-start", "-1", "--q-stop=1", "--q-steps=3"],
+        ["sweep-width", "--c0", "-0.6", "--c1=0.8", "--sigma0=1", "--r-start=1", "--r-stop=2", "--r-steps", "-2"],
+        ["analyze"],
+    ], ids=" ".join)
+    def test_same_bytes_as_the_top_level_parser(self, beam_file, monkeypatch, argv):
+        # run() parses a command's arguments with the command's own parser;
+        # through the top-level parser the exit code, stdout and stderr are the same
+        argv = [a.format(beam=beam_file) for a in argv]
+        own = run_cli(argv)
+        assert list(cli._parser.commands) == ["analyze", "sweep-q", "sweep-width", "galilean-check", "kernel"]
+        monkeypatch.setattr(cli._parser, "commands", {})
+        assert run_cli(argv) == own
+        assert own[1] or own[2]
 
 
 class TestExitCodes:

@@ -338,8 +338,8 @@ class TestInvarianceReport:
         assert len(calls) == 1
 
     def test_worst_elements_are_the_drawn_elements(self):
-        # only the two worst samples become GalileanElements; each must be
-        # random_elements(samples, seed)[i] bit for bit, i the first sample
+        # the report's two worst elements are the worst draws' floats; each
+        # must be random_elements(samples, seed)[i] bit for bit, i the first sample
         # at which the report over the first i + 1 samples reaches the maximum
         def hexed(params):
             return [float(params["time_shift"]).hex()] + [
