@@ -29,8 +29,8 @@ evaluation per distinct pair, not one per term pair.  Frame changes and
 Schmidt modes hold each packet or mode once (the same keying).  This is the
 bookkeeping of expansions over a non-orthogonal basis with overlap matrix G
 (Szabo & Ostlund, Modern Quantum Chemistry, ch. 3).  The test suite
-certifies every route against tensor-product quadrature
-(``tests/quadrature_oracle.py``).
+certifies every route against a per-axis contour quadrature on the
+state-file schema (``tests/quadrature_oracle.py``).
 
 Packet pairs.  For two unit-amplitude phased Gaussian packets (gamma_i =
 2/sigma_i^2, bilinear dot products) with Delta = k1 - k2, written about the

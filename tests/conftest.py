@@ -5,7 +5,9 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from cdent.stateio import component_to_dict
 from cdent.states import (
+    ComponentSum,
     GaussianSum,
     GaussianTerm,
     HermiteExpansion,
@@ -15,6 +17,14 @@ from cdent.states import (
 
 EQUAL = 1.0 / np.sqrt(2.0)
 ZHAT = np.array([0.0, 0.0, 1.0])
+
+
+def as_schema(comp):
+    """A library component in the quadrature oracle's input form: its
+    schema-v1 dict, or (weight, dict) pairs for a formal sum."""
+    if isinstance(comp, ComponentSum):
+        return [(w, component_to_dict(part)) for w, part in comp.parts]
+    return component_to_dict(comp)
 
 
 def random_gaussian_component(

@@ -14,10 +14,8 @@ from cdent.measures import gaussian_pair_eigenvalues, von_neumann_entropy
 from cdent.overlaps import gaussian_term_overlap, overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair, sweep_q, sweep_width_ratio
 from cdent.states import GaussianSum, GaussianTerm, HybridState, normalize
-from conftest import EQUAL, ZHAT, random_state, random_weights
-from quadrature_oracle import QuadratureSpec, quadrature_overlap
-
-QUAD64 = QuadratureSpec(64)
+from conftest import EQUAL, ZHAT, as_schema, random_state, random_weights
+from quadrature_oracle import quadrature_overlap
 
 
 def report(name: str, ok: bool, detail: str):
@@ -209,10 +207,10 @@ def test_criterion_8_oracle_certification():
 
         a, b = term(), term()
         closed = gaussian_term_overlap(a, b)
-        numeric = quadrature_overlap(GaussianSum((a,)), GaussianSum((b,)), QUAD64)
+        numeric = quadrature_overlap(as_schema(GaussianSum((a,))), as_schema(GaussianSum((b,))))
         worst = max(worst, abs(closed - numeric))
     report(
-        "criterion 8 (closed form vs 64-node quadrature, 200 pairs)",
+        "criterion 8 (closed form vs contour quadrature, 200 pairs)",
         worst < 1e-8,
         f"max |closed - quadrature| = {worst:.3e} (tol 1e-8)",
     )

@@ -711,23 +711,12 @@ class TestMixedAnalyze:
         assert abs(analyze_h(path)[0, 1]) < 1e-12
 
     def test_five_dimensional_mixed_state(self, tmp_path):
-        # h01 factors into one 1-D overlap per axis, each checked against
-        # the quadrature oracle
-        center = [0.3, -0.2, 0.5, 0.1, -0.4]
-        linear = [0.2, -0.1, 0.0, 0.3, 0.1]
-        origin = [0.1, 0.2, -0.3, 0.0, 0.4]
-        index = [1, 0, 2, 0, 1]
-        path = write_state(tmp_path / "d5.json", 5, [
-            packet_entry(0.6, center, 1.1, linear, 0.2),
-            hermite_entry(1.3, origin, index, 0.8),
-        ])
-        expected = 0.6 * 0.8
-        for k, a, o, m in zip(center, linear, origin, index):
-            expected *= quadrature_overlap(
-                GaussianSum((GaussianTerm(1.0, [k], 1.1, [a], 0.2),)),
-                HermiteExpansion(1.3, [o], {(m,): 1.0}),
-            )
-        assert abs(analyze_h(path)[0, 1] - expected) < 1e-10
+        # the state file's two entries are the quadrature oracle's input as
+        # they stand
+        packet = packet_entry(0.6, [0.3, -0.2, 0.5, 0.1, -0.4], 1.1, [0.2, -0.1, 0.0, 0.3, 0.1], 0.2)
+        mode = hermite_entry(1.3, [0.1, 0.2, -0.3, 0.0, 0.4], [1, 0, 2, 0, 1], 0.8)
+        path = write_state(tmp_path / "d5.json", 5, [packet, mode])
+        assert abs(analyze_h(path)[0, 1] - quadrature_overlap(packet, mode)) < 1e-10
 
     def test_six_level_spectrum_agrees_with_its_h(self, tmp_path):
         # n = 6 with overlapping packets and modes: the LAPACK solve, not

@@ -1,8 +1,9 @@
-"""Exact symmetries of h that reach beyond the quadrature oracle's box.
+"""Exact symmetries of h, which need no oracle.
 
-The oracle fuzz (``test_fuzz_overlaps.py``) certifies h for widths, scales
-and center magnitudes in [0.3, 3], linear phases in [-1.5, 1.5] and quadratic
-phases in [-0.5, 0.5].  Three relations need no oracle:
+The oracle fuzz (``test_fuzz_overlaps.py``) certifies h on drawn states
+with widths and scales in [0.1, 10], center magnitudes in [0.3, 3], linear
+phases in [-1.5, 1.5] and quadratic phases in [-2, 2].  These relations
+carry h far outside any drawn range, or pin it bit for bit:
 
 * Dilation p -> lambda p with lambda = 2^k is unitary on L^2(R^d): it maps a
   packet (sigma, k, a, beta) to (sigma/lambda, k/lambda, lambda a,
@@ -10,10 +11,10 @@ phases in [-0.5, 0.5].  Three relations need no oracle:
   origin/lambda), every new parameter exact in binary, and leaves h
   unchanged.  Only the logarithms of the closed forms round differently: h
   agrees within 1e-14 relative up to |k| = 250, which carries states drawn
-  in the box over the whole width range [1e-76, 1e76].  That far out, the
-  packet prefactor's two logarithms would each be of size d |k| log 2 and
-  cancel; the closed form takes them of gamma1, gamma2 and A scaled by one
-  power of two, which keeps them small.
+  with widths in [0.3, 3] over the whole width range [1e-76, 1e76].  That
+  far out, the packet prefactor's two logarithms would each be of size
+  d |k| log 2 and cancel; the closed form takes them of gamma1, gamma2 and
+  A scaled by one power of two, which keeps them small.
 * Splitting a packet term into two adjacent terms of amplitude a/2, or a
   Hermite expansion into two halves, changes no dictionary entry and no
   coefficient sum (a/2 + a/2 is a exactly), so h is bit-identical.  This
@@ -22,8 +23,16 @@ phases in [-0.5, 0.5].  Three relations need no oracle:
   ``combine_components``, turns h into U h U^dagger.  n = 2..6 packet,
   Hermite and mixed states agree within 1e-14 relative (1.1e-15 at most
   over 1,500 draws); this exercises the weighted rows of ``_Dictionary``.
+* Shifting, phi'(p) = phi(p - s), is unitary: every center and origin moves
+  by s, a packet's linear phase a becomes a + 2 beta s and its amplitude
+  gains exp(i (a.s + beta |s|^2)), and h is unchanged.  Phase-free states
+  with centers and origins on multiples of 1/8, shifted by multiples of
+  1/8 up to 2^40, give a bit-identical h, since every shifted center is
+  exact and h depends on their differences alone; chirped states shifted
+  by up to 4 per axis agree within 1e-14 relative.
 """
 
+import cmath
 import math
 
 import numpy as np
@@ -47,7 +56,8 @@ AMPLITUDE = st.builds(complex, PART, PART)
 
 
 def gaussian_sum(draw, d: int) -> GaussianSum:
-    """1-3 phased packets over d axes, parameters in the oracle's box."""
+    """1-3 phased packets over d axes: widths and center magnitudes in
+    [0.3, 3], linear phases in [-1.5, 1.5], quadratic phases in [-0.5, 0.5]."""
     coordinates = st.lists(signed(LOG_RANGE), min_size=d, max_size=d)
     return GaussianSum(tuple(
         GaussianTerm(draw(AMPLITUDE), draw(coordinates), draw(LOG_RANGE),
@@ -58,7 +68,8 @@ def gaussian_sum(draw, d: int) -> GaussianSum:
 
 
 def hermite(draw, d: int) -> HermiteExpansion:
-    """1-3 modes of index at most 3 per axis on one frame in the oracle's box."""
+    """1-3 modes of index at most 3 per axis on one frame, scale and origin
+    magnitudes in [0.3, 3]."""
     indices = draw(st.lists(st.tuples(*[st.integers(0, 3)] * d), min_size=1, max_size=3, unique=True))
     return HermiteExpansion(draw(LOG_RANGE), draw(st.lists(signed(LOG_RANGE), min_size=d, max_size=d)),
                             {idx: draw(AMPLITUDE) for idx in indices})
@@ -67,7 +78,7 @@ def hermite(draw, d: int) -> HermiteExpansion:
 @st.composite
 def components(draw):
     """n = 1..3 components over d = 1..3 axes: packet sums, Hermite
-    expansions and their weighted sums, parameters in the oracle's box."""
+    expansions and their weighted sums, drawn by the two builders above."""
     d = draw(st.integers(1, 3))
     comps = []
     for _ in range(draw(st.integers(1, 3))):
@@ -194,3 +205,52 @@ def test_mixing_the_levels_conjugates_h(comps, seed):
     h = dictionary_overlap_matrix(comps)
     mixed = [combine_components(row, comps) for row in u]
     assert np.max(np.abs(dictionary_overlap_matrix(mixed) - u @ h @ u.conj().T)) <= 1e-14 * np.max(np.abs(h))
+
+
+def shifted(comp, s: np.ndarray):
+    """The component phi(p - s), written through the parameters: every center
+    and origin moves by s, and a packet's phases exp(-i a.p + i beta |p|^2)
+    at p - s give the linear phase a + 2 beta s and the constant factor
+    exp(i (a.s + beta |s|^2)) on its amplitude."""
+    if isinstance(comp, GaussianSum):
+        return GaussianSum(tuple(
+            GaussianTerm(t.amplitude * cmath.exp(1j * (t.linear_phase @ s + t.quad_phase * (s @ s))), t.center + s,
+                         t.width, t.linear_phase + 2.0 * t.quad_phase * s, t.quad_phase)
+            for t in comp.terms
+        ))
+    if isinstance(comp, HermiteExpansion):
+        return HermiteExpansion(comp.scale, comp.origin + s, comp.coefficients)
+    return ComponentSum(tuple((w, shifted(part, s)) for w, part in comp.parts))
+
+
+def phase_free_on_eighths(comp):
+    """The component with phase-free packets and every center and origin
+    rounded to a multiple of 1/8."""
+    if isinstance(comp, GaussianSum):
+        return GaussianSum(tuple(GaussianTerm(t.amplitude, np.round(8.0 * t.center) / 8.0, t.width)
+                                 for t in comp.terms))
+    if isinstance(comp, HermiteExpansion):
+        return HermiteExpansion(comp.scale, np.round(8.0 * comp.origin) / 8.0, comp.coefficients)
+    return ComponentSum(tuple((w, phase_free_on_eighths(part)) for w, part in comp.parts))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(comps=components(), data=st.data())
+def test_shifting_phase_free_states_on_eighths_leaves_h_bit_identical(comps, data):
+    # s a multiple of 1/8 up to 2^40 per axis: every shifted center is exact,
+    # and h depends on the differences of centers alone
+    comps = [phase_free_on_eighths(c) for c in comps]
+    d = comps[0].dimension
+    s = np.array(data.draw(st.lists(st.integers(-2**43, 2**43), min_size=d, max_size=d))) / 8.0
+    assert np.array_equal(dictionary_overlap_matrix([shifted(c, s) for c in comps]),
+                          dictionary_overlap_matrix(comps))
+
+
+@settings(max_examples=80, derandomize=True, database=None, deadline=None)
+@given(comps=components(), data=st.data())
+def test_shifting_chirped_states_leaves_h_unchanged(comps, data):
+    d = comps[0].dimension
+    s = np.array(data.draw(st.lists(st.floats(-4.0, 4.0), min_size=d, max_size=d)))
+    h = dictionary_overlap_matrix(comps)
+    moved = dictionary_overlap_matrix([shifted(c, s) for c in comps])
+    assert np.max(np.abs(moved - h)) <= 1e-14 * np.max(np.abs(h))

@@ -21,8 +21,8 @@ from cdent.galilean import (
 from cdent.overlaps import dictionary_overlap_matrix, overlap_matrix
 from cdent.scenarios import beam_pair, shape_pair
 from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, normalize, spin_expectation
-from conftest import EQUAL, ZHAT, random_gaussian_component
-from quadrature_oracle import QuadratureSpec, quadrature_overlap
+from conftest import EQUAL, ZHAT, as_schema, random_gaussian_component
+from quadrature_oracle import quadrature_overlap
 
 
 def su2_oracle(axis, angle):
@@ -166,11 +166,10 @@ class TestApplyGalilean:
         g = GalileanElement(0.7, [0.5, -0.3, 0.2], [0.3, 0.1, -0.4],
                             quaternion_from_axis_angle([0.2, 1.0, -0.5], 1.1))
         moved = apply_galilean(state, g, PhysicalParams(1.7))
-        spec = QuadratureSpec(64)
         a, b = moved.components
         h = dictionary_overlap_matrix((a, b))
-        assert h[0, 1] == pytest.approx(quadrature_overlap(a, b, spec), abs=1e-8)
-        assert h[0, 0] == pytest.approx(quadrature_overlap(a, a, spec), abs=1e-8)
+        assert h[0, 1] == pytest.approx(quadrature_overlap(as_schema(a), as_schema(b)), abs=1e-8)
+        assert h[0, 0] == pytest.approx(quadrature_overlap(as_schema(a), as_schema(a)), abs=1e-8)
 
     def test_composition_up_to_global_phase(self, rng):
         state = two_level_gaussian_state(rng)

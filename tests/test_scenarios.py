@@ -12,8 +12,8 @@ from cdent.overlaps import gaussian_term_overlap, overlap_matrix
 from cdent.scenarios import SweepRow, beam_pair, shape_pair, sweep_csv, sweep_q, sweep_width_ratio
 from cdent.stateio import fmt_float
 from cdent.states import GaussianSum, GaussianTerm, norm
-from conftest import EQUAL, ZHAT, random_weights
-from quadrature_oracle import QuadratureSpec, quadrature_overlap
+from conftest import EQUAL, ZHAT, as_schema, random_weights
+from quadrature_oracle import quadrature_overlap
 
 LAM_PLUS = 0.6839397205857212
 ENTROPY_E1 = 0.9000455915235352
@@ -71,7 +71,7 @@ class TestShapePair:
 
     def test_off_diagonal_small_even_via_quadrature(self):
         state = shape_pair(EQUAL, EQUAL, 0, 1)
-        val = quadrature_overlap(state.components[0], state.components[1], QuadratureSpec(64))
+        val = quadrature_overlap(as_schema(state.components[0]), as_schema(state.components[1]))
         assert abs(val) < 1e-12
 
 
@@ -139,7 +139,7 @@ class TestSweepWidthRatio:
         assert row.abs_x == pytest.approx((4.0 / 5.0) ** 1.5, abs=1e-12)
         t0 = GaussianTerm(1.0, np.zeros(3), 1.0)
         t1 = GaussianTerm(1.0, np.zeros(3), 2.0)
-        quad = quadrature_overlap(GaussianSum((t0,)), GaussianSum((t1,)), QuadratureSpec(64))
+        quad = quadrature_overlap(as_schema(GaussianSum((t0,))), as_schema(GaussianSum((t1,))))
         assert row.abs_x == pytest.approx(abs(quad), abs=1e-10)
 
     def test_ratio_formula(self):

@@ -25,8 +25,8 @@ from cdent.states import (
     normalize,
     spin_expectation,
 )
-from conftest import random_gaussian_component, random_state
-from quadrature_oracle import QuadratureSpec, quadrature_overlap
+from conftest import as_schema, random_gaussian_component, random_state
+from quadrature_oracle import quadrature_overlap
 
 
 def packet(amp, center, width, d=1, **kw):
@@ -49,7 +49,7 @@ class TestNorm:
         state = HybridState((comp,))
         assert norm(state) == pytest.approx(1.0, abs=1e-12)
         # independent check: quadrature of |phi|^2
-        quad = quadrature_overlap(comp, comp, QuadratureSpec(64)).real
+        quad = quadrature_overlap(as_schema(comp), as_schema(comp)).real
         assert quad == pytest.approx(1.0, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
@@ -61,7 +61,6 @@ class TestNorm:
         assert norm(HybridState((comp,))) == pytest.approx(1.0, abs=1e-14)
 
     def test_closed_form_matches_quadrature_on_random_sums(self, rng):
-        spec = QuadratureSpec(64)
         for _ in range(25):
             d = int(rng.integers(1, 3))
             comp = random_gaussian_component(
@@ -70,7 +69,7 @@ class TestNorm:
             )
             state = HybridState((comp,))
             analytic = norm(state) ** 2
-            numeric = quadrature_overlap(comp, comp, spec).real
+            numeric = quadrature_overlap(as_schema(comp), as_schema(comp)).real
             assert analytic == pytest.approx(numeric, abs=1e-10)
 
 
@@ -129,7 +128,7 @@ class TestEvaluate:
         sigma = 1.0
         comp = packet(1.0, 0.0, sigma).terms
         comp = GaussianSum(comp)
-        nrm = np.sqrt(quadrature_overlap(comp, comp, QuadratureSpec(64)).real)
+        nrm = np.sqrt(quadrature_overlap(as_schema(comp), as_schema(comp)).real)
         peak = comp.eval_many(np.zeros((1, 1)))[0] / nrm
         assert peak.real == pytest.approx((np.pi * (sigma / 2) ** 2) ** -0.25, abs=1e-10)
 
