@@ -12,7 +12,8 @@ exact Gaussian integral; files whose components repeat packets, share them
 or share Hermite frames (the kernel evaluates each packet and each frame
 once per call); plus a few files the loader or the norm gate must
 refuse (deep field paths among them), a squared norm that rounds below zero
-and a kernel value that overflows.  ``galilean-check`` also runs on the edges of its gates (the norm
+and a kernel value that overflows.  Sweeps cross a merged packet mid-sweep,
+run with c1 = 0 and stop at a width out of range.  ``galilean-check`` also runs on the edges of its gates (the norm
 before ``--samples``, ``--samples`` before d, n and the component types) and
 on beam and chirped states at masses from 1e-8 to 1e200.  Every command runs
 on them in this process through ``cdent.cli.run``, from a temporary
@@ -225,6 +226,15 @@ def calls(seed: int, files: dict[str, dict]) -> list[list[str]]:
             ["kernel", "narrow_d9.json", "--axis=0", "--grid=-1e-76:1e-76:3"],
             ["sweep-width", "--c0=0.6", "--c1=0.6", "--sigma0=1", "--r-start=1", "--r-stop=2", "--r-steps=3"],
             ["galilean-check", "beam0.json", "--samples=0", "--seed=1"], ["kernel", "beam0.json", "--axis=5", "--grid=0:1:3"]]
+    # sweeps solved in one batch: the README's 41-row sweep-q, a sweep-width
+    # through ratio 1.0 mid-sweep (a merged packet and a zero eigenvalue),
+    # c1 = 0 sweeps of both kinds, and a width past 1e76 at the third row
+    out += [["sweep-q", "--c0=0.7071067811865476", "--c1=0.7071067811865476", "--sigma=1.0", "--q-start=0",
+             "--q-stop=4", "--q-steps=41"],
+            ["sweep-width", "--c0=0.6", "--c1=0.8j", "--sigma0=1.3", "--r-start=0.5", "--r-stop=1.5", "--r-steps=65"],
+            ["sweep-q", "--c0=1", "--c1=0", "--sigma=0.7", "--q-start=0", "--q-stop=3", "--q-steps=40"],
+            ["sweep-width", "--c0=1", "--c1=0", "--sigma0=0.7", "--r-start=0.1", "--r-stop=10", "--r-steps=40"],
+            ["sweep-width", "--c0=0.6", "--c1=0.8", "--sigma0=1e75", "--r-start=1", "--r-stop=21", "--r-steps=5"]]
     out += [["galilean-check", name, "--samples=0", "--seed=1"]
             for name in ("unnormalized_hermite.json", "hermite0.json", "d1.json", "n3.json")]
     out += [["galilean-check", name, "--samples=6", f"--seed={int(rng.integers(0, 100))}", f"--mass={mass}"]

@@ -9,7 +9,9 @@ Schmidt construction below makes the shared modes explicit.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 
 import numpy as np
 
@@ -22,15 +24,53 @@ RANK_TOL = 1e-10
 _FLOAT64 = np.dtype(np.float64)
 
 
+def _gated_spectrum(listed: list[float]) -> list[float]:
+    """``Spectrum``'s gates on eigenvalues in Python floats: each in [-1e-10,
+    1+1e-10], unit sum within 1e-10, NaN failing both.  Returns ``listed``
+    if in (0, 1] and descending, else its clipped values sorted descending."""
+    if not listed:
+        raise DomainError("empty spectrum")
+    kept, top = True, 1.0
+    for x in listed:
+        if not -1e-10 <= x <= 1.0 + 1e-10:
+            raise DomainError(f"eigenvalues outside [0,1]: {np.array(listed)}")
+        kept = kept and 0.0 < x <= top
+        top = x
+    if not abs(sum(listed) - 1.0) <= 1e-10:
+        raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
+    return listed if kept else np.sort(np.clip(listed, 0.0, 1.0))[::-1].tolist()
+
+
+def _entropy_purity(lam: np.ndarray, n: int) -> list[tuple[float, float]]:
+    """(-sum lambda log2 lambda in bits with 0 log 0 = 0, sum lambda^2) of
+    each gated spectrum of n eigenvalues that ``lam`` lists one after
+    another.  One np.log2 call, on ``lam`` itself if it has no zero: each
+    element gets the same bits whatever the batch size, not the stride."""
+    listed = lam.tolist()
+    logs = iter(np.log2(lam[lam > 0.0] if 0.0 in listed else lam).tolist())
+    out = []
+    for i in range(0, len(listed), n):
+        spectrum = listed[i:i + n]
+        # each sum in np.add.reduce's order: one by one below 8 terms, numpy's pairwise blocks from 8 on
+        entropy, purity = (reduce(add, t, -0.0) if len(t) < 8 else float(np.add.reduce(np.array(t)))
+                           for t in ([x * next(logs) for x in spectrum if x > 0.0], [x * x for x in spectrum]))
+        out.append((-entropy + 0.0, purity))  # +0.0 normalizes -0.0
+    return out
+
+
 @dataclass(frozen=True)
 class Spectrum:
-    """Eigenvalues of a reduced density matrix, sorted descending.
+    """Eigenvalues of a reduced density matrix, sorted descending, with
+    their entropy in bits and purity (``_entropy_purity``, a batch of one).
 
-    Validated to lie in [-1e-10, 1+1e-10] with unit sum (within 1e-10),
-    then clamped to [0, 1]; NaN fails both gates.  A frozen 1-D float64
-    array, as ``OverlapMatrix`` keeps its eigenvalues, is kept as it is."""
+    Validated by ``_gated_spectrum`` to lie in [-1e-10, 1+1e-10] with unit
+    sum (within 1e-10), then clamped to [0, 1]; NaN fails both gates.  A
+    frozen 1-D float64 array, as ``OverlapMatrix`` keeps its eigenvalues, is
+    kept as it is."""
 
     eigenvalues: np.ndarray
+    entropy_bits: float = field(init=False, repr=False, compare=False)
+    purity: float = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = self.eigenvalues
@@ -38,49 +78,16 @@ class Spectrum:
                 and not vals.flags.writeable):
             vals = np.array(vals, dtype=float).reshape(-1)
         listed = vals.tolist()  # scalar gates: cheaper than numpy reductions on a few values
-        if not listed:
-            raise DomainError("empty spectrum")
-        kept, top = True, 1.0  # in (0, 1] and descending: clip and sort would leave vals as it is
-        for x in listed:
-            if not -1e-10 <= x <= 1.0 + 1e-10:
-                raise DomainError(f"eigenvalues outside [0,1]: {vals}")
-            kept = kept and 0.0 < x <= top
-            top = x
-        if not abs(sum(listed) - 1.0) <= 1e-10:
-            raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
-        if not kept:
-            vals = np.sort(vals.clip(0.0, 1.0))[::-1].copy()
+        gated = _gated_spectrum(listed)
+        if gated is not listed:
+            vals = np.array(gated)
         vals.setflags(write=False)
-        self.__dict__["eigenvalues"] = vals  # frozen: past __setattr__
+        entropy_bits, purity = _entropy_purity(vals, len(gated))[0]
+        self.__dict__.update(eigenvalues=vals, entropy_bits=entropy_bits, purity=purity)  # frozen: past __setattr__
 
     @property
     def n(self) -> int:
         return self.eigenvalues.shape[0]
-
-    # entropy and purity are computed on first use, once, and kept in the
-    # instance dict (functools.cached_property would take a lock on 3.11)
-
-    @property
-    def entropy_bits(self) -> float:
-        """-sum lambda log2 lambda in bits, with 0 log 0 = 0.  np.add.reduce
-        is np.sum without its Python wrapper: the same sum, in numpy's order."""
-        value = self.__dict__.get("_entropy_bits")
-        if value is None:
-            lam = self.eigenvalues
-            if not lam[-1] > 0.0:  # descending and clamped: drop the zeros
-                lam = lam[lam > 0.0]
-            # +0.0 normalizes -0.0
-            value = self.__dict__["_entropy_bits"] = float(-np.add.reduce(lam * np.log2(lam))) + 0.0
-        return value
-
-    @property
-    def purity(self) -> float:
-        """sum lambda^2 = Tr rho^2."""
-        value = self.__dict__.get("_purity")
-        if value is None:
-            lam = self.eigenvalues
-            value = self.__dict__["_purity"] = float(np.add.reduce(lam * lam))
-        return value
 
 
 @dataclass(frozen=True)

@@ -35,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import spectrum
+from .density import _gated_spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
 from .overlaps import OverlapMatrix, _gram, _keyed, _normalized_overlap_matrix, _overlap_rows, _sandwich
 from .states import GaussianSum, GaussianTerm, HybridState, _frozen, _packet_key
@@ -332,7 +332,7 @@ def invariance_report(
     selfs = {}  # G_pp per width, for the state and every moved copy of it
     keyed = _keyed(state.components)  # the one keying: the base h, then the packets every sample moves
     rho = _normalized_overlap_matrix(_overlap_rows(keyed, selfs))  # overlap_matrix(state)
-    lam = spectrum(rho).eigenvalues.tolist()
+    lam = _gated_spectrum(rho.eigenvalues.tolist())  # spectrum(rho).eigenvalues
     h0 = rho.matrix.tolist()
     draws = _draws(samples, seed)
     _require_movable(state)
@@ -342,7 +342,7 @@ def invariance_report(
         _require_element(*frame)
         dmat = _require_su2(_su2_rows(frame[3]))  # D rho D^dagger below in Python scalars
         rho2 = _moved_overlap_matrix(dictionary.packets, rows, frame, dmat, params.mass, selfs)
-        dev_s = max(abs(x - y) for x, y in zip(spectrum(rho2).eigenvalues.tolist(), lam))
+        dev_s = max(abs(x - y) for x, y in zip(_gated_spectrum(rho2.eigenvalues.tolist()), lam))
         d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]
         dev_c = max(abs(x - (y0 * r0.conjugate() + y1 * r1.conjugate()))
                     for h_row, (y0, y1) in zip(rho2.matrix.tolist(), d_h0) for x, (r0, r1) in zip(h_row, dmat))

@@ -19,18 +19,21 @@ import numpy as np
 from .errors import DomainError
 
 
-def two_level_eigenvalues(m) -> np.ndarray:
-    """Descending eigenvalues of a 2 x 2 Hermitian matrix (array or rows).
+def two_level_eigenvalues(ms) -> list[list[float]]:
+    """Descending eigenvalues [plus, minus] in Python floats of each 2 x 2
+    Hermitian matrix (array or rows) of ``ms``; one matrix is a batch of one.
 
     trace/2 +- sqrt(((m00-m11)/2)^2 + |m01|^2): for a unit-trace matrix this
     is algebraically 1/2 +- sqrt(1/4 - det), but written as a sum of
     non-negative terms so nothing cancels; the naive form loses half the
-    mantissa to sqrt amplification near the degenerate point."""
-    (m00, m01), (_, m11) = m
-    half_tr = 0.5 * (m00.real + m11.real)
-    # numpy's hypot (math.hypot may round differently), then Python floats
-    root = float(np.hypot(0.5 * (m00.real - m11.real), abs(m01)))
-    return np.array([half_tr + root, half_tr - root])
+    mantissa to sqrt amplification near the degenerate point.  One np.hypot
+    call (math.hypot may round differently): same bits at any batch size."""
+    halves, offsets, moduli = [], [], []
+    for (m00, m01), (_, m11) in ms:
+        halves.append(0.5 * (m00.real + m11.real))
+        offsets.append(0.5 * (m00.real - m11.real))
+        moduli.append(abs(m01))
+    return [[half + root, half - root] for half, root in zip(halves, np.hypot(offsets, moduli).tolist())]
 
 
 def require_hermitian(m) -> list[list[complex]]:

@@ -106,10 +106,5 @@ class EntanglementReport:
 def entanglement_report(rho: OverlapMatrix) -> EntanglementReport:
     """Bundle spectrum, entropy, purity, Schmidt rank and the label."""
     s = spectrum(rho)
-    return EntanglementReport(
-        spectrum=s,
-        entropy_bits=von_neumann_entropy(s),
-        purity=purity(s),
-        schmidt_rank=schmidt_rank(s),
-        classification=_classify_spectrum(s.eigenvalues.tolist(), CLASSIFY_TOL),
-    )
+    return EntanglementReport(s, s.entropy_bits, s.purity, schmidt_rank(s),
+                              _classify_spectrum(s.eigenvalues.tolist(), CLASSIFY_TOL))

@@ -322,20 +322,49 @@ def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
     return (scale * ((poly1 * weights) @ poly2.T)).tolist()
 
 
+def _symmetrized(matrix) -> list[list[complex]]:
+    """The rows of 0.5 (m + m^H) as numpy forms them, zero signs included,
+    once ``matrix`` (array or rows) passes ``linalg.require_hermitian``, unit
+    trace within 1e-10 and Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj + 1e-12 on
+    Python scalars (which overflow to inf, not to a warning; NaN fails)."""
+    a = require_hermitian(matrix)
+    rows = [[(x + x.conjugate()) * (0.5 + 0j) if i == j else 0j for j, x in enumerate(row)]
+            for i, row in enumerate(a)]
+    diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
+    trace = sum(diag)
+    if not abs(trace - 1.0) <= 1e-10:
+        raise DomainError(f"trace must be 1, got {trace!r}")
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            z = a[i][j] + a[j][i].conjugate()
+            size = 0.5 * math.hypot(z.real, z.imag)
+            if not size * size <= diag[i] * diag[j] + 1e-12:
+                raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
+            rows[i][j] = z * (0.5 + 0j)
+            rows[j][i] = (a[j][i] + a[i][j].conjugate()) * (0.5 + 0j)
+    return rows
+
+
+def _require_psd(values):
+    """Descending eigenvalues once the last is >= -1e-10 (NaN fails)."""
+    if not values[-1] >= -1e-10:
+        raise DomainError("overlap matrix is not positive semidefinite")
+    return values
+
+
 @dataclass(frozen=True)
 class OverlapMatrix:
     """The n x n Hermitian matrix h of component overlaps; for a pure state
     this is the reduced density matrix of the discrete factor.
 
-    Construction validates: ``linalg.require_hermitian`` (then symmetrized
-    exactly), unit trace within 1e-10, Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj
-    + 1e-12, and positive semidefiniteness down to eigenvalue -1e-10; every
-    gate is written so that NaN fails it.  Together these bound every
-    off-diagonal magnitude by 1/2 (up to the tolerances):
-    |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <= 1/4.  The eigenvalues of
-    that last check are kept, descending, in ``eigenvalues``: the two-level
-    closed form for n = 2, the solve ``linalg._eigensystem`` for n >= 3,
-    whose eigenvectors are kept in ``eigenvectors`` (None for n <= 2).
+    Construction validates by ``_symmetrized`` (Hermitian, unit trace,
+    Cauchy-Schwarz) and ``_require_psd``, the gates sweep rows call too;
+    NaN fails each.  Together they bound every off-diagonal magnitude by 1/2
+    (up to the tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <=
+    1/4.  The eigenvalues of the PSD gate are kept, descending, in
+    ``eigenvalues``: ``linalg.two_level_eigenvalues`` on a batch of one for
+    n = 2, the solve ``linalg._eigensystem`` for n >= 3, whose eigenvectors
+    are kept in ``eigenvectors`` (None for n <= 2).
     """
 
     matrix: np.ndarray
@@ -343,37 +372,17 @@ class OverlapMatrix:
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        a = require_hermitian(self.matrix)
-        n = len(a)
-        # trace and Cauchy-Schwarz gates on the symmetrized entries in Python
-        # scalars, which overflow to inf, not to a warning; they bound every
-        # entry by about 1.  rows is 0.5 (m + m^H) as numpy forms it, zero
-        # signs included, its off-diagonal pairs filled as the gates pass
-        rows = [[(x + x.conjugate()) * (0.5 + 0j) if i == j else 0j for j, x in enumerate(row)]
-                for i, row in enumerate(a)]
-        diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
-        trace = sum(diag)
-        if not abs(trace - 1.0) <= 1e-10:
-            raise DomainError(f"trace must be 1, got {trace!r}")
-        for i in range(n):
-            for j in range(i + 1, n):
-                z = a[i][j] + a[j][i].conjugate()
-                size = 0.5 * math.hypot(z.real, z.imag)
-                if not size * size <= diag[i] * diag[j] + 1e-12:
-                    raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
-                rows[i][j] = z * (0.5 + 0j)
-                rows[j][i] = (a[j][i] + a[i][j].conjugate()) * (0.5 + 0j)
+        rows = _symmetrized(self.matrix)
         m = np.array(rows, dtype=complex)
         vectors = None
-        if n == 1:
+        if len(rows) == 1:
             values = np.array([rows[0][0].real])
-        elif n == 2:
-            values = two_level_eigenvalues(rows)
+        elif len(rows) == 2:
+            values = np.array(two_level_eigenvalues((rows,))[0])
         else:
             values, vectors = _eigensystem(m)
             vectors.setflags(write=False)
-        if not values[-1] >= -1e-10:
-            raise DomainError("overlap matrix is not positive semidefinite")
+        _require_psd(values)
         m.setflags(write=False)
         values.setflags(write=False)
         self.__dict__.update(matrix=m, eigenvalues=values, eigenvectors=vectors)  # frozen: past __setattr__

@@ -6,11 +6,11 @@ family (zero overlap from cancellation on shared support).  Sweep rows are
 beam pairs built as no state: each row keys its two packet records with
 ``states._packet_key`` and shares one packet Gram G from ``overlaps._gram``
 between the norm (from G's diagonal, whose entries the sweep computes once
-per width) and h = C G C^dagger, which still passes the
-``OverlapMatrix`` gates and the 2x2 eigensolve, so the closed form
-``measures.gaussian_pair_eigenvalues`` stays a checker, never the producer.
-``sweep_csv`` writes the rows through ``stateio.fill_floats``, the one
-float rule of every CLI output.
+per width) and h = C G C^dagger.  Each h passes the gates of
+``OverlapMatrix`` as it is built; a sweep then solves and scores all its
+rows at once through the functions ``OverlapMatrix`` and ``Spectrum`` call,
+so ``measures.gaussian_pair_eigenvalues`` stays a checker, never the
+producer.  ``sweep_csv`` writes the rows through ``stateio.fill_floats``.
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import spectrum
+from .density import _entropy_purity, _gated_spectrum
 from .errors import DegenerateStateError, DomainError
+from .linalg import two_level_eigenvalues
 from .measures import _unit_weights
-from .overlaps import _gram, _normalized_overlap_matrix, _sandwich
+from .overlaps import _gram, _require_psd, _sandwich, _symmetrized
 from .stateio import fill_floats
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
-from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key
+from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key, _trace_norm, require_unit_norm
 
 
 @dataclass(frozen=True)
@@ -117,37 +118,42 @@ def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
     (width, center) per (value, center, width) of ``points``, checked as by
     ``beam_pair``: the two packet records keyed by ``_packet_key``, and one
     G giving both the norm and h = C G C^dagger, as on a ``beam_pair`` state."""
-    rows = []
+    values, hs, xs, weighted = [], [], [], False
     selfs = {}  # G_pp per width, for this sweep's G
-    for value, center, width in points:
-        if not rows:  # row-independent checks and products, after the first value's check
-            _unit_weights(c0, c1)
-            sigma0 = float(sigma0)
-            _check_width(sigma0, "width")
-            key0 = _packet_key(record0 := (_ORIGIN, sigma0, _ORIGIN, 0.0))
-            c0, c1 = complex(c0), complex(c1)
-            c0c1 = c0 * np.conj(c1)
-            weighted = abs(c0c1) > 1e-15
-            w0, w1 = c0 * c0.conjugate(), c1 * c1.conjugate()
-        width = float(width)
-        _check_width(width, "width")
-        packets = [(0, record0)]
-        record1 = (center, width, _ORIGIN, 0.0)
-        if width != sigma0 or _packet_key(record1) != key0:  # a key starts with the width
-            packets.append((1, record1))
-        p1 = len(packets) - 1
-        gram = _gram(packets, (), selfs)
-        # the norm from G's diagonal: the trace of C G C^dagger summed as
-        # ``_trace_norm`` sums it; math.sqrt rounds as np.sqrt does, and the
-        # sum is >= 0 or nan
-        factor = _inverse_norm(math.sqrt((w0 * gram[0][0]).real + (w1 * gram[p1][p1]).real))
-        scaled = [{0: _finite_amplitude(c0 * factor)}, {p1: _finite_amplitude(c1 * factor)}]
-        h = _normalized_overlap_matrix(_sandwich(scaled, gram))
-        s = spectrum(h)
-        # degenerate weights: the unit-amplitude packet overlap, G_01 (G_00 if merged)
-        abs_x = float(abs(h.matrix[0, 1] / c0c1)) if weighted else abs(gram[0][p1])
-        rows.append(SweepRow(parameter, value, abs_x, *s.eigenvalues.tolist(), s.entropy_bits, s.purity))
-    return rows
+    try:
+        for value, center, width in points:
+            if not hs:  # row-independent checks and products, after the first value's check
+                _unit_weights(c0, c1)
+                sigma0 = float(sigma0)
+                _check_width(sigma0, "width")
+                key0 = _packet_key(record0 := (_ORIGIN, sigma0, _ORIGIN, 0.0))
+                c0, c1 = complex(c0), complex(c1)
+                c0c1 = c0 * np.conj(c1)
+                weighted = abs(c0c1) > 1e-15
+                w0, w1 = c0 * c0.conjugate(), c1 * c1.conjugate()
+            width = float(width)
+            _check_width(width, "width")
+            packets = [(0, record0)]
+            record1 = (center, width, _ORIGIN, 0.0)
+            if width != sigma0 or _packet_key(record1) != key0:  # a key starts with the width
+                packets.append((1, record1))
+            p1 = len(packets) - 1
+            gram = _gram(packets, (), selfs)
+            # the norm from G's diagonal: the trace of C G C^dagger summed as ``_trace_norm``
+            # sums it; math.sqrt rounds as np.sqrt does, and the sum is >= 0 or nan
+            factor = _inverse_norm(math.sqrt((w0 * gram[0][0]).real + (w1 * gram[p1][p1]).real))
+            h = _sandwich([{0: _finite_amplitude(c0 * factor)}, {p1: _finite_amplitude(c1 * factor)}], gram)
+            require_unit_norm(_trace_norm(h))
+            hs.append(h := _symmetrized(h))
+            values.append(value)
+            # degenerate weights: the unit-amplitude packet overlap, G_01 (G_00 if merged)
+            xs.append(h[0][1] if weighted else abs(gram[0][p1]))
+    finally:  # on a failing row too: one root batch, then the PSD and spectrum gates in row order
+        spectra = [_gated_spectrum(_require_psd(lam)) for lam in two_level_eigenvalues(hs)]
+    if weighted:  # one numpy division, as h.matrix[0, 1] / c0c1 divides; Python's abs rounds as numpy's scalar abs
+        xs = [abs(x) for x in (np.array(xs) / c0c1).tolist()]
+    measures = _entropy_purity(np.array(spectra).reshape(-1), 2)
+    return [SweepRow(parameter, value, x, *lam, *m) for value, x, lam, m in zip(values, xs, spectra, measures)]
 
 
 def sweep_q(c0, c1, sigma: float, q_values) -> list[SweepRow]:

@@ -115,6 +115,20 @@ class TestSpectrum:
         with pytest.raises(DomainError, match="outside"):
             Spectrum([0.5, np.nan])
 
+    def test_entropy_takes_the_log_of_a_kept_array_as_it_is(self):
+        # a frozen float64 array is kept as it is, as OverlapMatrix's n >= 3
+        # eigenvalues (a reversed view) are; np.log2 may round a reversed
+        # array differently from a contiguous one, so the entropy takes the
+        # log of the kept array itself, as numpy's form below does
+        rng = np.random.default_rng(7)
+        for _ in range(20000):
+            w = rng.exponential(size=3)
+            vals = np.sort(w / w.sum())[::-1]
+            vals.setflags(write=False)
+            s = Spectrum(vals)
+            assert s.eigenvalues is vals
+            assert s.entropy_bits.hex() == (float(-np.add.reduce(vals * np.log2(vals))) + 0.0).hex()
+
     def test_nan_matrix_has_no_spectrum(self):
         with pytest.raises(DomainError, match="entries must be finite"):
             spectrum(np.array([[np.nan, 0.0], [0.0, np.nan]]))

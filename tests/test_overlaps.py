@@ -277,7 +277,8 @@ class TestOverlapMatrix:
             OverlapMatrix(np.array([[0.5, 1e308], [1e308, 0.5]]))
 
     def test_psd_gate_refuses_nan_eigenvalues(self, monkeypatch):
-        monkeypatch.setattr(overlaps, "two_level_eigenvalues", lambda m: np.array([np.nan, np.nan]))
+        # the closed form takes a batch of matrices; one matrix is a batch of one
+        monkeypatch.setattr(overlaps, "two_level_eigenvalues", lambda ms: [[np.nan, np.nan] for _ in ms])
         with pytest.raises(DomainError, match="not positive semidefinite"):
             OverlapMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
 

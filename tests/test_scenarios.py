@@ -3,12 +3,12 @@
 import numpy as np
 import pytest
 
-from cdent import overlaps, states
+from cdent import density, linalg, overlaps, scenarios, states
 from cdent.density import Spectrum, spectrum
 from cdent.errors import DegenerateStateError, DomainError, PreconditionError
 from cdent.galilean import quaternion_from_axis_angle, rotation_matrix
 from cdent.measures import gaussian_pair_eigenvalues, purity, von_neumann_entropy
-from cdent.overlaps import gaussian_term_overlap, overlap_matrix
+from cdent.overlaps import OverlapMatrix, gaussian_term_overlap, overlap_matrix
 from cdent.scenarios import SweepRow, beam_pair, shape_pair, sweep_csv, sweep_q, sweep_width_ratio
 from cdent.stateio import fmt_float
 from cdent.states import GaussianSum, GaussianTerm, norm
@@ -164,14 +164,30 @@ class TestSweepWidthRatio:
 
 class TestSweepRowInvariants:
     def test_one_spectrum_per_row(self, monkeypatch):
-        # entropy and purity read the row's Spectrum instead of wrapping its
-        # eigenvalues in new ones
-        built = []
-        post_init = Spectrum.__post_init__
-        monkeypatch.setattr(Spectrum, "__post_init__", lambda self: built.append(1) or post_init(self))
-        rows = sweep_q(0.6, 0.8j, 1.0, np.linspace(0.0, 3.0, 7))
+        # each row passes the gate function of Spectrum once, and a sweep
+        # makes one np.hypot call (its two-level roots) and one np.log2 call
+        # (its entropies) through the functions OverlapMatrix and Spectrum
+        # call; no OverlapMatrix or Spectrum is built
+        calls = dict.fromkeys(("gate", "roots", "measures", "hypot", "log2", "built"), 0)
+
+        def counting(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(scenarios, "_gated_spectrum", counting("gate", density._gated_spectrum))
+        monkeypatch.setattr(scenarios, "two_level_eigenvalues", counting("roots", linalg.two_level_eigenvalues))
+        monkeypatch.setattr(scenarios, "_entropy_purity", counting("measures", density._entropy_purity))
+        monkeypatch.setattr(np, "hypot", counting("hypot", np.hypot))
+        monkeypatch.setattr(np, "log2", counting("log2", np.log2))
+        for cls in (Spectrum, OverlapMatrix):
+            monkeypatch.setattr(cls, "__post_init__", counting("built", cls.__post_init__))
+        rows = sweep_q(0.6, 0.8j, 1.0, np.linspace(0.0, 3.0, 37))
+        assert calls == {"gate": 37, "roots": 1, "measures": 1, "hypot": 1, "log2": 1, "built": 0}
         rows += sweep_width_ratio(EQUAL, EQUAL, 1.0, [0.5, 1.0, 2.0])
-        assert len(built) == len(rows) == 10
+        assert len(rows) == 40
+        assert calls == {"gate": 40, "roots": 2, "measures": 2, "hypot": 2, "log2": 2, "built": 0}
 
     def test_one_packet_gram_per_row(self, monkeypatch):
         # the norm and h share one G, whose diagonal is computed once per
@@ -217,6 +233,12 @@ class TestSweepRowInvariants:
             sigma = 10.0 ** rng.uniform(-2.0, 2.0)
             qs = [0.0, rng.uniform(0.0, 4.0) * sigma, 10.0 ** rng.uniform(0.0, 300.0), 1e300]
             ratios = [1.0, rng.uniform(0.1, 10.0), 10.0 ** rng.uniform(-3.0, 3.0)]
+            if i % 4 == 0:
+                # sweeps past one 8-lane vector, with a merged packet and a
+                # zero eigenvalue mid-batch (q = 0, ratio exactly 1.0); c1 = 0
+                # at i = 0, 20, ...
+                qs += [*(rng.uniform(0.0, 4.0, 20) * sigma), 0.0, *(sigma * 10.0 ** rng.uniform(-3.0, 3.0, 14))]
+                ratios += [*rng.uniform(0.1, 1.0, 16), 1.0, *(10.0 ** rng.uniform(-3.0, 3.0, 17))]
             rows = sweep_q(c0, c1, sigma, qs) + sweep_width_ratio(c0, c1, sigma, ratios)
             expected = [
                 reference("q", q, beam_pair(c0, c1, np.zeros(3), q * ZHAT, sigma, sigma), complex(c0), complex(c1))
@@ -229,7 +251,7 @@ class TestSweepRowInvariants:
             for row, ref in zip(rows, expected, strict=True):
                 assert row == ref
                 draws += 1
-        assert draws == 120 * 7
+        assert draws == 120 * 7 + 30 * (35 + 34)
         assert sweep_q(1.0, 0.0, 1.0, [1e300])[0].abs_x == 0.0
 
     def test_checks_in_beam_pair_order(self):
@@ -242,6 +264,35 @@ class TestSweepRowInvariants:
             sweep_width_ratio(1.0, 0.0, 1e80, [1e-10])
         with pytest.raises(DomainError, match="got 1e\\+90"):
             sweep_width_ratio(1.0, 0.0, 1.0, [1.0, 1e90, -1.0])
+        assert sweep_q(1.0, 1.0, 1.0, []) == []
+
+    @pytest.mark.parametrize("bad, match", [
+        ([np.nan, np.nan], "not positive semidefinite"),
+        ([0.7, 0.7], "must sum to 1"),
+    ])
+    def test_batched_gates_of_earlier_rows_raise_first(self, monkeypatch, bad, match):
+        # the PSD and spectrum gates run once per sweep, but a row that fails
+        # a per-row check still raises after the batched gates of the rows
+        # before it, and before those of the rows after it
+        def roots_with(row):
+            def roots(ms):
+                return [bad if i == row else lam for i, lam in enumerate(linalg.two_level_eigenvalues(ms))]
+            return roots
+
+        monkeypatch.setattr(scenarios, "two_level_eigenvalues", roots_with(0))
+        with pytest.raises(DomainError, match=match):
+            sweep_width_ratio(1.0, 0.0, 1.0, [2.0, 3.0, 1e90])
+        with pytest.raises(DomainError, match=match):
+            sweep_q(0.6, 0.8, 1.0, [1.0, 2.0, -1.0])
+        with pytest.raises(DomainError, match=match):
+            sweep_q(0.6, 0.8, 1.0, [1.0, 2.0, 3.0])
+        monkeypatch.setattr(scenarios, "two_level_eigenvalues", roots_with(2))
+        with pytest.raises(DomainError, match="got 1e\\+90"):
+            sweep_width_ratio(1.0, 0.0, 1.0, [2.0, 1e90, 3.0])
+        with pytest.raises(DomainError, match="q values"):
+            sweep_q(0.6, 0.8, 1.0, [1.0, -1.0, 3.0])
+        with pytest.raises(DomainError, match=match):
+            sweep_q(0.6, 0.8, 1.0, [1.0, 2.0, 3.0, -1.0])
         assert sweep_q(1.0, 1.0, 1.0, []) == []
 
     def test_eigenvalues_sum_to_one_and_ordered(self, rng):
