@@ -15,30 +15,13 @@ from operator import add
 
 import numpy as np
 
-from .errors import DomainError, StructureError, UnsupportedError
-from .linalg import _eigensystem
+from .errors import StructureError, UnsupportedError
+from .linalg import _eigensystem, _gated_spectrum
 from .overlaps import OverlapMatrix, dictionary_overlap_matrix, overlap_matrix
 from .states import HybridState, WaveComponent, _component_values, combine_components
 
 RANK_TOL = 1e-10
 _FLOAT64 = np.dtype(np.float64)
-
-
-def _gated_spectrum(listed: list[float]) -> list[float]:
-    """``Spectrum``'s gates on eigenvalues in Python floats: each in [-1e-10,
-    1+1e-10], unit sum within 1e-10, NaN failing both.  Returns ``listed``
-    if in (0, 1] and descending, else its clipped values sorted descending."""
-    if not listed:
-        raise DomainError("empty spectrum")
-    kept, top = True, 1.0
-    for x in listed:
-        if not -1e-10 <= x <= 1.0 + 1e-10:
-            raise DomainError(f"eigenvalues outside [0,1]: {np.array(listed)}")
-        kept = kept and 0.0 < x <= top
-        top = x
-    if not abs(sum(listed) - 1.0) <= 1e-10:
-        raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
-    return listed if kept else np.sort(np.clip(listed, 0.0, 1.0))[::-1].tolist()
 
 
 def _entropy_purity(lam: np.ndarray, n: int) -> list[tuple[float, float]]:
@@ -63,10 +46,10 @@ class Spectrum:
     """Eigenvalues of a reduced density matrix, sorted descending, with
     their entropy in bits and purity (``_entropy_purity``, a batch of one).
 
-    Validated by ``_gated_spectrum`` to lie in [-1e-10, 1+1e-10] with unit
-    sum (within 1e-10), then clamped to [0, 1]; NaN fails both gates.  A
-    frozen 1-D float64 array, as ``OverlapMatrix`` keeps its eigenvalues, is
-    kept as it is."""
+    Validated by ``linalg._gated_spectrum``, the spectrum gate of every h:
+    each in [-1e-10, 1+1e-10], unit sum within 1e-10, NaN failing both; then
+    clamped to [0, 1].  A frozen 1-D float64 array, as ``OverlapMatrix``
+    keeps its eigenvalues, is kept as it is."""
 
     eigenvalues: np.ndarray
     entropy_bits: float = field(init=False, repr=False, compare=False)
@@ -108,8 +91,8 @@ def spectrum(rho) -> Spectrum:
     """Eigenvalues of a reduced density matrix, descending.
 
     Accepts an OverlapMatrix or a raw Hermitian array, and reuses the
-    eigenvalues its validation computed: the cancellation-free closed form
-    for n = 2, the LAPACK solve ``linalg._eigensystem`` for larger n.
+    eigenvalues of its ``linalg._gate_and_solve``: the cancellation-free
+    closed form for n = 2, the LAPACK solve for larger n.
     """
     if not isinstance(rho, OverlapMatrix):
         rho = OverlapMatrix(rho)

@@ -20,8 +20,9 @@ spectrum frame-independent.  ``invariance_report`` keys the state once, for
 its h and the packets every sample moves, and runs a sample on Python floats
 from the draw through D(R) and the move, without building a state:
 ``overlaps._gram`` recomputes G of the moved packets from the closed form,
-the check's independent leg, and h = C' G C'^dagger passes every gate of
-``overlap_matrix``.
+the check's independent leg, and h = C' G C'^dagger passes the norm gate.
+Each block of 32 samples then goes through ``linalg._gate_and_solve``, the
+path of ``overlap_matrix``, so the first failing sample gives the error.
 
 Rotations are unit quaternions (w, x, y, z); the sign picks the SU(2)
 lift of the double cover.
@@ -32,13 +33,14 @@ from __future__ import annotations
 import cmath
 import math
 from dataclasses import dataclass
+from itertools import islice
 
 import numpy as np
 
-from .density import _gated_spectrum
 from .errors import DomainError, PreconditionError, UnsupportedError
-from .overlaps import OverlapMatrix, _gram, _keyed, _normalized_overlap_matrix, _overlap_rows, _sandwich
-from .states import GaussianSum, GaussianTerm, HybridState, _frozen, _packet_key
+from .linalg import _gate_and_solve
+from .overlaps import _gram, _keyed, _overlap_rows, _sandwich
+from .states import GaussianSum, GaussianTerm, HybridState, _frozen, _packet_key, _trace_norm, require_unit_norm
 
 
 @dataclass(frozen=True)
@@ -299,15 +301,6 @@ def _draw(rng) -> tuple:
     return b, vecs[0], vecs[1], [x / length for x in q.tolist()]
 
 
-def _moved_overlap_matrix(packets: list, rows: list, frame: tuple, dmat: list, m: float,
-                          selfs: dict | None = None) -> OverlapMatrix:
-    """overlap_matrix of a ``_move``, with no state built and G of the moved
-    packets recomputed by ``_gram``.  A frame change keeps every width, so
-    the diagonal may come from ``selfs``, the state's own G_pp per width."""
-    moved, moved_rows = _move(packets, rows, frame, dmat, m)
-    return _normalized_overlap_matrix(_sandwich(moved_rows, _gram(list(enumerate(moved)), (), selfs)))
-
-
 @dataclass(frozen=True)
 class InvarianceReport:
     """Worst-case deviations over a deterministic sample of frame changes."""
@@ -331,24 +324,35 @@ def invariance_report(
     matrix from D rho D^dagger."""
     selfs = {}  # G_pp per width, for the state and every moved copy of it
     keyed = _keyed(state.components)  # the one keying: the base h, then the packets every sample moves
-    rho = _normalized_overlap_matrix(_overlap_rows(keyed, selfs))  # overlap_matrix(state)
-    lam = _gated_spectrum(rho.eigenvalues.tolist())  # spectrum(rho).eigenvalues
-    h0 = rho.matrix.tolist()
+    require_unit_norm(_trace_norm(h := _overlap_rows(keyed, selfs)))
+    [(h0, _, _, lam)] = _gate_and_solve((h,))  # overlap_matrix(state) and its spectrum
     draws = _draws(samples, seed)
     _require_movable(state)
     dictionary, rows = keyed
     worst_s = worst_c = None  # (deviation, draw): the first of equal maxima, as max keeps
-    for frame in draws:  # Python floats from the draw to the move
-        _require_element(*frame)
-        dmat = _require_su2(_su2_rows(frame[3]))  # D rho D^dagger below in Python scalars
-        rho2 = _moved_overlap_matrix(dictionary.packets, rows, frame, dmat, params.mass, selfs)
-        dev_s = max(abs(x - y) for x, y in zip(_gated_spectrum(rho2.eigenvalues.tolist()), lam))
-        d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]
-        dev_c = max(abs(x - (y0 * r0.conjugate() + y1 * r1.conjugate()))
-                    for h_row, (y0, y1) in zip(rho2.matrix.tolist(), d_h0) for x, (r0, r1) in zip(h_row, dmat))
-        if worst_s is None or dev_s > worst_s[0]:
-            worst_s = dev_s, frame
-        if worst_c is None or dev_c > worst_c[0]:
-            worst_c = dev_c, frame
+
+    def moved(block):  # each sample's h, on Python floats from the draw to the move
+        for frame in islice(draws, 32):
+            _require_element(*frame)
+            dmat = _require_su2(_su2_rows(frame[3]))  # D rho D^dagger below in Python scalars
+            packets, moved_rows = _move(dictionary.packets, rows, frame, dmat, params.mass)
+            # a frame change keeps every width: the diagonal of G comes from ``selfs``
+            h = _sandwich(moved_rows, _gram(list(enumerate(packets)), (), selfs))
+            require_unit_norm(_trace_norm(h))
+            block.append((frame, dmat))
+            yield h
+
+    for _ in range(0, samples, 32):  # the draws' blocks: memory stays flat
+        block = []
+        solved = _gate_and_solve(moved(block))
+        for (frame, dmat), (h, _, _, spectrum) in zip(block, solved):
+            dev_s = max(abs(x - y) for x, y in zip(spectrum, lam))
+            d_h0 = [[r0 * h0[0][j] + r1 * h0[1][j] for j in (0, 1)] for r0, r1 in dmat]
+            dev_c = max(abs(x - (y0 * r0.conjugate() + y1 * r1.conjugate()))
+                        for h_row, (y0, y1) in zip(h, d_h0) for x, (r0, r1) in zip(h_row, dmat))
+            if worst_s is None or dev_s > worst_s[0]:
+                worst_s = dev_s, frame
+            if worst_c is None or dev_c > worst_c[0]:
+                worst_c = dev_c, frame
     # the worst draws' floats passed _require_element: the report takes them as they are
     return InvarianceReport(samples, seed, worst_s[0], worst_c[0], *(dict(zip(_FIELDS, w)) for _, w in (worst_s, worst_c)))

@@ -1,12 +1,11 @@
-"""Hermitian gate and eigensolver for the small dense matrices that appear
-as reduced density matrices (n <= ~16).
+"""The one gate-and-solve path of every overlap matrix h (n <= ~16).
 
-``require_hermitian`` is the one finite/Hermitian gate.  ``OverlapMatrix``
-and ``hermitian_eigensystem`` call it once and pass the symmetrized matrix
-to ``_eigensystem``: one LAPACK solve (``numpy.linalg.eigh``), no gate.  Its
-error is a few ulps times ||A||, so ||A V - V Lambda|| and ||V^H V - I||
-stay near 1e-15 for a density matrix, far below every (absolute) gate on
-the eigenvalues downstream.  Eigenvalues descend, eigenvector phases fixed.
+``_gate_and_solve`` alone sequences the gates: ``OverlapMatrix`` passes it a
+batch of one h, a sweep its rows and ``galilean-check`` each block of 32
+samples.  ``_eigensystem`` is one LAPACK solve (``numpy.linalg.eigh``), no
+gate.  Its error is a few ulps times ||A||, so ||A V - V Lambda|| and
+||V^H V - I|| stay near 1e-15 for a density matrix, far below every
+(absolute) gate on the eigenvalues downstream.
 """
 
 from __future__ import annotations
@@ -17,6 +16,36 @@ import math
 import numpy as np
 
 from .errors import DomainError
+
+
+def _gate_and_solve(hs) -> list[tuple]:
+    """(symmetrized rows, eigenvalues as the PSD gate saw them, eigenvectors
+    or None for n <= 2, gated spectrum) of each h (array or rows) of ``hs``.
+
+    ``_symmetrized`` gates each h as it is drawn.  Once ``hs`` ends or raises,
+    a ``finally`` makes one ``two_level_eigenvalues`` batch, then per h in
+    order one ``_eigensystem`` if n >= 3, the PSD gate (last eigenvalue >=
+    -1e-10) and ``_gated_spectrum``: the first failing h gives the error,
+    over later ones and over the exception that stopped ``hs``."""
+    rows, out = [], []
+    try:
+        for h in hs:
+            rows.append(_symmetrized(h))
+    finally:
+        pairs = [a for a in rows if len(a) == 2]
+        roots = iter(two_level_eigenvalues(pairs) if pairs else ())
+        for a in rows:
+            vectors = None
+            if len(a) == 2:
+                values = next(roots)
+            elif len(a) == 1:
+                values = [a[0][0].real]
+            else:
+                values, vectors = _eigensystem(a)
+            if not values[-1] >= -1e-10:  # NaN fails
+                raise DomainError("overlap matrix is not positive semidefinite")
+            out.append((a, values, vectors, _gated_spectrum(values if vectors is None else values.tolist())))
+    return out
 
 
 def two_level_eigenvalues(ms) -> list[list[float]]:
@@ -76,26 +105,37 @@ def _complex_rows(m) -> bool:
     return True
 
 
-def hermitian_eigensystem(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (descending) and eigenvectors of a Hermitian matrix.
+def _symmetrized(matrix) -> list[list[complex]]:
+    """The rows of 0.5 (m + m^H) as numpy forms them, zero signs included,
+    once ``matrix`` (array or rows) passes ``require_hermitian``, unit trace
+    within 1e-10 and Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj + 1e-12 on Python
+    scalars (which overflow to inf, not to a warning; NaN fails)."""
+    a = require_hermitian(matrix)
+    rows, diag = [], []  # plain loops: on a 2 x 2 they cost three quarters of comprehensions
+    for i, row in enumerate(a):
+        rows.append(sym_row := [0j] * len(a))
+        sym_row[i] = ((x := row[i]) + x.conjugate()) * (0.5 + 0j)
+        diag.append(0.5 * (x.real + x.real))
+    trace = sum(diag)
+    if not abs(trace - 1.0) <= 1e-10:
+        raise DomainError(f"trace must be 1, got {trace!r}")
+    for i in range(len(a)):
+        for j in range(i + 1, len(a)):
+            z = a[i][j] + a[j][i].conjugate()
+            size = 0.5 * math.hypot(z.real, z.imag)
+            if not size * size <= diag[i] * diag[j] + 1e-12:
+                raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
+            rows[i][j] = z * (0.5 + 0j)
+            rows[j][i] = (a[j][i] + a[i][j].conjugate()) * (0.5 + 0j)
+    return rows
 
-    Returns ``(values, vectors)`` with ``vectors[:, i]`` the eigenvector of
-    ``values[i]``, phase-fixed so its first entry of magnitude above 1e-12
-    is real positive: identical inputs give identical degenerate subspaces.
-    Raises DomainError on a matrix that ``require_hermitian`` refuses, when
-    LAPACK reports that the solve did not converge, and on non-finite
-    eigenvalues (an entry whose modulus exceeds the float range).
-    """
-    m = np.array(matrix, dtype=complex)
-    require_hermitian(m)
-    # symmetrize roundoff away; halving first keeps entries near the float
-    # limit finite, and an exactly Hermitian matrix comes out unchanged
-    return _eigensystem(0.5 * m + 0.5 * m.conj().T)
 
-
-def _eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``hermitian_eigensystem`` of an exactly Hermitian matrix that passed
-    ``require_hermitian``, without gating it again."""
+def _eigensystem(m) -> tuple[np.ndarray, np.ndarray]:
+    """(values descending, vectors) of an exactly Hermitian matrix (array or
+    rows), ungated: ``vectors[:, i]`` belongs to ``values[i]``, its first
+    entry above 1e-12 made real positive, so identical inputs give identical
+    degenerate subspaces.  DomainError if LAPACK does not converge or the
+    eigenvalues are not finite (an entry beyond the float range)."""
     try:
         values, vectors = np.linalg.eigh(m)
     except np.linalg.LinAlgError as exc:
@@ -103,5 +143,22 @@ def _eigensystem(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if not np.isfinite(values).all():  # LAPACK's norm of A overflows past the float range
         raise DomainError("eigensolver returned non-finite eigenvalues")
     values, vectors = values[::-1], vectors[:, ::-1]
-    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), range(m.shape[0])]  # a unit column has one
+    lead = vectors[np.argmax(np.abs(vectors) > 1e-12, axis=0), range(len(m))]  # a unit column has one
     return values, vectors * (lead.conj() / np.abs(lead))
+
+
+def _gated_spectrum(listed: list[float]) -> list[float]:
+    """The spectrum gates on eigenvalues in Python floats: each in [-1e-10,
+    1+1e-10], unit sum within 1e-10, NaN failing both.  Returns ``listed``
+    if in (0, 1] and descending, else its clipped values sorted descending."""
+    if not listed:
+        raise DomainError("empty spectrum")
+    kept, top = True, 1.0
+    for x in listed:
+        if not -1e-10 <= x <= 1.0 + 1e-10:
+            raise DomainError(f"eigenvalues outside [0,1]: {np.array(listed)}")
+        kept = kept and 0.0 < x <= top
+        top = x
+    if not abs(sum(listed) - 1.0) <= 1e-10:
+        raise DomainError(f"eigenvalues must sum to 1, got {sum(listed)!r}")
+    return listed if kept else np.sort(np.clip(listed, 0.0, 1.0))[::-1].tolist()

@@ -1,7 +1,8 @@
 """Overlap integrals h_{chi,chi'} = integral phi_chi conj(phi_chi').
 
-One exact route, ``dictionary_overlap_matrix``.  The components of a state
-are written over one dictionary of functions u_1..u_P by the one builder,
+One exact route, ``dictionary_overlap_matrix``; ``OverlapMatrix`` gates and
+solves h by ``linalg._gate_and_solve``.  The components of a state are
+written over one dictionary of functions u_1..u_P by the one builder,
 ``states._Dictionary``, which ``states.combine_components`` also uses:
 
 * phased Gaussian packets, terms of one ``states._packet_key`` being one entry;
@@ -93,7 +94,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError, StructureError
-from .linalg import _eigensystem, require_hermitian, two_level_eigenvalues
+from .linalg import _gate_and_solve
 from .states import (
     GaussianTerm,
     HybridState,
@@ -322,49 +323,18 @@ def _axis_table(s1, k1, a1, beta1, m1, s2, k2, m2) -> list[list[complex]]:
     return (scale * ((poly1 * weights) @ poly2.T)).tolist()
 
 
-def _symmetrized(matrix) -> list[list[complex]]:
-    """The rows of 0.5 (m + m^H) as numpy forms them, zero signs included,
-    once ``matrix`` (array or rows) passes ``linalg.require_hermitian``, unit
-    trace within 1e-10 and Cauchy-Schwarz |h_ij|^2 <= h_ii h_jj + 1e-12 on
-    Python scalars (which overflow to inf, not to a warning; NaN fails)."""
-    a = require_hermitian(matrix)
-    rows = [[(x + x.conjugate()) * (0.5 + 0j) if i == j else 0j for j, x in enumerate(row)]
-            for i, row in enumerate(a)]
-    diag = [0.5 * (row[i].real + row[i].real) for i, row in enumerate(a)]
-    trace = sum(diag)
-    if not abs(trace - 1.0) <= 1e-10:
-        raise DomainError(f"trace must be 1, got {trace!r}")
-    for i in range(len(a)):
-        for j in range(i + 1, len(a)):
-            z = a[i][j] + a[j][i].conjugate()
-            size = 0.5 * math.hypot(z.real, z.imag)
-            if not size * size <= diag[i] * diag[j] + 1e-12:
-                raise DomainError(f"Cauchy-Schwarz violated at ({i},{j})")
-            rows[i][j] = z * (0.5 + 0j)
-            rows[j][i] = (a[j][i] + a[i][j].conjugate()) * (0.5 + 0j)
-    return rows
-
-
-def _require_psd(values):
-    """Descending eigenvalues once the last is >= -1e-10 (NaN fails)."""
-    if not values[-1] >= -1e-10:
-        raise DomainError("overlap matrix is not positive semidefinite")
-    return values
-
-
 @dataclass(frozen=True)
 class OverlapMatrix:
     """The n x n Hermitian matrix h of component overlaps; for a pure state
     this is the reduced density matrix of the discrete factor.
 
-    Construction validates by ``_symmetrized`` (Hermitian, unit trace,
-    Cauchy-Schwarz) and ``_require_psd``, the gates sweep rows call too;
-    NaN fails each.  Together they bound every off-diagonal magnitude by 1/2
-    (up to the tolerances): |h_ij|^2 <= h_ii h_jj <= ((h_ii + h_jj)/2)^2 <=
-    1/4.  The eigenvalues of the PSD gate are kept, descending, in
-    ``eigenvalues``: ``linalg.two_level_eigenvalues`` on a batch of one for
-    n = 2, the solve ``linalg._eigensystem`` for n >= 3, whose eigenvectors
-    are kept in ``eigenvectors`` (None for n <= 2).
+    Construction is ``linalg._gate_and_solve`` on a batch of one: Hermitian,
+    unit trace, Cauchy-Schwarz, PSD, eigenvalues in [0, 1] summing to 1
+    (within the tolerances), NaN failing each; so |h_ij|^2 <= h_ii h_jj <=
+    ((h_ii + h_jj)/2)^2 <= 1/4.  ``matrix`` is the symmetrized h;
+    ``eigenvalues``, descending, are those of the PSD gate, for n >= 3 the
+    solve's own frozen view, whose eigenvectors ``eigenvectors`` keeps
+    (None for n <= 2).
     """
 
     matrix: np.ndarray
@@ -372,19 +342,10 @@ class OverlapMatrix:
     eigenvectors: np.ndarray | None = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        rows = _symmetrized(self.matrix)
-        m = np.array(rows, dtype=complex)
-        vectors = None
-        if len(rows) == 1:
-            values = np.array([rows[0][0].real])
-        elif len(rows) == 2:
-            values = np.array(two_level_eigenvalues((rows,))[0])
-        else:
-            values, vectors = _eigensystem(m)
-            vectors.setflags(write=False)
-        _require_psd(values)
-        m.setflags(write=False)
-        values.setflags(write=False)
+        [(rows, values, vectors, _)] = _gate_and_solve((self.matrix,))
+        m, values = np.array(rows, dtype=complex), np.asarray(values)  # for n >= 3 the solve's own view
+        for a in (m, values) if vectors is None else (m, values, vectors):
+            a.setflags(write=False)
         self.__dict__.update(matrix=m, eigenvalues=values, eigenvectors=vectors)  # frozen: past __setattr__
 
     @property
@@ -394,11 +355,7 @@ class OverlapMatrix:
 
 def overlap_matrix(state: HybridState) -> OverlapMatrix:
     """Assemble h_{chi,chi'} = integral phi_chi conj(phi_chi') for a
-    normalized state in one pass over its dictionary."""
-    return _normalized_overlap_matrix(_overlap_rows(_keyed(state.components)))
-
-
-def _normalized_overlap_matrix(h) -> OverlapMatrix:
-    """OverlapMatrix(h) once its trace, the squared norm, passes the norm gate."""
-    require_unit_norm(_trace_norm(h))
+    normalized state in one pass over its dictionary; its trace, the squared
+    norm, passes the norm gate first."""
+    require_unit_norm(_trace_norm(h := _overlap_rows(_keyed(state.components))))
     return OverlapMatrix(h)

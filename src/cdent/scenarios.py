@@ -5,12 +5,11 @@ disjoint momentum support); ``shape_pair`` builds the orthogonal-mode
 family (zero overlap from cancellation on shared support).  Sweep rows are
 beam pairs built as no state: each row keys its two packet records with
 ``states._packet_key`` and shares one packet Gram G from ``overlaps._gram``
-between the norm (from G's diagonal, whose entries the sweep computes once
-per width) and h = C G C^dagger.  Each h passes the gates of
-``OverlapMatrix`` as it is built; a sweep then solves and scores all its
-rows at once through the functions ``OverlapMatrix`` and ``Spectrum`` call,
-so ``measures.gaussian_pair_eigenvalues`` stays a checker, never the
-producer.  ``sweep_csv`` writes the rows through ``stateio.fill_floats``.
+between the norm (from G's diagonal, computed once per width) and h = C G
+C^dagger.  The rows' h go through ``linalg._gate_and_solve``, the path of
+``OverlapMatrix``, as they are built, and one ``density._entropy_purity``
+batch scores them: ``measures.gaussian_pair_eigenvalues`` stays a checker,
+never the producer.  ``sweep_csv`` writes rows by ``stateio.fill_floats``.
 """
 
 from __future__ import annotations
@@ -20,11 +19,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .density import _entropy_purity, _gated_spectrum
+from .density import _entropy_purity
 from .errors import DegenerateStateError, DomainError
-from .linalg import two_level_eigenvalues
+from .linalg import _gate_and_solve
 from .measures import _unit_weights
-from .overlaps import _gram, _require_psd, _sandwich, _symmetrized
+from .overlaps import _gram, _sandwich
 from .stateio import fill_floats
 from .states import GaussianSum, GaussianTerm, HermiteExpansion, HybridState, normalize
 from .states import _check_width, _finite_amplitude, _inverse_norm, _packet_key, _trace_norm, require_unit_norm
@@ -118,40 +117,40 @@ def _beam_rows(parameter: str, c0, c1, sigma0: float, points) -> list[SweepRow]:
     (width, center) per (value, center, width) of ``points``, checked as by
     ``beam_pair``: the two packet records keyed by ``_packet_key``, and one
     G giving both the norm and h = C G C^dagger, as on a ``beam_pair`` state."""
-    values, hs, xs, weighted = [], [], [], False
-    selfs = {}  # G_pp per width, for this sweep's G
-    try:
+    values, xs = [], []  # xs: the unit-amplitude packet overlaps |G_01| (G_00 if merged)
+
+    def hs():
+        selfs = {}  # G_pp per width, for this sweep's G
         for value, center, width in points:
-            if not hs:  # row-independent checks and products, after the first value's check
+            if not values:  # row-independent checks and products, after the first value's check
                 _unit_weights(c0, c1)
-                sigma0 = float(sigma0)
-                _check_width(sigma0, "width")
-                key0 = _packet_key(record0 := (_ORIGIN, sigma0, _ORIGIN, 0.0))
-                c0, c1 = complex(c0), complex(c1)
-                c0c1 = c0 * np.conj(c1)
-                weighted = abs(c0c1) > 1e-15
-                w0, w1 = c0 * c0.conjugate(), c1 * c1.conjugate()
+                s0 = float(sigma0)
+                _check_width(s0, "width")
+                key0 = _packet_key(record0 := (_ORIGIN, s0, _ORIGIN, 0.0))
+                a0, a1 = complex(c0), complex(c1)
+                w0, w1 = a0 * a0.conjugate(), a1 * a1.conjugate()
             width = float(width)
             _check_width(width, "width")
             packets = [(0, record0)]
             record1 = (center, width, _ORIGIN, 0.0)
-            if width != sigma0 or _packet_key(record1) != key0:  # a key starts with the width
+            if width != s0 or _packet_key(record1) != key0:  # a key starts with the width
                 packets.append((1, record1))
             p1 = len(packets) - 1
             gram = _gram(packets, (), selfs)
             # the norm from G's diagonal: the trace of C G C^dagger summed as ``_trace_norm``
             # sums it; math.sqrt rounds as np.sqrt does, and the sum is >= 0 or nan
             factor = _inverse_norm(math.sqrt((w0 * gram[0][0]).real + (w1 * gram[p1][p1]).real))
-            h = _sandwich([{0: _finite_amplitude(c0 * factor)}, {p1: _finite_amplitude(c1 * factor)}], gram)
+            h = _sandwich([{0: _finite_amplitude(a0 * factor)}, {p1: _finite_amplitude(a1 * factor)}], gram)
             require_unit_norm(_trace_norm(h))
-            hs.append(h := _symmetrized(h))
             values.append(value)
-            # degenerate weights: the unit-amplitude packet overlap, G_01 (G_00 if merged)
-            xs.append(h[0][1] if weighted else abs(gram[0][p1]))
-    finally:  # on a failing row too: one root batch, then the PSD and spectrum gates in row order
-        spectra = [_gated_spectrum(_require_psd(lam)) for lam in two_level_eigenvalues(hs)]
-    if weighted:  # one numpy division, as h.matrix[0, 1] / c0c1 divides; Python's abs rounds as numpy's scalar abs
-        xs = [abs(x) for x in (np.array(xs) / c0c1).tolist()]
+            xs.append(abs(gram[0][p1]))
+            yield h
+
+    solved = _gate_and_solve(hs())
+    c0c1 = complex(c0) * np.conj(complex(c1)) if solved else 0.0  # no rows: the weights went unchecked
+    if abs(c0c1) > 1e-15:  # one numpy division, as h.matrix[0, 1] / c0c1 divides; Python's abs rounds as numpy's scalar abs
+        xs = [abs(x) for x in (np.array([h[0][1] for h, _, _, _ in solved]) / c0c1).tolist()]
+    spectra = [lam for _, _, _, lam in solved]
     measures = _entropy_purity(np.array(spectra).reshape(-1), 2)
     return [SweepRow(parameter, value, x, *lam, *m) for value, x, lam, m in zip(values, xs, spectra, measures)]
 

@@ -22,13 +22,13 @@ from hypothesis import strategies as st
 from cdent.cli import run
 from cdent.galilean import (
     PhysicalParams,
-    _moved_overlap_matrix,
+    _move,
     _su2_rows,
     apply_galilean,
     random_elements,
     su2_from_rotation,
 )
-from cdent.overlaps import _keyed, overlap_matrix
+from cdent.overlaps import OverlapMatrix, _gram, _keyed, _sandwich, overlap_matrix
 from cdent.states import GaussianSum, GaussianTerm, HybridState, norm, normalize
 from cdent.stateio import save_state
 
@@ -77,7 +77,8 @@ def test_frame_chains_and_galilean_check(tmp_path, state, changes, seed, chain_m
     for g in random_elements(changes, seed):
         frame = g.time_shift, g.translation.tolist(), g.boost_velocity.tolist(), g.rotation.tolist()
         dictionary, rows = _keyed(moved.components)
-        checked = _moved_overlap_matrix(dictionary.packets, rows, frame, _su2_rows(frame[3]), chain_mass).matrix
+        moved_packets, moved_rows = _move(dictionary.packets, rows, frame, _su2_rows(frame[3]), chain_mass)
+        checked = OverlapMatrix(_sandwich(moved_rows, _gram(list(enumerate(moved_packets))))).matrix
         moved = apply_galilean(moved, g, PhysicalParams(chain_mass))
         assert np.max(np.abs(checked - overlap_matrix(moved).matrix)) <= 1e-15
         dmat = su2_from_rotation(g.rotation).matrix @ dmat

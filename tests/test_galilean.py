@@ -324,6 +324,49 @@ class TestInvarianceReport:
         assert len(calls) == 20
         assert rep.max_conjugation_deviation < 1e-9
 
+    @pytest.mark.parametrize("nan_at, move_fails_at", [
+        (0, 1), (1, 0), (5, 20), (20, 5), (31, 32), (32, 31), (40, 70), (70, 40),
+    ])
+    def test_earlier_samples_of_a_block_raise_first(self, monkeypatch, nan_at, move_fails_at):
+        # samples are gated and solved in blocks of 32: sample nan_at gets nan
+        # roots and the move of sample move_fails_at raises; the earlier
+        # failure wins, in one block and across a block boundary
+        from cdent import galilean, linalg
+
+        batches, moves = [], []
+        roots, move = linalg.two_level_eigenvalues, galilean._move
+
+        def nan_roots(ms):  # batch 0 is the base h, batch b the samples from 32 (b - 1) on
+            first = 32 * (len(batches) - 1)
+            batches.append(len(ms))
+            return [[np.nan, np.nan] if first + i == nan_at else lam for i, lam in enumerate(roots(ms))]
+
+        def failing_move(*args):
+            moves.append(1)
+            if len(moves) - 1 == move_fails_at:
+                raise DomainError("move refused")
+            return move(*args)
+
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", nan_roots)
+        monkeypatch.setattr(galilean, "_move", failing_move)
+        state = beam_pair(0.6, 0.8, np.zeros(3), ZHAT, 1.0, 1.3)
+        match = "not positive semidefinite" if nan_at < move_fails_at else "move refused"
+        with pytest.raises(DomainError, match=match):
+            invariance_report(state, samples=100, seed=2)
+
+    @pytest.mark.parametrize("samples", [1, 31, 32, 33, 64, 100])
+    def test_one_root_batch_per_block_of_samples(self, monkeypatch, samples):
+        from cdent import linalg
+
+        batches = []
+        roots = linalg.two_level_eigenvalues
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", lambda ms: batches.append(len(ms)) or roots(ms))
+        state = beam_pair(0.6, 0.8, np.zeros(3), ZHAT, 1.0, 1.3)
+        invariance_report(state, samples=samples, seed=2)
+        blocks = -(-samples // 32)
+        assert len(batches) == 1 + blocks
+        assert batches == [1] + [32] * (blocks - 1) + [samples - 32 * (blocks - 1)]
+
     def test_keys_the_state_once(self, monkeypatch):
         # one dictionary gives the base h and the packets the samples move;
         # the samples build no dictionary

@@ -7,11 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cdent import overlaps
+from cdent import linalg, overlaps
 from cdent.density import schmidt_decomposition
 from cdent.errors import DomainError, PreconditionError, StructureError
 from cdent.galilean import GalileanElement, apply_galilean, su2_from_rotation
-from cdent.linalg import hermitian_eigensystem
+from cdent.linalg import _eigensystem, require_hermitian
 from cdent.overlaps import (
     OverlapMatrix,
     dictionary_overlap_matrix,
@@ -196,7 +196,7 @@ class TestOverlapMatrix:
         h = overlap_matrix(state).matrix
         cn = c / np.linalg.norm(c)
         assert np.max(np.abs(h - np.outer(cn, np.conj(cn)))) < 1e-10
-        eigs = hermitian_eigensystem(h)[0]
+        eigs = np.linalg.eigvalsh(h)[::-1]
         assert eigs[1] < 1e-10
 
     def test_orthogonal_equal_weight_is_maximally_mixed(self):
@@ -234,7 +234,7 @@ class TestOverlapMatrix:
                 for j in range(i + 1, n):
                     assert abs(h[i, j]) ** 2 <= diag[i] * diag[j] + 1e-12
                     assert abs(h[i, j]) <= 0.5 + 1e-12
-            assert hermitian_eigensystem(h)[0][-1] > -1e-10
+            assert np.linalg.eigvalsh(h)[0] > -1e-10
 
     def test_keeps_the_eigensystem_of_its_psd_check(self, rng):
         # n >= 3: the eigensolve's eigenvectors, bit for bit; n <= 2 uses
@@ -244,8 +244,10 @@ class TestOverlapMatrix:
             if n <= 2:
                 assert rho.eigenvectors is None
                 continue
-            values, vectors = hermitian_eigensystem(rho.matrix)
+            values, vectors = _eigensystem(require_hermitian(rho.matrix))
             assert rho.eigenvalues.tobytes() == values.tobytes()
+            # the solve's own reversed view, not a copy: np.log2 may round a copy differently
+            assert rho.eigenvalues.strides == values.strides and rho.eigenvalues.strides[0] < 0
             assert rho.eigenvectors.tobytes() == vectors.tobytes()
             assert not rho.eigenvectors.flags.writeable
 
@@ -278,8 +280,16 @@ class TestOverlapMatrix:
 
     def test_psd_gate_refuses_nan_eigenvalues(self, monkeypatch):
         # the closed form takes a batch of matrices; one matrix is a batch of one
-        monkeypatch.setattr(overlaps, "two_level_eigenvalues", lambda ms: [[np.nan, np.nan] for _ in ms])
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", lambda ms: [[np.nan, np.nan] for _ in ms])
         with pytest.raises(DomainError, match="not positive semidefinite"):
+            OverlapMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+
+    def test_spectrum_gate_runs_at_construction(self, monkeypatch):
+        # construction runs the spectrum gate too, not only spectrum(rho):
+        # roots in range that sum to 1.4 are refused
+        OverlapMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", lambda ms: [[0.7, 0.7] for _ in ms])
+        with pytest.raises(DomainError, match="must sum to 1"):
             OverlapMatrix(np.array([[0.5, 0.1], [0.1, 0.5]]))
 
     def test_state_inner_matches_norm(self, rng):

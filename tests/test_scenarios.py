@@ -176,8 +176,8 @@ class TestSweepRowInvariants:
                 return func(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(scenarios, "_gated_spectrum", counting("gate", density._gated_spectrum))
-        monkeypatch.setattr(scenarios, "two_level_eigenvalues", counting("roots", linalg.two_level_eigenvalues))
+        monkeypatch.setattr(linalg, "_gated_spectrum", counting("gate", linalg._gated_spectrum))
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", counting("roots", linalg.two_level_eigenvalues))
         monkeypatch.setattr(scenarios, "_entropy_purity", counting("measures", density._entropy_purity))
         monkeypatch.setattr(np, "hypot", counting("hypot", np.hypot))
         monkeypatch.setattr(np, "log2", counting("log2", np.log2))
@@ -274,19 +274,21 @@ class TestSweepRowInvariants:
         # the PSD and spectrum gates run once per sweep, but a row that fails
         # a per-row check still raises after the batched gates of the rows
         # before it, and before those of the rows after it
+        original = linalg.two_level_eigenvalues
+
         def roots_with(row):
             def roots(ms):
-                return [bad if i == row else lam for i, lam in enumerate(linalg.two_level_eigenvalues(ms))]
+                return [bad if i == row else lam for i, lam in enumerate(original(ms))]
             return roots
 
-        monkeypatch.setattr(scenarios, "two_level_eigenvalues", roots_with(0))
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", roots_with(0))
         with pytest.raises(DomainError, match=match):
             sweep_width_ratio(1.0, 0.0, 1.0, [2.0, 3.0, 1e90])
         with pytest.raises(DomainError, match=match):
             sweep_q(0.6, 0.8, 1.0, [1.0, 2.0, -1.0])
         with pytest.raises(DomainError, match=match):
             sweep_q(0.6, 0.8, 1.0, [1.0, 2.0, 3.0])
-        monkeypatch.setattr(scenarios, "two_level_eigenvalues", roots_with(2))
+        monkeypatch.setattr(linalg, "two_level_eigenvalues", roots_with(2))
         with pytest.raises(DomainError, match="got 1e\\+90"):
             sweep_width_ratio(1.0, 0.0, 1.0, [2.0, 1e90, 3.0])
         with pytest.raises(DomainError, match="q values"):
